@@ -22,7 +22,16 @@ from .core import (
     validate_cohort,
 )
 from .edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
-from .hqs import MomentSummary, NullEnsemble, generate_null, mixture_sample, observed_moments
+from .hqs import (
+    MomentSummary,
+    NullEnsemble,
+    NullExceedance,
+    NullStream,
+    generate_null,
+    mixture_sample,
+    null_exceedances,
+    observed_moments,
+)
 from .thresholds import (
     ThresholdRule,
     addt_threshold,

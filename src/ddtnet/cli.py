@@ -30,7 +30,7 @@ from .core import (
 )
 from .degree_test import PipelineError, ddt_run
 from .enrichment import NoSelectedEdgesError, enrichment_test
-from .hqs import MomentSummary, NonpositiveMeanError, generate_null, observed_moments
+from .hqs import MomentSummary, NonpositiveMeanError, NullStream, observed_moments
 from .io import (
     ManifestError,
     load_cohort,
@@ -71,12 +71,24 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 
 
 def _threads(args) -> int:
+    """Requested worker count: --threads, else DDT_THREADS, else the CPU
+    count. run_experiment caps it by the replicate and CPU counts."""
     if args.threads is not None:
-        return max(1, args.threads)
+        return _parse_threads(args.threads, "--threads")
     env = os.environ.get("DDT_THREADS")
-    if env and env.isdigit():
-        return max(1, int(env))
+    if env:
+        return _parse_threads(env, "DDT_THREADS")
     return os.cpu_count() or 1
+
+
+def _parse_threads(raw: str, source: str) -> int:
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"{source} must be a positive integer, got {raw!r}")
+    return threads
 
 
 def cmd_run(args) -> int:
@@ -162,11 +174,12 @@ def cmd_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
+    threads = _threads(args)
     design, methods, edge_rules = load_design(args.design)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(design, methods=methods, edge_rules=edge_rules,
-                            threads=_threads(args))
+                            threads=threads)
     write_metrics_csv(out_dir / "metrics.csv", result)
     write_replicates_csv(out_dir / "replicates.csv.gz", result)
     echo = {k: (list(v) if isinstance(v, tuple) else v)
@@ -205,11 +218,11 @@ def cmd_null(args) -> int:
                                 "--moments")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ensemble = generate_null(moments, n=n_nodes,
-                                 size=args.ensemble_size, seed=args.seed or 0)
-        write_null_networks(out_dir, ensemble)
+        stream = NullStream(moments, n=n_nodes, size=args.ensemble_size,
+                            seed=args.seed or 0)
+        write_null_networks(out_dir, stream)
         if not args.quiet:
-            print(f"wrote {ensemble.size} null networks to {out_dir}")
+            print(f"wrote {stream.size} null networks to {out_dir}")
     elif not args.quiet:
         print(json.dumps(moments.to_dict(), sort_keys=True))
     return EXIT_OK
@@ -233,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differential degree test for two-population networks")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: DDT_THREADS env or "
-                             "available parallelism)")
+    parser.add_argument("--threads", default=None,
+                        help="worker pool size, a positive integer (default: "
+                             "DDT_THREADS env or available parallelism; "
+                             "capped by the replicate and CPU counts)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the manifest seed")
     parser.add_argument("--quiet", action="store_true",

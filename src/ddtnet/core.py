@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # p-values are clamped into [P_MIN, 1 - P_MIN] before the logit transform;
-# permutation tests and degenerate edges can emit exact 0/1.
+# permutation tests and degenerate edges can emit exact 0/1. Both clamp
+# counts are surfaced in the flags of run_summary.json.
 P_MIN = 1e-10
 # correlations with |r| = 1 are clamped to +/-R_MAX before the Fisher Z
-# transform; the clamp count is surfaced in run reports.
+# transform.
 R_MAX = 1.0 - 1e-7
 
 SYMMETRY_TOL = 1e-8
@@ -72,6 +73,12 @@ def fisher_z_clamped(r: np.ndarray) -> tuple[np.ndarray, int]:
 def clamp_pvalues(p: np.ndarray) -> np.ndarray:
     """Clamp p-values into [P_MIN, 1 - P_MIN] so 1 - p survives the logit."""
     return np.clip(np.asarray(p, dtype=float), P_MIN, 1.0 - P_MIN)
+
+
+def pvalue_clamp_count(p: np.ndarray) -> int:
+    """How many p-values clamp_pvalues moves onto P_MIN or 1 - P_MIN."""
+    p = np.asarray(p, dtype=float)
+    return int(np.count_nonzero(clamp_pvalues(p) != p))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

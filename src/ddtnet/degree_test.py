@@ -1,9 +1,10 @@
 """The differential degree test.
 
 Pipeline: edge-wise p-values -> difference network (probability and logit
-scale) -> observed moments -> null ensemble -> threshold gamma -> observed
-adjacency and differential degrees -> thresholded null ensemble -> per-node
-null probability -> exact binomial upper-tail p-values.
+scale) -> observed moments -> one streamed pass over the null ensemble
+(threshold gamma and per-edge null exceedance counts) -> observed adjacency
+and differential degrees -> per-node null probability -> exact binomial
+upper-tail p-values.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ from .core import (
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    pvalue_clamp_count,
     triu_index_pairs,
     validate_cohort,
 )
 from .edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
-from .hqs import MomentSummary, generate_null, observed_moments
-from .thresholds import ThresholdRule, apply_threshold, select_gamma, threshold_mask
+from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it here
+    MomentSummary,
+    NullStream,
+    generate_null,
+    null_exceedances,
+    observed_moments,
+)
+from .thresholds import ThresholdRule, apply_threshold, select_gamma
 
 # reported in place of an exact-zero binomial p-value when the null
 # probability estimate is degenerate (undersized ensemble)
@@ -85,17 +93,20 @@ def null_probability(null_adjacencies: Sequence[AdjacencyMatrix]) -> np.ndarray:
     """
     if len(null_adjacencies) == 0:
         raise ValidationError("need at least one thresholded null network")
-    n = null_adjacencies[0].n
     mask = np.vstack([a.selected for a in null_adjacencies])
-    return _null_probability_from_mask(mask, n)
+    return null_probability_from_counts(mask.sum(axis=0), len(null_adjacencies),
+                                        null_adjacencies[0].n)
 
 
-def _null_probability_from_mask(mask: np.ndarray, n: int) -> np.ndarray:
+def null_probability_from_counts(counts: np.ndarray, size: int,
+                                 n: int) -> np.ndarray:
+    """p_hat from per-edge counts of the `size` null networks selecting each
+    edge (the counts hqs.null_exceedances returns)."""
     iu, ju = triu_index_pairs(n)
-    per_edge = mask.sum(axis=0).astype(float)
+    per_edge = np.asarray(counts).astype(float)
     totals = (np.bincount(iu, weights=per_edge, minlength=n)
               + np.bincount(ju, weights=per_edge, minlength=n))
-    return totals / (mask.shape[0] * (n - 1))
+    return totals / (size * (n - 1))
 
 
 def binomial_upper_tail(k: int, n: int, p: float) -> float:
@@ -173,16 +184,20 @@ def ddt_run(cohort: ConnectivityCohort,
     except DdtError as err:
         raise PipelineError(f"moments: {err}") from err
 
-    ensemble = generate_null(moments, cohort.n, ensemble_size, seed=seed)
-    try:
-        gamma = select_gamma(rule, moments=moments, ensemble=ensemble, pmat=pmat)
-    except DdtError as err:
-        raise PipelineError(f"threshold: {err}") from err
+    stream = NullStream(moments, cohort.n, ensemble_size, seed=seed)
+    fixed, levels = {}, {}
+    if rule.kind == "eddt":
+        levels["gamma"] = rule.level
+    else:
+        try:
+            fixed["gamma"] = select_gamma(rule, moments=moments, pmat=pmat)
+        except DdtError as err:
+            raise PipelineError(f"threshold: {err}") from err
+    null = null_exceedances(stream, fixed, levels)["gamma"]
 
-    adjacency = apply_threshold(dn, gamma)
+    adjacency = apply_threshold(dn, null.gamma)
     degrees = differential_degree(adjacency)
-    null_mask = threshold_mask(ensemble.logit_entries, gamma)
-    p_null = _null_probability_from_mask(null_mask, cohort.n)
+    p_null = null_probability_from_counts(null.counts, null.size, cohort.n)
     nodes = node_tests(degrees, p_null, alpha=alpha)
     if correct_nodes:
         from .thresholds import benjamini_hochberg
@@ -194,10 +209,12 @@ def ddt_run(cohort: ConnectivityCohort,
 
     flags = {
         "degenerate_nodes": [r.node for r in nodes if r.degenerate],
-        "null_edge_fraction": float(null_mask.mean()),
+        "null_edge_fraction": null.edge_fraction,
+        "fisher_z_clamped": pmat.fisher_z_clamped,
+        "pvalues_clamped": pvalue_clamp_count(pmat.values),
         "node_correction": "bh" if correct_nodes else "none",
     }
     return DdtResult(nodes=nodes, pvalues=pmat, difference=dn, moments=moments,
-                     gamma=float(gamma), adjacency=adjacency,
+                     gamma=null.gamma, adjacency=adjacency,
                      ensemble_size=ensemble_size, alpha=alpha, seed=seed,
                      flags=flags)

@@ -61,7 +61,13 @@ class EdgeTestConfig:
 
 @dataclass(frozen=True)
 class PValueMatrix(SymmetricMatrix):
-    """SymmetricMatrix whose off-diagonal entries are p-values in (0, 1]."""
+    """SymmetricMatrix whose off-diagonal entries are p-values in (0, 1].
+
+    fisher_z_clamped counts the subject values with |r| >= 1 that were
+    clamped to +/-R_MAX before the Fisher Z transform.
+    """
+
+    fisher_z_clamped: int = 0
 
     def __post_init__(self):
         super().__post_init__()
@@ -193,9 +199,11 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
     validate_cohort(cohort)
     x = cohort.edge_samples(1)
     y = cohort.edge_samples(2)
+    n_clamped = 0
     if cfg.fisher_z:
-        x, _ = fisher_z_clamped(x)
-        y, _ = fisher_z_clamped(y)
+        x, clamped_x = fisher_z_clamped(x)
+        y, clamped_y = fisher_z_clamped(y)
+        n_clamped = clamped_x + clamped_y
     n_edges = x.shape[1]
 
     if cfg.method == "welch_t":
@@ -219,7 +227,8 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
                 iu, ju = np.triu_indices(cohort.n, k=1)
                 raise EdgeTestError(
                     f"edge ({int(iu[e])}, {int(ju[e])}): {err}") from err
-    return PValueMatrix(n=cohort.n, values=p, diagonal=np.ones(cohort.n))
+    return PValueMatrix(n=cohort.n, values=p, diagonal=np.ones(cohort.n),
+                        fisher_z_clamped=n_clamped)
 
 
 def _vector_welch(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,11 +16,18 @@ Each off-diagonal entry is distributed as (sigma2/2) (T - Q) with
 T ~ noncentral chi^2_m(lambda), lambda = 2 m mu^2 / sigma2, Q ~ chi^2_m,
 T independent of Q. mixture_sample draws that law directly, which is what
 the parametric threshold uses.
+
+The pipeline never holds the M x E ensemble: a NullStream regenerates the
+replicates in fixed-size row blocks, and null_exceedances takes every
+threshold and its per-edge exceedance counts from one pass over them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from .core import (
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    _frozen,
     inv_logit,
     substream,
     triu_index_pairs,
@@ -100,6 +108,56 @@ def observed_moments(dn: DifferenceNetwork, m: int = 2) -> MomentSummary:
     return MomentSummary.from_moments(ebar, vbar, m=m)
 
 
+# Null replicates are generated and consumed in row blocks of at most this
+# many bytes, so a pass over the ensemble never holds all M x E entries.
+_BLOCK_BYTES = 16 * 2 ** 20
+# Half-width of the first-block bracket around a pooled quantile, in
+# standard errors of that block's estimate of it.
+_BRACKET_Z = 6.0
+# Size of the stride sample that re-brackets a quantile after a miss.
+_SAMPLE_SIZE = 2 ** 16
+
+
+def _block_rows(n_edges: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_edges))
+
+
+@dataclass(frozen=True)
+class NullStream:
+    """The null ensemble as a recipe: M replicates that are never stored.
+
+    blocks() regenerates replicate i from the (seed, i) substream, in row
+    blocks of at most _BLOCK_BYTES, so every pass holds one block at a time
+    and each row is bit-identical to the same row of generate_null. The
+    read-only blocks share one buffer: a block is valid until the next is
+    requested, so copy whatever must outlive it.
+    """
+
+    moments: MomentSummary
+    n: int
+    size: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValidationError(f"need at least 2 nodes, got n={self.n}")
+        if self.size < 1:
+            raise ValidationError(f"ensemble size must be >= 1, got {self.size}")
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        iu, ju = triu_index_pairs(self.n)
+        sd = np.sqrt(self.moments.sigma2)
+        buffer = np.empty((min(_block_rows(len(iu)), self.size), len(iu)))
+        for start in range(0, self.size, len(buffer)):
+            block = buffer[:min(len(buffer), self.size - start)]
+            for r in range(len(block)):
+                rng = substream(self.seed, start + r)
+                L = rng.normal(self.moments.mu, sd, size=(self.n, self.moments.m))
+                gram = L @ L.T
+                block[r] = gram[iu, ju]
+            yield _frozen(block)
+
+
 @dataclass(frozen=True)
 class NullEnsemble:
     """M generated null networks sharing the observed first two moments.
@@ -122,7 +180,7 @@ class NullEnsemble:
                 f"{entries.shape}")
         if entries.shape[0] < 1:
             raise ValidationError("ensemble needs at least one network")
-        object.__setattr__(self, "logit_entries", entries)
+        object.__setattr__(self, "logit_entries", _frozen(entries))
 
     @property
     def size(self) -> int:
@@ -132,9 +190,11 @@ class NullEnsemble:
         """Probability-scale view of replicate i (diagonal zeroed)."""
         return DifferenceNetwork(n=self.n, d=inv_logit(self.logit_entries[i]))
 
-    @property
-    def networks(self) -> list[DifferenceNetwork]:
-        return [self.network(i) for i in range(self.size)]
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The entries in the row blocks a NullStream of this size yields."""
+        rows = _block_rows(self.logit_entries.shape[1])
+        for start in range(0, self.size, rows):
+            yield self.logit_entries[start:start + rows]
 
     def pooled_logit_values(self) -> np.ndarray:
         return self.logit_entries.ravel()
@@ -142,24 +202,181 @@ class NullEnsemble:
 
 def generate_null(moments: MomentSummary, n: int, size: int,
                   seed: int = 0) -> NullEnsemble:
-    """Generate `size` null networks of n nodes.
+    """Generate and keep `size` null networks of n nodes.
 
     Replicate i draws its Gaussian factor from the (seed, i) substream, so
-    ensembles are reproducible and order-stable under any scheduling.
+    ensembles are reproducible and order-stable under any scheduling. This
+    holds all M x E entries; the pipeline streams a NullStream instead.
     """
-    if n < 2:
-        raise ValidationError(f"need at least 2 nodes, got n={n}")
-    if size < 1:
-        raise ValidationError(f"ensemble size must be >= 1, got {size}")
-    iu, ju = triu_index_pairs(n)
-    sd = np.sqrt(moments.sigma2)
-    entries = np.empty((size, len(iu)))
-    for i in range(size):
-        rng = substream(seed, i)
-        L = rng.normal(moments.mu, sd, size=(n, moments.m))
-        gram = L @ L.T
-        entries[i] = gram[iu, ju]
+    stream = NullStream(moments, n, size, seed)
+    entries = np.empty((size, n * (n - 1) // 2))
+    start = 0
+    for block in stream.blocks():
+        entries[start:start + len(block)] = block
+        start += len(block)
     return NullEnsemble(moments=moments, n=n, seed=seed, logit_entries=entries)
+
+
+@dataclass(frozen=True)
+class NullExceedance:
+    """A threshold and, per edge, how many null replicates exceed it."""
+
+    gamma: float
+    counts: np.ndarray     # int64 #{i : entry_i,e > gamma}, canonical edge order
+    size: int              # M, the number of replicates counted
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts",
+                           _frozen(np.asarray(self.counts, dtype=np.int64)))
+
+    @property
+    def edge_fraction(self) -> float:
+        """Share of all M x E null entries above gamma."""
+        return float(self.counts.sum()) / (self.size * self.counts.size)
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's linear interpolation rule, so quantiles match np.quantile."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+class _PooledQuantile:
+    """Exact pooled quantile of the ensemble from one pass over its blocks.
+
+    Entries below the bracket [lo, hi] are only counted, entries above it
+    are counted per edge, and the entries inside it are kept with their
+    edge. If the order statistics the quantile needs fall inside, they are
+    selected from the kept entries; otherwise result() returns None and a
+    wider bracket needs another pass.
+    """
+
+    def __init__(self, level: float, size: int, n_edges: int,
+                 sample: np.ndarray, margin: float):
+        self.level, self.size, self.n_edges = level, size, n_edges
+        self.margin = margin
+        self.lo = (float(np.quantile(sample, level - margin))
+                   if level - margin > 0.0 else -math.inf)
+        self.hi = (float(np.quantile(sample, level + margin))
+                   if level + margin < 1.0 else math.inf)
+        self.below = 0
+        self.above = np.zeros(n_edges, dtype=np.int64)
+        self.values: list[np.ndarray] = []
+        self.edges: list[np.ndarray] = []
+
+    @classmethod
+    def from_first_block(cls, block: np.ndarray, level: float, size: int,
+                         n: int) -> "_PooledQuantile":
+        """Bracket the quantile from the first block with a margin of
+        _BRACKET_Z standard errors of the block's estimate of it.
+
+        The entries of one network share its n Gaussian factor rows, so its
+        exceedance rate varies like a sample of about n values, not E; the
+        spread across the block's rows is floored at that scale.
+        """
+        sample = block.ravel()[::max(1, block.size // _SAMPLE_SIZE)]
+        rows = len(block)
+        spread = math.sqrt(level * (1.0 - level) / n)
+        if rows > 1:
+            rates = (block > np.quantile(sample, level)).mean(axis=1)
+            spread = max(spread, float(rates.std(ddof=1)))
+        margin = _BRACKET_Z * spread * math.sqrt(1.0 / rows + 1.0 / size)
+        return cls(level, size, block.shape[1], sample, margin)
+
+    def widened(self, sample: np.ndarray) -> "_PooledQuantile":
+        """A fresh bracket at least twice as wide, placed on a sample of the
+        whole ensemble; it reaches (-inf, inf) within eight widenings."""
+        return _PooledQuantile(self.level, self.size, self.n_edges, sample,
+                               max(2.0 * self.margin, 0.01))
+
+    def add(self, block: np.ndarray) -> None:
+        below = block < self.lo
+        above = block > self.hi
+        self.below += int(np.count_nonzero(below))
+        self.above += above.sum(axis=0)
+        outside = np.logical_or(below, above, out=below)
+        keep = np.flatnonzero(np.logical_not(outside, out=outside))
+        self.values.append(block.ravel()[keep])
+        self.edges.append((keep % self.n_edges).astype(np.int32))
+
+    def result(self) -> NullExceedance | None:
+        total = self.size * self.n_edges
+        # np.quantile's "linear" rule: virtual index (N - 1) q, then lerp
+        # between the order statistics at its floor and the next index
+        virtual = (total - 1) * self.level
+        k = math.floor(virtual)
+        values = np.concatenate(self.values)
+        self.values = [values]
+        lower, upper = k - self.below, k + 1 - self.below
+        if lower < 0 or upper >= len(values):
+            return None
+        picked = np.partition(values, (lower, upper))
+        gamma = _lerp(float(picked[lower]), float(picked[upper]), virtual - k)
+        del picked
+        edges = np.concatenate(self.edges)
+        self.edges = [edges]
+        counts = self.above + np.bincount(edges[values > gamma],
+                                          minlength=self.n_edges)
+        return NullExceedance(gamma=gamma, counts=counts, size=self.size)
+
+
+def null_exceedances(source: NullStream | NullEnsemble,
+                     gammas: Mapping[str, float] | None = None,
+                     levels: Mapping[str, float] | None = None,
+                     ) -> dict[str, NullExceedance]:
+    """Thresholds and per-edge exceedance counts from one pass over the null.
+
+    gammas are fixed logit-scale thresholds (aDDT and the baseline rules).
+    levels are pooled quantile levels (eDDT): their gamma is the q-quantile
+    of all M x E null entries, exactly np.quantile(pooled, q). When the
+    ensemble is one block that is literally what is computed; otherwise
+    each quantile is bracketed from the first block and selected from the
+    entries that fall inside, and a bracket that misses costs another pass
+    with a wider one, never an approximation. Returns one NullExceedance per
+    name, the fixed thresholds first.
+    """
+    gammas = dict(gammas or {})
+    levels = dict(levels or {})
+    for level in levels.values():
+        if not 0.0 < level < 1.0:
+            raise ValidationError(f"quantile must be in (0, 1), got {level}")
+    blocks = source.blocks()
+    first = next(blocks)
+    if len(first) == source.size:
+        gammas.update((name, float(np.quantile(first, level)))
+                      for name, level in levels.items())
+        return {name: NullExceedance(gamma=gamma,
+                                     counts=(first > gamma).sum(axis=0),
+                                     size=source.size)
+                for name, gamma in gammas.items()}
+
+    n_edges = first.shape[1]
+    counts = {name: np.zeros(n_edges, dtype=np.int64) for name in gammas}
+    quantiles = {name: _PooledQuantile.from_first_block(first, level,
+                                                        source.size, source.n)
+                 for name, level in levels.items()}
+    stride = max(1, source.size * n_edges // _SAMPLE_SIZE)
+    sample = []
+    for block in itertools.chain([first], blocks):
+        for name, gamma in gammas.items():
+            counts[name] += (block > gamma).sum(axis=0)
+        for quantile in quantiles.values():
+            quantile.add(block)
+        if quantiles:
+            sample.append(block.ravel()[::stride].copy())
+
+    out = {name: NullExceedance(gamma=gamma, counts=counts[name],
+                                size=source.size)
+           for name, gamma in gammas.items()}
+    if quantiles:
+        sample = np.concatenate(sample)
+    for name, quantile in quantiles.items():
+        while (found := quantile.result()) is None:
+            quantile = quantile.widened(sample)
+            for block in source.blocks():
+                quantile.add(block)
+        out[name] = found
+    return out
 
 
 def mixture_sample(moments: MomentSummary, count: int, seed: int = 0,

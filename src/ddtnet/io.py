@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     ConnectivityCohort,
     DdtError,
+    DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
     inv_logit,
@@ -26,7 +27,7 @@ from .core import (
 from .degree_test import DdtResult
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
-from .hqs import MomentSummary, NullEnsemble
+from .hqs import MomentSummary, NullEnsemble, NullStream
 from .simulate import ExperimentResult, SimDesign
 from .thresholds import ThresholdRule
 
@@ -312,12 +313,16 @@ def write_gamma_json(path, rule: ThresholdRule, gamma: float) -> None:
         "tau": inv_logit(gamma) if math.isfinite(gamma) else 1.0})
 
 
-def write_null_networks(out_dir: Path, ensemble: NullEnsemble) -> list[Path]:
+def write_null_networks(out_dir: Path,
+                        ensemble: NullStream | NullEnsemble) -> list[Path]:
+    """One probability-scale CSV per null network, written block by block as
+    a NullStream generates them."""
     paths = []
     width = len(str(ensemble.size - 1))
-    for i in range(ensemble.size):
-        dense = ensemble.network(i).to_symmetric().to_dense()
-        p = out_dir / f"null_{i:0{width}d}.csv"
-        write_matrix_csv(p, dense)
-        paths.append(p)
+    for block in ensemble.blocks():
+        for entries in block:
+            net = DifferenceNetwork(n=ensemble.n, d=inv_logit(entries))
+            p = out_dir / f"null_{len(paths):0{width}d}.csv"
+            write_matrix_csv(p, net.to_symmetric().to_dense())
+            paths.append(p)
     return paths

@@ -12,6 +12,7 @@ substreams, so results are identical under any scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,16 +28,20 @@ from .core import (
     substream,
     triu_index_pairs,
 )
-from .degree_test import node_tests, _null_probability_from_mask
+from .degree_test import node_tests, null_probability_from_counts
 from .edgetests import EdgeTestConfig, edgewise_pvalues
-from .hqs import generate_null, observed_moments
-from .thresholds import (
+from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it here
+    NullStream,
+    generate_null,
+    null_exceedances,
+    observed_moments,
+)
+from .thresholds import (  # noqa: F401  eddt_threshold: as generate_null
     ThresholdRule,
     addt_threshold,
     apply_threshold,
     baseline_threshold,
     eddt_threshold,
-    threshold_mask,
 )
 
 STRUCTURES = ("random", "smallworld", "hybrid")
@@ -384,19 +389,17 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
         try:
             dn = DifferenceNetwork.from_pvalues(pmat)
             moments = observed_moments(dn)
-            ensemble = generate_null(moments, n, design.null_networks,
-                                     seed=int(rep_rng.integers(2 ** 63)))
-            gammas = {}
+            stream = NullStream(moments, n, design.null_networks,
+                                seed=int(rep_rng.integers(2 ** 63)))
+            fixed = {}
             if "addt" in ddt_wanted:
-                gammas["addt"] = addt_threshold(moments, design.level,
-                                                design.resolution)
-            if "eddt" in ddt_wanted:
-                gammas["eddt"] = eddt_threshold(ensemble, design.level)
-            for name, gamma in gammas.items():
-                adjacency = apply_threshold(dn, gamma)
+                fixed["addt"] = addt_threshold(moments, design.level,
+                                               design.resolution)
+            levels = {"eddt": design.level} if "eddt" in ddt_wanted else {}
+            for name, null in null_exceedances(stream, fixed, levels).items():
+                adjacency = apply_threshold(dn, null.gamma)
                 edge_detections[name] = adjacency.selected
-                null_mask = threshold_mask(ensemble.logit_entries, gamma)
-                p_null = _null_probability_from_mask(null_mask, n)
+                p_null = null_probability_from_counts(null.counts, null.size, n)
                 results = node_tests(adjacency.degrees(), p_null,
                                      alpha=design.alpha)
                 node_decisions[name] = np.array([r.significant for r in results])
@@ -460,6 +463,14 @@ def _aggregate(method: str, scope: str, counts: list[ConfusionCounts],
                      replicates_used=len(counts), errors=n_errors, counts=total)
 
 
+def pool_size(threads: int, replicates: int) -> int:
+    """Worker processes for a run: the requested count, capped by the
+    replicate count and the CPU count."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, replicates, os.cpu_count() or 1))
+
+
 def run_experiment(design: SimDesign,
                    methods: tuple[str, ...] = NODE_METHODS,
                    edge_rules: tuple[str, ...] = (),
@@ -469,7 +480,8 @@ def run_experiment(design: SimDesign,
     Per-replicate method failures (e.g. a nonpositive logit-scale mean under
     weak signal) are recorded and the affected method simply contributes no
     decisions for that replicate; aggregates are over the replicates where
-    the method ran.
+    the method ran. Replicates run on pool_size(threads, replicates)
+    processes; the results are the same for any count.
     """
     for m in methods:
         if m not in NODE_METHODS:
@@ -478,16 +490,17 @@ def run_experiment(design: SimDesign,
     for r in edge_rules:
         if r not in ("addt", "eddt"):
             _edge_rule(r, design)
+    workers = pool_size(threads, design.replicates)
     base = base_network_for(design)
     reps = range(design.replicates)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(
                 run_replicate, [design] * design.replicates,
                 [base] * design.replicates, reps,
                 [tuple(methods)] * design.replicates,
                 [tuple(edge_rules)] * design.replicates,
-                chunksize=max(1, design.replicates // (8 * threads))))
+                chunksize=max(1, design.replicates // (8 * workers))))
     else:
         outcomes = [run_replicate(design, base, rep, tuple(methods),
                                   tuple(edge_rules)) for rep in reps]

@@ -70,7 +70,11 @@ def addt_threshold(moments: MomentSummary, q: float = 0.95,
 
 
 def eddt_threshold(ensemble: NullEnsemble, q: float = 0.95) -> float:
-    """Empirical q-quantile of all pooled off-diagonal null entries."""
+    """Empirical q-quantile of all pooled off-diagonal null entries.
+
+    Needs the materialized ensemble; the pipeline takes the same value from
+    one streamed pass with hqs.null_exceedances.
+    """
     if not 0.0 < q < 1.0:
         raise ValidationError(f"quantile must be in (0, 1), got {q}")
     if ensemble.size < 1:
@@ -83,11 +87,6 @@ def apply_threshold(dn: DifferenceNetwork, gamma: float) -> AdjacencyMatrix:
     if math.isnan(gamma):
         raise ValidationError("threshold gamma is NaN")
     return AdjacencyMatrix(n=dn.n, selected=dn.logit_values() > gamma)
-
-
-def threshold_mask(logit_entries: np.ndarray, gamma: float) -> np.ndarray:
-    """Boolean selection of logit-scale entries above gamma (any shape)."""
-    return logit_entries > gamma
 
 
 def benjamini_hochberg(pvalues: np.ndarray, alpha: float) -> np.ndarray:
@@ -124,9 +123,10 @@ def baseline_threshold(pmat: PValueMatrix, rule: ThresholdRule) -> AdjacencyMatr
 
 def select_gamma(rule: ThresholdRule,
                  moments: MomentSummary | None = None,
-                 ensemble: NullEnsemble | None = None,
                  pmat: PValueMatrix | None = None) -> float:
-    """Logit-scale gamma for any rule kind, usable on observed and null nets.
+    """Logit-scale gamma of a rule known before the null pass (every kind
+    but eddt, whose gamma is the pooled null quantile that
+    hqs.null_exceedances selects), usable on observed and null nets.
 
     For bonferroni/fdr the rule's p-cut is mapped onto the d scale
     (p < c  <=>  logit(d) > logit(1 - c)); fdr with no rejection returns
@@ -137,9 +137,8 @@ def select_gamma(rule: ThresholdRule,
             raise ValidationError("addt threshold needs a moment summary")
         return addt_threshold(moments, rule.level, rule.resolution, rule.seed)
     if rule.kind == "eddt":
-        if ensemble is None:
-            raise ValidationError("eddt threshold needs a null ensemble")
-        return eddt_threshold(ensemble, rule.level)
+        raise ValidationError("the eddt threshold comes from the null pass "
+                              "(hqs.null_exceedances)")
     if rule.kind == "hard":
         return logit(rule.level)
     if pmat is None:

@@ -231,3 +231,98 @@ def test_seed_override_changes_output(tmp_path):
     sa = json.loads((tmp_path / "a" / "run_summary.json").read_text())
     sb = json.loads((tmp_path / "b" / "run_summary.json").read_text())
     assert sa["seed"] == 31 and sb["seed"] == 99
+
+
+def _small_design(tmp_path, **extra):
+    design = {
+        "n_nodes": 12, "n1": 6, "n2": 6, "q": 4, "targets": [1, 2],
+        "replicates": 6, "seed": 17, "null_networks": 20,
+        "resolution": 20000, "methods": ["addt", "eddt", "binb", "binf", "t10"],
+        "edge_rules": ["addt", "eddt", "fdr"],
+    }
+    design.update(extra)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    return path
+
+
+def test_simulate_threads_1_and_2_byte_identical(tmp_path):
+    design = _small_design(tmp_path)
+    for threads in ("1", "2"):
+        assert main(["--quiet", "--threads", threads, "simulate",
+                     "--design", str(design),
+                     "--out", str(tmp_path / f"t{threads}")]) == 0
+    for name in ("metrics.csv", "replicates.csv.gz"):
+        assert (tmp_path / "t1" / name).read_bytes() == \
+            (tmp_path / "t2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "two", ""])
+def test_threads_flag_rejects_non_positive_integers(tmp_path, capsys, value):
+    code = main(["--threads", value, "simulate",
+                 "--design", str(_small_design(tmp_path)),
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert "--threads" in payload["message"]
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "2.5"])
+def test_threads_env_rejects_non_positive_integers(tmp_path, capsys,
+                                                   monkeypatch, value):
+    monkeypatch.setenv("DDT_THREADS", value)
+    code = main(["simulate", "--design", str(_small_design(tmp_path)),
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "validation"
+    assert "DDT_THREADS" in payload["message"]
+
+
+def test_thread_resolver_precedence(monkeypatch):
+    from argparse import Namespace
+    import os
+
+    from ddtnet.cli import _threads
+    monkeypatch.delenv("DDT_THREADS", raising=False)
+    assert _threads(Namespace(threads=None)) == (os.cpu_count() or 1)
+    monkeypatch.setenv("DDT_THREADS", "")
+    assert _threads(Namespace(threads=None)) == (os.cpu_count() or 1)
+    monkeypatch.setenv("DDT_THREADS", "3")
+    assert _threads(Namespace(threads=None)) == 3
+    assert _threads(Namespace(threads="5")) == 5
+
+
+def test_run_summary_reports_clamp_counts(tmp_path):
+    files = _toy_cohort(tmp_path)
+    # edge (0, 1) is a perfect correlation in every subject and edge (0, 2)
+    # a perfect anticorrelation in group 1: 6 + 3 values need the Fisher Z
+    # clamp, and edge (0, 1) is constant and equal in both groups, so its
+    # p-value is exactly 1 and gets clamped to 1 - P_MIN
+    for group, names in files.items():
+        for name in names:
+            dense = np.loadtxt(tmp_path / name, delimiter=",")
+            dense[0, 1] = dense[1, 0] = 1.0
+            if group == "group1":
+                dense[0, 2] = dense[2, 0] = -1.0
+            write_matrix_csv(tmp_path / name, dense)
+    flags = {}
+    for fisher_z in (True, False):
+        manifest = dict(files, seed=31, null_networks=60, fisher_z=fisher_z,
+                        threshold={"kind": "eddt", "level": 0.95})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / f"fz{fisher_z}"
+        assert main(["--quiet", "run", "--manifest", str(path),
+                     "--out", str(out)]) == 0
+        flags[fisher_z] = json.loads((out / "run_summary.json").read_text())["flags"]
+        header = (out / "nodes.csv").read_text().splitlines()[0]
+        assert header == "node,label,degree,p_null,pvalue,significant"
+    assert flags[True]["fisher_z_clamped"] == 9
+    assert flags[True]["pvalues_clamped"] == 1
+    assert flags[False]["fisher_z_clamped"] == 0
+    assert flags[False]["pvalues_clamped"] == 1

@@ -302,6 +302,19 @@ def test_edgewise_fisher_z_changes_welch_but_not_wilcoxon():
     assert np.allclose(raw.values, fz.values)
 
 
+def test_edgewise_reports_the_fisher_z_clamp_count():
+    rng = np.random.default_rng(78)
+    vals1 = rng.uniform(-0.8, 0.8, size=(6, 3))
+    vals2 = rng.uniform(-0.5, 0.9, size=(6, 3))
+    vals1[:, 0] = 1.0
+    vals2[2, 1] = -1.0
+    cohort = _cohort_from_stack(vals1, vals2, n=3)
+    fz = edgewise_pvalues(cohort, EdgeTestConfig(fisher_z=True))
+    assert fz.fisher_z_clamped == 7
+    assert np.all(np.isfinite(fz.values))
+    assert edgewise_pvalues(cohort, EdgeTestConfig()).fisher_z_clamped == 0
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         EdgeTestConfig(method="anova")

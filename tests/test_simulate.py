@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ddtnet import simulate
 from ddtnet.core import ValidationError, triu_index_pairs
 from ddtnet.simulate import (
     ConfusionCounts,
@@ -10,6 +11,7 @@ from ddtnet.simulate import (
     base_network,
     base_network_for,
     matthews_corrcoef,
+    pool_size,
     run_experiment,
     run_replicate,
     score,
@@ -212,3 +214,27 @@ def test_run_experiment_rejects_unknown_method():
     design = SimDesign(replicates=1)
     with pytest.raises(ValidationError):
         run_experiment(design, methods=("nbs",))
+
+
+def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    assert pool_size(10 ** 9, 500) == 4
+    assert pool_size(3, 2) == 2
+    assert pool_size(1, 500) == 1
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert pool_size(8, 500) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValidationError):
+            pool_size(bad, 5)
+
+
+def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU run must not start a pool")
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
+                       replicates=2, seed=11, null_networks=25,
+                       resolution=20_000)
+    result = run_experiment(design, methods=("addt",), threads=10 ** 9)
+    assert result.metric("addt").replicates_used == 2
