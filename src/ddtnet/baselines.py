@@ -18,7 +18,7 @@ import numpy as np
 from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
                    ValidationError, validate_cohort)
 from .degree_test import NodeTestResult, binomial_upper_tail
-from .edgetests import PValueMatrix, welch_t_edge
+from .edgetests import PValueMatrix, _vector_welch
 from .enrichment import _bh_adjust
 
 RANKINGS = ("signed", "absolute")
@@ -84,7 +84,7 @@ def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
     validate_cohort(cohort)
     d1 = np.vstack([degree_at_density(m, density, ranking) for m in cohort.group1])
     d2 = np.vstack([degree_at_density(m, density, ranking) for m in cohort.group2])
-    p = np.array([welch_t_edge(d1[:, i], d2[:, i]) for i in range(cohort.n)])
+    p = _vector_welch(d1.astype(float), d2.astype(float))
     return DegreeTTestResult(pvalues=p, significant=p < alpha,
                              density=density, alpha=alpha)
 

@@ -8,6 +8,7 @@ workers; the transforms here are pure functions.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +97,34 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _FrozenArrays:
+    """Base of the frozen containers. Unpickling restores the fields without
+    __post_init__, and numpy unpickles arrays writeable, so the arrays are
+    frozen again here; a container shipped to or from a worker process stays
+    read-only."""
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value = _frozen(value)
+            object.__setattr__(self, name, value)
+
+
+def pool_size(threads: int, tasks: int) -> int:
+    """Worker processes for a pooled stage: the requested count, capped by
+    the task count and the CPU count. 1 means run serially."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, tasks, os.cpu_count() or 1))
+
+
 def triu_index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row/column indices of the upper triangle in canonical (i, j) order."""
     return np.triu_indices(n, k=1)
 
 
 @dataclass(frozen=True)
-class SymmetricMatrix:
+class SymmetricMatrix(_FrozenArrays):
     """Symmetric n x n matrix stored as upper triangle plus diagonal."""
 
     n: int
@@ -167,7 +189,7 @@ class SymmetricMatrix:
 
 
 @dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(_FrozenArrays):
     """Binary symmetric matrix with zero diagonal (selected edge set)."""
 
     n: int
@@ -213,7 +235,7 @@ class AdjacencyMatrix:
 
 
 @dataclass(frozen=True)
-class DifferenceNetwork:
+class DifferenceNetwork(_FrozenArrays):
     """Edge-wise difference strengths d_ij = 1 - p_ij, zero diagonal.
 
     Entries are kept strictly inside (0, 1) (p-values are clamped on
@@ -248,7 +270,7 @@ class DifferenceNetwork:
 
 
 @dataclass(frozen=True)
-class ConnectivityCohort:
+class ConnectivityCohort(_FrozenArrays):
     """Two groups of subject connectivity matrices plus optional covariates.
 
     Covariates are one row per subject, subjects ordered group 1 then

@@ -35,6 +35,7 @@ from .core import (
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    _FrozenArrays,
     _frozen,
     inv_logit,
     substream,
@@ -159,7 +160,7 @@ class NullStream:
 
 
 @dataclass(frozen=True)
-class NullEnsemble:
+class NullEnsemble(_FrozenArrays):
     """M generated null networks sharing the observed first two moments.
 
     logit_entries holds the raw off-diagonal Gram entries, one row per
@@ -218,7 +219,7 @@ def generate_null(moments: MomentSummary, n: int, size: int,
 
 
 @dataclass(frozen=True)
-class NullExceedance:
+class NullExceedance(_FrozenArrays):
     """A threshold and, per edge, how many null replicates exceed it."""
 
     gamma: float

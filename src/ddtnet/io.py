@@ -12,7 +12,12 @@ import csv
 import gzip
 import json
 import math
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .core import (
     SymmetricMatrix,
     ValidationError,
     inv_logit,
+    pool_size,
 )
 from .degree_test import DdtResult
 from .edgetests import EdgeTestConfig
@@ -53,32 +59,49 @@ def write_matrix_csv(path, dense: np.ndarray) -> None:
 
 
 def read_matrix_csv(path, header: bool = False) -> np.ndarray:
+    """Square float matrix from a CSV file, parsed by numpy's C reader.
+
+    Fields may be quoted, blank lines are skipped, and header=True skips the
+    first line. Missing, empty, non-numeric, ragged and non-square files
+    raise ManifestError naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"matrix file not found: {path}")
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for idx, row in enumerate(reader):
-            if header and idx == 0:
-                continue
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as err:
-                raise ManifestError(f"{path}: non-numeric value on line "
-                                    f"{idx + 1}: {err}") from err
-    if not rows:
+    try:
+        with warnings.catch_warnings():
+            # an empty input only warns; it is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                             ndmin=2, dtype=float, skiprows=int(header))
+    except ValueError as err:
+        kind = ("ragged rows" if "number of columns changed" in str(err)
+                else "non-numeric value")
+        raise ManifestError(f"{path}: {kind}: {err}") from err
+    if arr.size == 0:
         raise ManifestError(f"{path}: empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ManifestError(f"{path}: ragged rows (widths {sorted(widths)})")
-    arr = np.array(rows, dtype=float)
     if arr.shape[0] != arr.shape[1]:
         raise ManifestError(f"{path}: matrix is {arr.shape[0]}x{arr.shape[1]}, "
                             "expected square")
     return arr
+
+
+def _read_matrices(paths: list[Path], header: bool,
+                   threads: int) -> Iterator[np.ndarray]:
+    """read_matrix_csv of each path, yielded in path order, parsed on
+    pool_size(threads, len(paths)) forked worker processes. Closing the
+    iterator early cancels the files not yet started."""
+    workers = pool_size(threads, len(paths))
+    if workers == 1:
+        for path in paths:
+            yield read_matrix_csv(path, header)
+        return
+    # fork, not spawn: a spawned worker re-imports numpy and scipy, about
+    # 1.5 s on a 2-vCPU host against 0.1 s, and these workers only parse
+    # text while the parent holds no other Python thread
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(read_matrix_csv, paths, [header] * len(paths))
 
 
 def load_json(path) -> dict:
@@ -98,30 +121,31 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> ConnectivityCohort:
+def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
+                threads: int = 1) -> ConnectivityCohort:
     """Build a cohort from a manifest block.
 
     Expected keys: group1 and group2 (lists of matrix CSV paths), optional
     covariates (CSV, one row per subject ordered group1 then group2) and
     labels (one node label per line). Relative paths resolve against the
-    manifest's directory.
+    manifest's directory. The subject files are parsed on
+    pool_size(threads, files) processes (1: serially, in this process); the
+    cohort, and the first bad file reported, are the same for any count.
     """
     for key in ("group1", "group2"):
         if key not in manifest or not isinstance(manifest[key], list):
             raise ManifestError(f"cohort manifest needs a {key!r} file list")
 
-    def load_group(paths):
-        mats = []
-        for p in paths:
-            dense = read_matrix_csv(base_dir / p, header=header)
+    paths = [base_dir / p for p in manifest["group1"] + manifest["group2"]]
+    mats = []
+    with closing(_read_matrices(paths, header, threads)) as dense:
+        for path, arr in zip(paths, dense):
             try:
-                mats.append(SymmetricMatrix.from_dense(dense))
+                mats.append(SymmetricMatrix.from_dense(arr))
             except ValidationError as err:
-                raise ManifestError(f"{base_dir / p}: {err}") from err
-        return tuple(mats)
-
-    group1 = load_group(manifest["group1"])
-    group2 = load_group(manifest["group2"])
+                raise ManifestError(f"{path}: {err}") from err
+    n1 = len(manifest["group1"])
+    group1, group2 = tuple(mats[:n1]), tuple(mats[n1:])
     covariates = None
     if manifest.get("covariates"):
         cpath = base_dir / manifest["covariates"]

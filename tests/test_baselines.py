@@ -137,3 +137,22 @@ def test_baseline_config_validation():
         BaselineConfig(ranking="weighted")
     cfg = BaselineConfig()
     assert cfg.density == 0.10 and cfg.alpha == 0.05
+
+
+def test_degree_ttest_matches_per_node_welch():
+    from ddtnet.edgetests import welch_t_edge
+    rng = np.random.default_rng(12)
+    n = 12
+    vals1 = [rng.normal(size=n * (n - 1) // 2) for _ in range(6)]
+    vals2 = [rng.normal(size=n * (n - 1) // 2) for _ in range(7)]
+    # node 0 is the strongest node of every subject: constant degree n - 1
+    for v in vals1 + vals2:
+        v[:n - 1] = 10.0
+    cohort = _cohort(vals1, vals2, n)
+    res = degree_ttest(cohort, density=0.3)
+    d1 = np.vstack([degree_at_density(m, 0.3) for m in cohort.group1])
+    d2 = np.vstack([degree_at_density(m, 0.3) for m in cohort.group2])
+    per_node = np.array([welch_t_edge(d1[:, i], d2[:, i]) for i in range(n)])
+    assert res.pvalues[0] == 1.0
+    assert np.allclose(res.pvalues, per_node, rtol=0, atol=1e-15)
+    assert np.array_equal(res.significant, per_node < 0.05)

@@ -326,3 +326,76 @@ def test_run_summary_reports_clamp_counts(tmp_path):
     assert flags[True]["pvalues_clamped"] == 1
     assert flags[False]["fisher_z_clamped"] == 0
     assert flags[False]["pvalues_clamped"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_run_threads_flag_rejects_non_positive_integers(tmp_path, capsys, value):
+    code = main(["--threads", value, "run", "--manifest",
+                 str(_manifest(tmp_path)), "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert "--threads" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("value", ["zero", "0", "-1"])
+def test_run_threads_env_rejects_non_positive_integers(tmp_path, capsys,
+                                                       monkeypatch, value):
+    monkeypatch.setenv("DDT_THREADS", value)
+    code = main(["run", "--manifest", str(_manifest(tmp_path)),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "validation"
+    assert "DDT_THREADS" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_threads_1_and_2_byte_identical(tmp_path):
+    manifest = _manifest(tmp_path, baselines=["binb", "binf"])
+    for threads in ("1", "2"):
+        assert main(["--quiet", "--threads", threads, "run", "--manifest",
+                     str(manifest), "--out", str(tmp_path / f"t{threads}")]) == 0
+    for name in ("nodes.csv", "adjacency.csv", "difference_network.csv",
+                 "gamma.json", "moments.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == \
+            (tmp_path / "t2" / name).read_bytes(), name
+
+
+ASYMMETRIC = np.eye(6)
+ASYMMETRIC[0, 1], ASYMMETRIC[1, 0] = 0.5, -0.5
+BAD_SUBJECT_FILES = {
+    "missing": (None, "not found"),
+    "empty": ("", "empty"),
+    "non-numeric": ("1.0,abc\r\n0.5,1.0\r\n", "non-numeric"),
+    "ragged": ("1.0,0.5\r\n0.5\r\n", "ragged"),
+    "non-square": ("1.0,0.5,0.2\r\n0.5,1.0,0.3\r\n", "square"),
+    "asymmetric": ("".join(",".join(repr(v) for v in row.tolist()) + "\r\n"
+                           for row in ASYMMETRIC), "asymmetric"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_SUBJECT_FILES))
+def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case, threads):
+    text, expected = BAD_SUBJECT_FILES[case]
+    manifest = _manifest(tmp_path)
+    data = json.loads(manifest.read_text())
+    data["group2"][1] = "bad_subject.csv"
+    manifest.write_text(json.dumps(data))
+    if text is not None:
+        (tmp_path / "bad_subject.csv").write_text(text)
+    code = main(["--threads", threads, "run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert "bad_subject.csv" in payload["message"]
+    assert expected in payload["message"]
+    assert not (tmp_path / "results").exists()

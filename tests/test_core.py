@@ -148,3 +148,37 @@ def test_difference_network_clamps_and_logits():
     assert np.all(np.isfinite(dn.logit_values()))
     # d = 1 - p ordering is preserved
     assert dn.d[2] > dn.d[1] > dn.d[0]
+
+
+def test_containers_stay_frozen_across_pickling():
+    import pickle
+
+    from ddtnet.core import AdjacencyMatrix
+    from ddtnet.edgetests import PValueMatrix
+    from ddtnet.hqs import MomentSummary, NullExceedance, generate_null
+
+    sym = SymmetricMatrix.from_upper(4, np.arange(6.0), 1.0)
+    pmat = PValueMatrix(n=3, values=np.full(3, 0.5), diagonal=np.ones(3),
+                        fisher_z_clamped=2)
+    cohort = ConnectivityCohort(group1=(sym, sym), group2=(sym, sym),
+                                covariates=np.zeros((4, 1)))
+    moments = MomentSummary.from_moments(1.0, 0.5)
+    cases = [
+        (sym, ("values", "diagonal")),
+        (pmat, ("values", "diagonal")),
+        (AdjacencyMatrix(4, np.arange(6) % 2 == 0), ("selected",)),
+        (DifferenceNetwork(n=4, d=np.full(6, 0.3)), ("d",)),
+        (cohort, ("covariates",)),
+        (generate_null(moments, n=4, size=3, seed=1), ("logit_entries",)),
+        (NullExceedance(gamma=0.0, counts=np.arange(6), size=3), ("counts",)),
+    ]
+    for obj, fields in cases:
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        for name in fields:
+            arr = getattr(back, name)
+            assert np.array_equal(arr, getattr(obj, name)), name
+            assert arr.flags.writeable is False, (type(obj).__name__, name)
+    back = pickle.loads(pickle.dumps(cohort))
+    assert back.group1[0].values.flags.writeable is False
+    assert pickle.loads(pickle.dumps(pmat)).fisher_z_clamped == 2

@@ -320,3 +320,27 @@ def test_config_validation():
         EdgeTestConfig(method="anova")
     with pytest.raises(ValidationError):
         EdgeTestConfig(method="permutation", permutations=50)
+
+
+def test_vector_welch_blocks_are_bit_identical_to_one_call():
+    from ddtnet.edgetests import _WELCH_BLOCK, _vector_welch, _welch_block
+    rng = np.random.default_rng(8)
+    width = 2 * _WELCH_BLOCK + 17
+    x = rng.normal(size=(12, width))
+    y = rng.normal(0.1, 1.0, size=(9, width))
+    x[:, 5], y[:, 5] = 1.0, 1.0                  # constant, equal: p = 1
+    x[:, -1], y[:, -1] = 0.0, 2.0                # constant, unequal: P_MIN
+    chunked = _vector_welch(x, y)
+    whole = _welch_block(x, y)
+    assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+    assert chunked[5] == 1.0 and chunked[-1] == 1e-10
+
+
+def test_welch_t_edge_is_one_column_of_the_vector_test():
+    from ddtnet.edgetests import _vector_welch
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(7, 40))
+    y = rng.normal(0.3, 2.0, size=(5, 40))
+    vector = _vector_welch(x, y)
+    for e in range(40):
+        assert welch_t_edge(x[:, e], y[:, e]) == vector[e]

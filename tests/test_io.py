@@ -1,8 +1,15 @@
 import json
+import os
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ddtnet import io
 from ddtnet.core import SymmetricMatrix
 from ddtnet.io import (
     ManifestError,
@@ -27,6 +34,39 @@ def test_matrix_csv_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(read_matrix_csv(path), m.to_dense())
 
 
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return draw(arrays(np.float64, (n, n),
+                       elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense=_square_matrices(), quoted=st.booleans())
+def test_matrix_csv_roundtrip_property(dense, quoted):
+    """Every finite float64, subnormals and -0.0 included, reads back bit for
+    bit, also from quoted fields."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_matrix_csv(path, dense)
+        if quoted:
+            lines = path.read_text().splitlines()
+            path.write_text("".join(
+                ",".join(f'"{cell}"' for cell in line.split(",")) + "\r\n"
+                for line in lines))
+        back = read_matrix_csv(path)
+    assert back.shape == dense.shape
+    assert np.array_equal(back.view(np.int64), dense.view(np.int64))
+
+
+def test_matrix_csv_quotes_blank_lines_and_spaces(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text('"1.5", 2.0 \r\n\r\n2.0,"-0.0"\r\n')
+    back = read_matrix_csv(path)
+    assert back.tolist() == [[1.5, 2.0], [2.0, 0.0]]
+    assert np.signbit(back[1, 1])
+
+
 def test_matrix_csv_header_skip(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n1.0,2.0\n2.0,1.0\n")
@@ -47,6 +87,18 @@ def test_matrix_csv_errors(tmp_path):
     rect.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
     with pytest.raises(ManifestError, match="square"):
         read_matrix_csv(rect)
+
+
+def test_matrix_csv_empty_files(tmp_path):
+    for text in ("", "\r\n\r\n"):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        with pytest.raises(ManifestError, match="empty.csv: empty matrix file"):
+            read_matrix_csv(empty)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b\n")
+    with pytest.raises(ManifestError, match="empty matrix file"):
+        read_matrix_csv(header_only, header=True)
 
 
 def _write_matrix(path, n, seed, shift=0.0):
@@ -74,6 +126,35 @@ def test_load_cohort_with_covariates_and_labels(tmp_path):
     assert cohort.n == 4 and cohort.n1 == 4 and cohort.n2 == 4
     assert cohort.covariates.shape == (8, 2)
     assert cohort.labels == ("A", "B", "C", "D")
+
+
+def test_load_cohort_pool_matches_serial_in_manifest_order(tmp_path,
+                                                           monkeypatch):
+    names = {1: [], 2: []}
+    for g in (1, 2):
+        for i in range(5):
+            name = f"g{g}_{i}.csv"
+            _write_matrix(tmp_path / name, 5, seed=10 * g + i)
+            names[g].append(name)
+    manifest = {"group1": names[1], "group2": names[2]}
+    serial = load_cohort(manifest, tmp_path)
+
+    started = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(io, "ProcessPoolExecutor", SpyPool)
+    pooled = load_cohort(manifest, tmp_path, threads=3)
+    assert started == [3]
+    for a, b in zip(serial.group1 + serial.group2,
+                    pooled.group1 + pooled.group2):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.diagonal, b.diagonal)
+        assert not b.values.flags.writeable
 
 
 def test_load_cohort_missing_file_names_path(tmp_path):
