@@ -72,8 +72,7 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 
 def _threads(args) -> int:
     """Requested worker count: --threads, else DDT_THREADS, else the CPU
-    count. run_experiment caps it by the replicate and CPU counts,
-    load_cohort by the subject-file and CPU counts."""
+    count. run_experiment caps it by the replicate and CPU counts."""
     if args.threads is not None:
         return _parse_threads(args.threads, "--threads")
     env = os.environ.get("DDT_THREADS")
@@ -94,7 +93,7 @@ def _parse_threads(raw: str, source: str) -> int:
 
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
-    threads = _threads(args)
+    _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
     manifest_path = Path(args.manifest)
     manifest = load_json(manifest_path)
     base_dir = manifest_path.parent
@@ -105,8 +104,7 @@ def cmd_run(args) -> int:
     seed = int(args.seed if args.seed is not None else manifest["seed"])
     cohort_block = manifest.get("cohort", manifest)
     cohort = load_cohort(cohort_block, base_dir,
-                         header=bool(manifest.get("header", False)),
-                         threads=threads)
+                         header=bool(manifest.get("header", False)))
     test_cfg = parse_test_config(manifest.get("test_config",
                                               {"test": manifest.get("test", "welch_t"),
                                                "fisher_z": manifest.get("fisher_z", False),
@@ -252,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", default=None,
                         help="worker pool size, a positive integer (default: "
                              "DDT_THREADS env or available parallelism; "
-                             "capped by the replicate or subject-file count "
-                             "and the CPU count)")
+                             "capped by the replicate and CPU counts)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the manifest seed")
     parser.add_argument("--quiet", action="store_true",

@@ -8,7 +8,6 @@ workers; the transforms here are pure functions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +107,6 @@ class _FrozenArrays:
             if isinstance(value, np.ndarray):
                 value = _frozen(value)
             object.__setattr__(self, name, value)
-
-
-def pool_size(threads: int, tasks: int) -> int:
-    """Worker processes for a pooled stage: the requested count, capped by
-    the task count and the CPU count. 1 means run serially."""
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    return max(1, min(threads, tasks, os.cpu_count() or 1))
 
 
 def triu_index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,8 @@ import csv
 import gzip
 import json
 import math
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +24,6 @@ from .core import (
     SymmetricMatrix,
     ValidationError,
     inv_logit,
-    pool_size,
 )
 from .degree_test import DdtResult
 from .edgetests import EdgeTestConfig
@@ -86,24 +81,6 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
     return arr
 
 
-def _read_matrices(paths: list[Path], header: bool,
-                   threads: int) -> Iterator[np.ndarray]:
-    """read_matrix_csv of each path, yielded in path order, parsed on
-    pool_size(threads, len(paths)) forked worker processes. Closing the
-    iterator early cancels the files not yet started."""
-    workers = pool_size(threads, len(paths))
-    if workers == 1:
-        for path in paths:
-            yield read_matrix_csv(path, header)
-        return
-    # fork, not spawn: a spawned worker re-imports numpy and scipy, about
-    # 1.5 s on a 2-vCPU host against 0.1 s, and these workers only parse
-    # text while the parent holds no other Python thread
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(read_matrix_csv, paths, [header] * len(paths))
-
-
 def load_json(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -121,31 +98,30 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
-                threads: int = 1) -> ConnectivityCohort:
+def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> ConnectivityCohort:
     """Build a cohort from a manifest block.
 
     Expected keys: group1 and group2 (lists of matrix CSV paths), optional
     covariates (CSV, one row per subject ordered group1 then group2) and
     labels (one node label per line). Relative paths resolve against the
-    manifest's directory. The subject files are parsed on
-    pool_size(threads, files) processes (1: serially, in this process); the
-    cohort, and the first bad file reported, are the same for any count.
+    manifest's directory.
     """
     for key in ("group1", "group2"):
         if key not in manifest or not isinstance(manifest[key], list):
             raise ManifestError(f"cohort manifest needs a {key!r} file list")
 
-    paths = [base_dir / p for p in manifest["group1"] + manifest["group2"]]
-    mats = []
-    with closing(_read_matrices(paths, header, threads)) as dense:
-        for path, arr in zip(paths, dense):
+    def load_group(paths):
+        mats = []
+        for p in paths:
+            dense = read_matrix_csv(base_dir / p, header=header)
             try:
-                mats.append(SymmetricMatrix.from_dense(arr))
+                mats.append(SymmetricMatrix.from_dense(dense))
             except ValidationError as err:
-                raise ManifestError(f"{path}: {err}") from err
-    n1 = len(manifest["group1"])
-    group1, group2 = tuple(mats[:n1]), tuple(mats[n1:])
+                raise ManifestError(f"{base_dir / p}: {err}") from err
+        return tuple(mats)
+
+    group1 = load_group(manifest["group1"])
+    group2 = load_group(manifest["group2"])
     covariates = None
     if manifest.get("covariates"):
         cpath = base_dir / manifest["covariates"]

@@ -12,6 +12,7 @@ substreams, so results are identical under any scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .core import (
     DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
-    pool_size,
     substream,
     triu_index_pairs,
 )
@@ -461,6 +461,14 @@ def _aggregate(method: str, scope: str, counts: list[ConfusionCounts],
                      mcc=total.mcc, tpr_se=se(tprs), fpr_se=se(fprs),
                      mcc_se=_jackknife_mcc(counts),
                      replicates_used=len(counts), errors=n_errors, counts=total)
+
+
+def pool_size(threads: int, replicates: int) -> int:
+    """Worker processes for a run: the requested count, capped by the
+    replicate count and the CPU count."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, replicates, os.cpu_count() or 1))
 
 
 def run_experiment(design: SimDesign,

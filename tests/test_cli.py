@@ -354,17 +354,6 @@ def test_run_threads_env_rejects_non_positive_integers(tmp_path, capsys,
     assert not (tmp_path / "results").exists()
 
 
-def test_run_threads_1_and_2_byte_identical(tmp_path):
-    manifest = _manifest(tmp_path, baselines=["binb", "binf"])
-    for threads in ("1", "2"):
-        assert main(["--quiet", "--threads", threads, "run", "--manifest",
-                     str(manifest), "--out", str(tmp_path / f"t{threads}")]) == 0
-    for name in ("nodes.csv", "adjacency.csv", "difference_network.csv",
-                 "gamma.json", "moments.json"):
-        assert (tmp_path / "t1" / name).read_bytes() == \
-            (tmp_path / "t2" / name).read_bytes(), name
-
-
 ASYMMETRIC = np.eye(6)
 ASYMMETRIC[0, 1], ASYMMETRIC[1, 0] = 0.5, -0.5
 BAD_SUBJECT_FILES = {
@@ -378,9 +367,8 @@ BAD_SUBJECT_FILES = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(BAD_SUBJECT_FILES))
-def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case, threads):
+def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case):
     text, expected = BAD_SUBJECT_FILES[case]
     manifest = _manifest(tmp_path)
     data = json.loads(manifest.read_text())
@@ -388,7 +376,7 @@ def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case, threads):
     manifest.write_text(json.dumps(data))
     if text is not None:
         (tmp_path / "bad_subject.csv").write_text(text)
-    code = main(["--threads", threads, "run", "--manifest", str(manifest),
+    code = main(["run", "--manifest", str(manifest),
                  "--out", str(tmp_path / "results")])
     assert code == 2
     err = capfd.readouterr().err.strip()

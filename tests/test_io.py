@@ -1,7 +1,5 @@
 import json
-import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ddtnet import io
 from ddtnet.core import SymmetricMatrix
 from ddtnet.io import (
     ManifestError,
@@ -126,35 +123,6 @@ def test_load_cohort_with_covariates_and_labels(tmp_path):
     assert cohort.n == 4 and cohort.n1 == 4 and cohort.n2 == 4
     assert cohort.covariates.shape == (8, 2)
     assert cohort.labels == ("A", "B", "C", "D")
-
-
-def test_load_cohort_pool_matches_serial_in_manifest_order(tmp_path,
-                                                           monkeypatch):
-    names = {1: [], 2: []}
-    for g in (1, 2):
-        for i in range(5):
-            name = f"g{g}_{i}.csv"
-            _write_matrix(tmp_path / name, 5, seed=10 * g + i)
-            names[g].append(name)
-    manifest = {"group1": names[1], "group2": names[2]}
-    serial = load_cohort(manifest, tmp_path)
-
-    started = []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            started.append(workers)
-            super().__init__(workers, **kwargs)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(io, "ProcessPoolExecutor", SpyPool)
-    pooled = load_cohort(manifest, tmp_path, threads=3)
-    assert started == [3]
-    for a, b in zip(serial.group1 + serial.group2,
-                    pooled.group1 + pooled.group2):
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.diagonal, b.diagonal)
-        assert not b.values.flags.writeable
 
 
 def test_load_cohort_missing_file_names_path(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -218,11 +217,11 @@ def test_run_experiment_rejects_unknown_method():
 
 
 def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     assert pool_size(10 ** 9, 500) == 4
     assert pool_size(3, 2) == 2
     assert pool_size(1, 500) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
     assert pool_size(8, 500) == 1
     for bad in (0, -3):
         with pytest.raises(ValidationError):
@@ -232,7 +231,7 @@ def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
 def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU run must not start a pool")
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
                        replicates=2, seed=11, null_networks=25,
