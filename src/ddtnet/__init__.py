@@ -38,6 +38,7 @@ from .thresholds import (
     apply_threshold,
     baseline_threshold,
     benjamini_hochberg,
+    bh_adjust,
     eddt_threshold,
 )
 from .degree_test import (
@@ -45,10 +46,10 @@ from .degree_test import (
     NodeTestResult,
     binomial_upper_tail,
     ddt_run,
-    differential_degree,
-    null_probability,
+    degree_tests,
+    null_probability_from_counts,
 )
-from .baselines import BaselineConfig, binomial_corrected, degree_at_density, degree_ttest
+from .baselines import binomial_corrected, degree_at_density, degree_ttest
 from .enrichment import ModulePartition, block_counts, enrichment_test, expected_counts
 from .simulate import (
     ConfusionCounts,

@@ -16,31 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
-                   ValidationError, validate_cohort)
+                   ValidationError, node_sums, validate_cohort)
 from .degree_test import NodeTestResult, binomial_upper_tail
 from .edgetests import PValueMatrix, _vector_welch
-from .enrichment import _bh_adjust
+from .thresholds import bh_adjust
 
 RANKINGS = ("signed", "absolute")
 CORRECTIONS = ("bonferroni", "fdr")
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    density: float = 0.10
-    alpha: float = 0.05
-    correction: str = "bonferroni"
-    # ranking of edge weights when thresholding to the target density;
-    # "signed" keeps the largest values, "absolute" the largest magnitudes
-    ranking: str = "signed"
-
-    def __post_init__(self):
-        if not 0.0 < self.density < 1.0:
-            raise ValidationError(f"density must be in (0, 1), got {self.density}")
-        if self.correction not in CORRECTIONS:
-            raise ValidationError(f"correction must be one of {CORRECTIONS}")
-        if self.ranking not in RANKINGS:
-            raise ValidationError(f"ranking must be one of {RANKINGS}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +54,14 @@ def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
     if k > 0:
         order = np.argsort(-vals, kind="stable")
         selected[order[:k]] = True
-    iu, ju = np.triu_indices(g.n, k=1)
-    w = selected.astype(np.int64)
-    return (np.bincount(iu, weights=w, minlength=g.n)
-            + np.bincount(ju, weights=w, minlength=g.n)).astype(np.int64)
+    return node_sums(g.n, selected).astype(np.int64)
 
 
 def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
                  alpha: float = 0.05, ranking: str = "signed") -> DegreeTTestResult:
     """Welch two-sample t-test of density-thresholded nodal degrees."""
+    if not 0.0 < density < 1.0:
+        raise ValidationError(f"density must be in (0, 1), got {density}")
     validate_cohort(cohort)
     d1 = np.vstack([degree_at_density(m, density, ranking) for m in cohort.group1])
     d2 = np.vstack([degree_at_density(m, density, ranking) for m in cohort.group2])
@@ -109,7 +90,7 @@ def binomial_corrected(pmat: PValueMatrix, correction: str = "bonferroni",
     if correction == "bonferroni":
         adjusted = np.minimum(1.0, n * raw)
     else:
-        adjusted = _bh_adjust(raw)
+        adjusted = bh_adjust(raw)
     return tuple(
         NodeTestResult(node=i, degree=int(degrees[i]), p_null=alpha,
                        pvalue=float(adjusted[i]),

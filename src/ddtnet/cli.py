@@ -70,6 +70,12 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
     return code
 
 
+def _nonpositive_mean(err: NonpositiveMeanError) -> int:
+    return _fail(EXIT_PIPELINE, "nonpositive-mean", str(err), stage="moments",
+                 hint="the difference network's logit-scale mean must be "
+                      "positive; weak or null signal cannot seed the generator")
+
+
 def _threads(args) -> int:
     """Requested worker count: --threads, else DDT_THREADS, else the CPU
     count. run_experiment caps it by the replicate and CPU counts."""
@@ -299,16 +305,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except ManifestError as err:
         return _fail(EXIT_INPUT, "manifest", str(err), stage="input")
-    except (NonpositiveMeanError,) as err:
-        return _fail(EXIT_PIPELINE, "nonpositive-mean", str(err),
-                     stage="moments",
-                     hint="the difference network's logit-scale mean must be "
-                          "positive; weak or null signal cannot seed the "
-                          "generator")
+    except NonpositiveMeanError as err:
+        return _nonpositive_mean(err)
     except NoSelectedEdgesError as err:
         return _fail(EXIT_PIPELINE, "no-selected-edges", str(err),
                      stage="enrichment")
     except PipelineError as err:
+        if isinstance(err.__cause__, NonpositiveMeanError):
+            return _nonpositive_mean(err.__cause__)
         return _fail(EXIT_PIPELINE, "pipeline", str(err), stage="pipeline")
     except ValidationError as err:
         return _fail(EXIT_INPUT, "validation", str(err), stage="input")

@@ -114,6 +114,15 @@ def triu_index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
+def node_sums(n: int, per_edge: np.ndarray) -> np.ndarray:
+    """Per node, the float64 sum of per-edge values (canonical i<j order)
+    over the edges incident to it; on an edge mask, the node degrees."""
+    iu, ju = triu_index_pairs(n)
+    weights = np.asarray(per_edge, dtype=float)
+    return (np.bincount(iu, weights=weights, minlength=n)
+            + np.bincount(ju, weights=weights, minlength=n))
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix(_FrozenArrays):
     """Symmetric n x n matrix stored as upper triangle plus diagonal."""
@@ -199,10 +208,8 @@ class AdjacencyMatrix(_FrozenArrays):
         return int(self.selected.sum())
 
     def degrees(self) -> np.ndarray:
-        iu, ju = triu_index_pairs(self.n)
-        w = self.selected.astype(np.int64)
-        return (np.bincount(iu, weights=w, minlength=self.n)
-                + np.bincount(ju, weights=w, minlength=self.n)).astype(np.int64)
+        """Number of selected edges incident to each node."""
+        return node_sums(self.n, self.selected).astype(np.int64)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=int)

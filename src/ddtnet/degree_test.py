@@ -10,8 +10,7 @@ upper-tail p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .core import (
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    node_sums,
     pvalue_clamp_count,
-    triu_index_pairs,
     validate_cohort,
 )
 from .edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
@@ -33,7 +32,8 @@ from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it her
     null_exceedances,
     observed_moments,
 )
-from .thresholds import ThresholdRule, apply_threshold, select_gamma
+from .thresholds import (ThresholdRule, apply_threshold, benjamini_hochberg,
+                         select_gamma)
 
 # reported in place of an exact-zero binomial p-value when the null
 # probability estimate is degenerate (undersized ensemble)
@@ -80,33 +80,21 @@ class DdtResult:
         return np.array([r.node for r in self.nodes if r.significant])
 
 
-def differential_degree(adjacency: AdjacencyMatrix) -> np.ndarray:
-    """Number of selected edges incident to each node."""
-    return adjacency.degrees()
-
-
-def null_probability(null_adjacencies: Sequence[AdjacencyMatrix]) -> np.ndarray:
-    """Per-node probability that a null edge survives the threshold.
-
-    p_hat_i = (1 / (M (N-1))) * sum over networks and partners of the
-    selected-edge indicators incident to node i.
-    """
-    if len(null_adjacencies) == 0:
-        raise ValidationError("need at least one thresholded null network")
-    mask = np.vstack([a.selected for a in null_adjacencies])
-    return null_probability_from_counts(mask.sum(axis=0), len(null_adjacencies),
-                                        null_adjacencies[0].n)
-
-
 def null_probability_from_counts(counts: np.ndarray, size: int,
                                  n: int) -> np.ndarray:
-    """p_hat from per-edge counts of the `size` null networks selecting each
-    edge (the counts hqs.null_exceedances returns)."""
-    iu, ju = triu_index_pairs(n)
-    per_edge = np.asarray(counts).astype(float)
-    totals = (np.bincount(iu, weights=per_edge, minlength=n)
-              + np.bincount(ju, weights=per_edge, minlength=n))
-    return totals / (size * (n - 1))
+    """Per-node probability that a null edge survives the threshold.
+
+    counts holds, per edge, how many of the `size` null networks select it
+    (what hqs.null_exceedances returns); p_hat_i is the selected share of
+    the size * (n - 1) null edges incident to node i.
+    """
+    if size < 1:
+        raise ValidationError("need at least one thresholded null network")
+    if len(counts) != n * (n - 1) // 2:
+        raise ValidationError(
+            f"expected {n * (n - 1) // 2} per-edge counts for n={n}, "
+            f"got {len(counts)}")
+    return node_sums(n, counts) / (size * (n - 1))
 
 
 def binomial_upper_tail(k: int, n: int, p: float) -> float:
@@ -154,6 +142,58 @@ def node_tests(degrees: np.ndarray, p_null: np.ndarray,
     return tuple(results)
 
 
+def _stage(label: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a toolkit error re-raised as a
+    PipelineError naming the stage."""
+    try:
+        return fn(*args, **kwargs)
+    except DdtError as err:
+        raise PipelineError(f"{label}: {err}") from err
+
+
+def degree_tests(pmat: PValueMatrix, rules: dict[str, ThresholdRule],
+                 ensemble_size: int, alpha: float, seed: int,
+                 inner_dim: int = 2) -> dict[str, DdtResult]:
+    """The degree test after the edge tests, for several rules at once.
+
+    One difference network, one set of moments and one streamed pass over
+    the null ensemble from `seed` serve every rule; each rule then gets its
+    own adjacency, null probabilities and node tests. Results follow the
+    order of `rules`. A failing moment or threshold stage raises
+    PipelineError naming the stage, with the stage's error as __cause__.
+    """
+    n = pmat.n
+    dn = DifferenceNetwork.from_pvalues(pmat)
+    moments = _stage("moments", observed_moments, dn, m=inner_dim)
+    stream = NullStream(moments, n, ensemble_size, seed=seed)
+    fixed = {name: _stage("threshold", select_gamma, rule, moments=moments,
+                          pmat=pmat)
+             for name, rule in rules.items() if rule.kind != "eddt"}
+    levels = {name: rule.level for name, rule in rules.items()
+              if rule.kind == "eddt"}
+    nulls = null_exceedances(stream, fixed, levels)
+    pvalues_clamped = pvalue_clamp_count(pmat.values)
+
+    results = {}
+    for name in rules:
+        null = nulls[name]
+        adjacency = apply_threshold(dn, null.gamma)
+        p_null = null_probability_from_counts(null.counts, null.size, n)
+        nodes = node_tests(adjacency.degrees(), p_null, alpha=alpha)
+        flags = {
+            "degenerate_nodes": [r.node for r in nodes if r.degenerate],
+            "null_edge_fraction": null.edge_fraction,
+            "fisher_z_clamped": pmat.fisher_z_clamped,
+            "pvalues_clamped": pvalues_clamped,
+            "node_correction": "none",
+        }
+        results[name] = DdtResult(
+            nodes=nodes, pvalues=pmat, difference=dn, moments=moments,
+            gamma=null.gamma, adjacency=adjacency,
+            ensemble_size=ensemble_size, alpha=alpha, seed=seed, flags=flags)
+    return results
+
+
 def ddt_run(cohort: ConnectivityCohort,
             test_cfg: EdgeTestConfig | None = None,
             rule: ThresholdRule | None = None,
@@ -170,51 +210,14 @@ def ddt_run(cohort: ConnectivityCohort,
     declaring significance (off by default).
     """
     test_cfg = test_cfg or EdgeTestConfig(seed=seed)
-    rule = rule or ThresholdRule()
     validate_cohort(cohort)
-
-    try:
-        pmat = edgewise_pvalues(cohort, test_cfg)
-    except DdtError as err:
-        raise PipelineError(f"edge tests: {err}") from err
-
-    dn = DifferenceNetwork.from_pvalues(pmat)
-    try:
-        moments = observed_moments(dn, m=inner_dim)
-    except DdtError as err:
-        raise PipelineError(f"moments: {err}") from err
-
-    stream = NullStream(moments, cohort.n, ensemble_size, seed=seed)
-    fixed, levels = {}, {}
-    if rule.kind == "eddt":
-        levels["gamma"] = rule.level
-    else:
-        try:
-            fixed["gamma"] = select_gamma(rule, moments=moments, pmat=pmat)
-        except DdtError as err:
-            raise PipelineError(f"threshold: {err}") from err
-    null = null_exceedances(stream, fixed, levels)["gamma"]
-
-    adjacency = apply_threshold(dn, null.gamma)
-    degrees = differential_degree(adjacency)
-    p_null = null_probability_from_counts(null.counts, null.size, cohort.n)
-    nodes = node_tests(degrees, p_null, alpha=alpha)
-    if correct_nodes:
-        from .thresholds import benjamini_hochberg
-        reject = benjamini_hochberg(np.array([r.pvalue for r in nodes]), alpha)
-        nodes = tuple(
-            NodeTestResult(r.node, r.degree, r.p_null, r.pvalue,
-                           bool(reject[i]), r.degenerate)
-            for i, r in enumerate(nodes))
-
-    flags = {
-        "degenerate_nodes": [r.node for r in nodes if r.degenerate],
-        "null_edge_fraction": null.edge_fraction,
-        "fisher_z_clamped": pmat.fisher_z_clamped,
-        "pvalues_clamped": pvalue_clamp_count(pmat.values),
-        "node_correction": "bh" if correct_nodes else "none",
-    }
-    return DdtResult(nodes=nodes, pvalues=pmat, difference=dn, moments=moments,
-                     gamma=null.gamma, adjacency=adjacency,
-                     ensemble_size=ensemble_size, alpha=alpha, seed=seed,
-                     flags=flags)
+    pmat = _stage("edge tests", edgewise_pvalues, cohort, test_cfg)
+    result = degree_tests(pmat, {"gamma": rule or ThresholdRule()},
+                          ensemble_size, alpha, seed, inner_dim)["gamma"]
+    if not correct_nodes:
+        return result
+    reject = benjamini_hochberg([r.pvalue for r in result.nodes], alpha)
+    nodes = tuple(replace(r, significant=bool(reject[r.node]))
+                  for r in result.nodes)
+    return replace(result, nodes=nodes,
+                   flags={**result.flags, "node_correction": "bh"})

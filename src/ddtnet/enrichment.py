@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from .core import AdjacencyMatrix, DdtError, ValidationError
-from .thresholds import benjamini_hochberg
+from .thresholds import bh_adjust
 
 # blocks with expected counts below this are reported but marked unreliable;
 # the chi-square approximation is poor there
@@ -144,25 +144,13 @@ def enrichment_test(adjacency: AdjacencyMatrix, partition: ModulePartition,
             x2, pv = 0.0, 1.0
         stats_x2.append(x2)
         pvals.append(pv)
-    adjusted_reject = benjamini_hochberg(np.array(pvals), alpha)
-    # BH-adjusted p-values for reporting (monotone step-up adjustment)
-    adj = _bh_adjust(np.array(pvals))
+    adj = bh_adjust(np.array(pvals))
     results = []
     for idx, b in enumerate(blocks):
         enriched = q[b] > e[b]
         results.append(EnrichmentResult(
             block=b, observed=q[b], expected=e[b], statistic=stats_x2[idx],
             pvalue=pvals[idx], pvalue_adjusted=float(adj[idx]),
-            significant=bool(adjusted_reject[idx] and enriched),
+            significant=bool(adj[idx] <= alpha and enriched),
             low_expectation=e[b] < LOW_EXPECTATION))
     return tuple(results)
-
-
-def _bh_adjust(p: np.ndarray) -> np.ndarray:
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    ranked = p[order] * m / np.arange(1, m + 1)
-    ranked = np.minimum.accumulate(ranked[::-1])[::-1]
-    out = np.empty(m)
-    out[order] = np.minimum(ranked, 1.0)
-    return out

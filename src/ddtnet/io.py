@@ -46,11 +46,13 @@ def _fmt(x) -> str:
 
 
 def write_matrix_csv(path, dense: np.ndarray) -> None:
+    """An integer or float matrix as CSV with CRLF line ends (the csv
+    module's), floats as their repr."""
     dense = np.asarray(dense)
+    conv = str if np.issubdtype(dense.dtype, np.integer) else repr
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in dense:
-            writer.writerow([_fmt(v) for v in row])
+        for row in dense.tolist():
+            fh.write(",".join(map(conv, row)) + "\r\n")
 
 
 def read_matrix_csv(path, header: bool = False) -> np.ndarray:

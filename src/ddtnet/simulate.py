@@ -22,24 +22,19 @@ from .baselines import binomial_corrected, degree_ttest
 from .core import (
     ConnectivityCohort,
     DdtError,
-    DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
     substream,
     triu_index_pairs,
 )
-from .degree_test import node_tests, null_probability_from_counts
+# perfbench/spans.py wraps node_tests, generate_null, observed_moments,
+# addt_threshold and eddt_threshold here, so they stay bound in this module
+from .degree_test import degree_tests, node_tests  # noqa: F401
 from .edgetests import EdgeTestConfig, edgewise_pvalues
-from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it here
-    NullStream,
-    generate_null,
-    null_exceedances,
-    observed_moments,
-)
-from .thresholds import (  # noqa: F401  eddt_threshold: as generate_null
+from .hqs import generate_null, observed_moments  # noqa: F401
+from .thresholds import (  # noqa: F401
     ThresholdRule,
     addt_threshold,
-    apply_threshold,
     baseline_threshold,
     eddt_threshold,
 )
@@ -365,13 +360,14 @@ def _edge_rule(name: str, design: SimDesign) -> ThresholdRule:
 
 def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
                   node_methods: tuple[str, ...],
-                  edge_rules: tuple[str, ...]) -> ReplicateOutcome:
-    """Simulate one cohort and evaluate every requested method on it."""
+                  edge_rules: tuple[str, ...],
+                  rules: dict[str, ThresholdRule]) -> ReplicateOutcome:
+    """Simulate one cohort and evaluate every requested method on it;
+    rules are the aDDT/eDDT rules the methods need, in output order."""
     rep_rng = substream(design.seed, 1, rep)
     sim = simulate_cohort(design, base,
                           replicate_seed=int(rep_rng.integers(2 ** 63)))
     cohort = sim.cohort
-    n = design.n_nodes
     truth_nodes = sim.target_nodes
     exclude = sim.incident_nodes
 
@@ -383,29 +379,19 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
     edge_detections: dict[str, np.ndarray] = {}
     errors: dict[str, str] = {}
 
-    ddt_wanted = [m for m in ("addt", "eddt")
-                  if m in node_methods or m in edge_rules]
-    if ddt_wanted:
+    if rules:
         try:
-            dn = DifferenceNetwork.from_pvalues(pmat)
-            moments = observed_moments(dn)
-            stream = NullStream(moments, n, design.null_networks,
-                                seed=int(rep_rng.integers(2 ** 63)))
-            fixed = {}
-            if "addt" in ddt_wanted:
-                fixed["addt"] = addt_threshold(moments, design.level,
-                                               design.resolution)
-            levels = {"eddt": design.level} if "eddt" in ddt_wanted else {}
-            for name, null in null_exceedances(stream, fixed, levels).items():
-                adjacency = apply_threshold(dn, null.gamma)
-                edge_detections[name] = adjacency.selected
-                p_null = null_probability_from_counts(null.counts, null.size, n)
-                results = node_tests(adjacency.degrees(), p_null,
-                                     alpha=design.alpha)
-                node_decisions[name] = np.array([r.significant for r in results])
+            results = degree_tests(pmat, rules, design.null_networks,
+                                   design.alpha,
+                                   seed=int(rep_rng.integers(2 ** 63)))
         except DdtError as err:
-            for name in ddt_wanted:
-                errors[name] = str(err)
+            # the stage's own message, without the PipelineError label
+            errors.update((name, str(err.__cause__ or err)) for name in rules)
+        else:
+            for name, result in results.items():
+                edge_detections[name] = result.adjacency.selected
+                node_decisions[name] = np.array(
+                    [r.significant for r in result.nodes])
 
     for name, correction in (("binb", "bonferroni"), ("binf", "fdr")):
         if name in node_methods:
@@ -480,8 +466,10 @@ def run_experiment(design: SimDesign,
     Per-replicate method failures (e.g. a nonpositive logit-scale mean under
     weak signal) are recorded and the affected method simply contributes no
     decisions for that replicate; aggregates are over the replicates where
-    the method ran. Replicates run on pool_size(threads, replicates)
-    processes; the results are the same for any count.
+    the method ran. The design's level and resolution are validated, as
+    the aDDT/eDDT rules, before any replicate runs. Replicates run on
+    pool_size(threads, replicates) processes; the results are the same for
+    any count.
     """
     for m in methods:
         if m not in NODE_METHODS:
@@ -490,6 +478,10 @@ def run_experiment(design: SimDesign,
     for r in edge_rules:
         if r not in ("addt", "eddt"):
             _edge_rule(r, design)
+    rules = {"addt": ThresholdRule("addt", design.level, design.resolution),
+             "eddt": ThresholdRule("eddt", design.level)}
+    rules = {name: rule for name, rule in rules.items()
+             if name in methods or name in edge_rules}
     workers = pool_size(threads, design.replicates)
     base = base_network_for(design)
     reps = range(design.replicates)
@@ -500,10 +492,11 @@ def run_experiment(design: SimDesign,
                 [base] * design.replicates, reps,
                 [tuple(methods)] * design.replicates,
                 [tuple(edge_rules)] * design.replicates,
+                [rules] * design.replicates,
                 chunksize=max(1, design.replicates // (8 * workers))))
     else:
         outcomes = [run_replicate(design, base, rep, tuple(methods),
-                                  tuple(edge_rules)) for rep in reps]
+                                  tuple(edge_rules), rules) for rep in reps]
 
     rows = []
     for method in methods:

@@ -89,17 +89,24 @@ def apply_threshold(dn: DifferenceNetwork, gamma: float) -> AdjacencyMatrix:
     return AdjacencyMatrix(n=dn.n, selected=dn.logit_values() > gamma)
 
 
-def benjamini_hochberg(pvalues: np.ndarray, alpha: float) -> np.ndarray:
-    """BH step-up rejection mask at level alpha."""
+def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
+    """Benjamini-Hochberg adjusted p-values: for the i-th smallest of m,
+    min(1, min over j >= i of p_(j) m / j). The BH step-up procedure at
+    level alpha rejects exactly the p-values whose adjusted value is
+    <= alpha."""
     p = np.asarray(pvalues, dtype=float)
     m = p.size
     order = np.argsort(p, kind="stable")
-    passed = p[order] <= alpha * np.arange(1, m + 1) / m
-    reject = np.zeros(m, dtype=bool)
-    if passed.any():
-        k = int(np.nonzero(passed)[0].max()) + 1
-        reject[order[:k]] = True
-    return reject
+    ranked = p[order] * m / np.arange(1, m + 1)
+    ranked = np.minimum.accumulate(ranked[::-1])[::-1]
+    out = np.empty(m)
+    out[order] = np.minimum(ranked, 1.0)
+    return out
+
+
+def benjamini_hochberg(pvalues: np.ndarray, alpha: float) -> np.ndarray:
+    """BH step-up rejection mask at level alpha."""
+    return bh_adjust(pvalues) <= alpha
 
 
 def baseline_threshold(pmat: PValueMatrix, rule: ThresholdRule) -> AdjacencyMatrix:

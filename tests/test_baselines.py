@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ddtnet.baselines import (
-    BaselineConfig,
     binomial_corrected,
     degree_at_density,
     degree_ttest,
@@ -129,14 +128,19 @@ def test_binomial_fdr_detects_superset_of_bonferroni():
 
 
 def test_baseline_config_validation():
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(4, 15))
+    cohort = _cohort(vals, vals + 0.1, 6)
+    for density in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ValidationError, match="density"):
+            degree_ttest(cohort, density=density)
     with pytest.raises(ValidationError):
-        BaselineConfig(density=0.0)
+        degree_ttest(cohort, ranking="weighted")
+    pmat = PValueMatrix(n=6, values=rng.uniform(size=15), diagonal=np.ones(6))
     with pytest.raises(ValidationError):
-        BaselineConfig(correction="holm")
-    with pytest.raises(ValidationError):
-        BaselineConfig(ranking="weighted")
-    cfg = BaselineConfig()
-    assert cfg.density == 0.10 and cfg.alpha == 0.05
+        binomial_corrected(pmat, correction="holm")
+    res = degree_ttest(cohort)
+    assert res.density == 0.10 and res.alpha == 0.05
 
 
 def test_degree_ttest_matches_per_node_welch():

@@ -189,6 +189,62 @@ def test_null_nonpositive_mean_exit_3(tmp_path, capsys):
     assert "hint" in err
 
 
+def test_run_nonpositive_mean_exit_3(tmp_path, capsys):
+    # group 2 repeats group 1, so every edge p-value is 1 and the
+    # logit-scale mean of the difference network is negative
+    files = _toy_cohort(tmp_path)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"group1": files["group1"],
+                                "group2": files["group1"], "seed": 1}))
+    code = main(["run", "--manifest", str(path),
+                 "--out", str(tmp_path / "results")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "nonpositive-mean" and err["stage"] == "moments"
+    assert err["message"].startswith("logit-scale mean")
+    assert "hint" in err
+
+
+def test_run_other_pipeline_failures_keep_their_payload(tmp_path, capsys,
+                                                        monkeypatch):
+    from ddtnet import degree_test
+    from ddtnet.hqs import ZeroVarianceError
+
+    def zero_variance(dn, m=2):
+        raise ZeroVarianceError("logit-scale variance is zero")
+    monkeypatch.setattr(degree_test, "observed_moments", zero_variance)
+    code = main(["run", "--manifest", str(_manifest(tmp_path)),
+                 "--out", str(tmp_path / "results")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "pipeline", "stage": "pipeline",
+                   "message": "moments: logit-scale variance is zero"}
+
+
+def test_run_t10_density_out_of_range_exit_2(tmp_path, capsys):
+    manifest = _manifest(tmp_path, density=1.5, baselines=["t10"])
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation" and "density" in err["message"]
+
+
+@pytest.mark.parametrize("field", [{"density": 1.5, "methods": ["t10"]},
+                                   {"level": 1.5, "methods": ["addt"]}])
+def test_simulate_invalid_method_settings_exit_2(tmp_path, capsys, field):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({
+        "n_nodes": 12, "n1": 6, "n2": 6, "q": 4, "targets": [1],
+        "replicates": 2, "seed": 9, "null_networks": 20,
+        "resolution": 20000, **field}))
+    code = main(["--quiet", "--threads", "1", "simulate", "--design",
+                 str(design), "--out", str(tmp_path / "bench")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "validation"
+
+
 def test_enrich_roundtrip_and_empty(tmp_path, capsys):
     n = 6
     adj = np.zeros((n, n), dtype=int)

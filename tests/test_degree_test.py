@@ -2,15 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix, ValidationError
 from ddtnet.degree_test import (
     PipelineError,
     binomial_upper_tail,
     ddt_run,
-    differential_degree,
     node_tests,
-    null_probability,
+    null_probability_from_counts,
 )
 from ddtnet.edgetests import EdgeTestConfig
 from ddtnet.thresholds import ThresholdRule
@@ -37,11 +38,11 @@ def _adj(n, edges):
 
 
 def test_differential_degree_trivial_cases():
-    assert np.array_equal(differential_degree(_adj(4, [])), np.zeros(4))
+    assert np.array_equal(_adj(4, []).degrees(), np.zeros(4))
     complete = _adj(5, list(itertools.combinations(range(5), 2)))
-    assert np.array_equal(differential_degree(complete), np.full(5, 4))
+    assert np.array_equal(complete.degrees(), np.full(5, 4))
     single = _adj(4, [(1, 2)])
-    assert list(differential_degree(single)) == [0, 1, 1, 0]
+    assert list(single.degrees()) == [0, 1, 1, 0]
 
 
 def test_degree_sums_to_twice_edge_count():
@@ -49,32 +50,41 @@ def test_degree_sums_to_twice_edge_count():
     for _ in range(10):
         sel = rng.random(45) < 0.3
         adj = AdjacencyMatrix(n=10, selected=sel)
-        assert differential_degree(adj).sum() == 2 * adj.n_edges_selected
+        assert adj.degrees().sum() == 2 * adj.n_edges_selected
+
+
+def _null_probability(adjacencies):
+    """p_null of thresholded null networks, from their per-edge counts."""
+    counts = np.sum([a.selected for a in adjacencies], axis=0)
+    return null_probability_from_counts(counts, len(adjacencies),
+                                        adjacencies[0].n)
 
 
 def test_null_probability_arithmetic():
     # M = 2, N = 5; node 0 has incident-edge sums 3 and 1 across networks
     a1 = _adj(5, [(0, 1), (0, 2), (0, 3)])
     a2 = _adj(5, [(0, 4)])
-    p = null_probability([a1, a2])
+    p = _null_probability([a1, a2])
     assert p[0] == pytest.approx((3 + 1) / (2 * 4))
 
 
 def test_null_probability_extremes():
     empty = [_adj(4, []), _adj(4, [])]
-    assert np.all(null_probability(empty) == 0.0)
+    assert np.all(_null_probability(empty) == 0.0)
     complete = [_adj(4, list(itertools.combinations(range(4), 2)))]
-    assert np.all(null_probability(complete) == 1.0)
+    assert np.all(_null_probability(complete) == 1.0)
     with pytest.raises(ValidationError):
-        null_probability([])
+        null_probability_from_counts(np.zeros(6, dtype=np.int64), 0, 4)
+    with pytest.raises(ValidationError):
+        null_probability_from_counts(np.zeros(5, dtype=np.int64), 1, 4)
 
 
 def test_null_probability_order_invariant():
     rng = np.random.default_rng(5)
     adjs = [AdjacencyMatrix(n=6, selected=rng.random(15) < 0.4)
             for _ in range(7)]
-    p1 = null_probability(adjs)
-    p2 = null_probability(adjs[::-1])
+    p1 = _null_probability(adjs)
+    p2 = _null_probability(adjs[::-1])
     assert np.array_equal(p1, p2)
 
 
@@ -94,6 +104,16 @@ def test_binomial_upper_tail_matches_enumeration():
                 expected = binomial_tail_by_enumeration(k, n, p)
                 got = binomial_upper_tail(k, n, p)
                 assert got == pytest.approx(expected, abs=1e-12), (k, n, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 400), p=st.floats(0.0, 1.0))
+def test_binomial_upper_tail_matches_scipy(data, n, p):
+    k = data.draw(st.integers(0, n))
+    # below ~1e-280 scipy's sf loses relative digits (1.8e-4 at 8.2e-297
+    # against an exact sum), so tails that small only need to be tiny
+    assert binomial_upper_tail(k, n, p) == pytest.approx(
+        stats.binom.sf(k - 1, n, p), rel=1e-9, abs=1e-280)
 
 
 def test_binomial_upper_tail_validation():

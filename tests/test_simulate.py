@@ -5,6 +5,7 @@ import pytest
 
 from ddtnet import simulate
 from ddtnet.core import ValidationError, triu_index_pairs
+from ddtnet.thresholds import ThresholdRule
 from ddtnet.simulate import (
     ConfusionCounts,
     SimDesign,
@@ -174,7 +175,9 @@ def test_run_replicate_records_method_error_on_null_signal():
     base = base_network_for(design)
     seen_error = seen_ok = False
     for rep in range(12):
-        out = run_replicate(design, base, rep, ("addt", "binb"), ())
+        out = run_replicate(design, base, rep, ("addt", "binb"), (),
+                            {"addt": ThresholdRule("addt", design.level,
+                                                   design.resolution)})
         if "addt" in out.errors:
             seen_error = True
             assert "addt" not in out.node_counts
@@ -214,6 +217,18 @@ def test_run_experiment_rejects_unknown_method():
     design = SimDesign(replicates=1)
     with pytest.raises(ValidationError):
         run_experiment(design, methods=("nbs",))
+
+
+@pytest.mark.parametrize("settings", [{"level": 1.5}, {"level": 0.0},
+                                      {"resolution": 500}])
+def test_run_experiment_rejects_bad_rule_settings_before_replicates(
+        monkeypatch, settings):
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a bad rule must fail before any replicate")
+    monkeypatch.setattr(simulate, "run_replicate", no_replicate)
+    design = SimDesign(replicates=2, **settings)
+    with pytest.raises(ValidationError):
+        run_experiment(design, methods=("addt", "eddt"))
 
 
 def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):

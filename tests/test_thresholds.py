@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ddtnet.core import DifferenceNetwork, ValidationError, logit
 from ddtnet.edgetests import PValueMatrix
@@ -13,6 +14,7 @@ from ddtnet.thresholds import (
     apply_threshold,
     baseline_threshold,
     benjamini_hochberg,
+    bh_adjust,
     eddt_threshold,
     select_gamma,
 )
@@ -111,6 +113,48 @@ def test_bh_rejects_superset_of_bonferroni():
         bh = benjamini_hochberg(p, 0.05)
         bonf = p < 0.05 / len(p)
         assert np.all(bh[bonf])
+
+
+_PVALUES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).map(np.array)
+_ALPHAS = st.floats(0.001, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_PVALUES)
+def test_bh_adjusted_lies_in_p_to_1_and_is_monotone(p):
+    adj = bh_adjust(p)
+    # p_(j) m / j >= p_(i) for j >= i, up to the rounding of that product
+    assert np.all(adj >= p * (1 - 1e-15)) and np.all(adj <= 1.0)
+    assert np.all(adj[:, None] <= adj[None, :], where=p[:, None] <= p[None, :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_PVALUES, alpha=_ALPHAS)
+def test_bh_rejection_is_adjusted_at_most_alpha(p, alpha):
+    assert np.array_equal(benjamini_hochberg(p, alpha), bh_adjust(p) <= alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_PVALUES, alpha=_ALPHAS)
+def test_bh_mask_agrees_with_the_step_up_definition(p, alpha):
+    m = p.size
+    ranked = np.sort(p)
+    line = alpha * np.arange(1, m + 1) / m
+    # a p-value on the step-up line is decided by rounding; see the
+    # boundary test below
+    assume(not np.any(np.isclose(ranked, line, rtol=1e-9, atol=0.0)))
+    below = np.nonzero(ranked <= line)[0]
+    k = below.max() + 1 if below.size else 0
+    expected = p <= ranked[k - 1] if k else np.zeros(m, dtype=bool)
+    assert np.array_equal(benjamini_hochberg(p, alpha), expected)
+
+
+def test_bh_boundary_follows_the_adjusted_values():
+    # every p-value lies on the step-up line alpha * i / m; p_(3) * 3 / 3
+    # rounds to 0.05000000000000001, so the largest is not rejected
+    p = np.array([1 / 60, 1 / 30, 0.05])
+    assert bh_adjust(p)[2] > 0.05
+    assert list(benjamini_hochberg(p, 0.05)) == [True, True, False]
 
 
 def test_baseline_threshold_rules():
