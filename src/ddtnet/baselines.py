@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
-                   ValidationError, node_sums, validate_cohort)
+                   ValidationError, node_sums, triu_index_pairs,
+                   validate_cohort)
 from .degree_test import NodeTestResult, binomial_upper_tail
 from .edgetests import PValueMatrix, _vector_welch
 from .thresholds import bh_adjust
@@ -39,6 +40,14 @@ def density_edge_count(n_edges: int, density: float) -> int:
     return int(round(density * n_edges))
 
 
+def check_t10_settings(density: float, ranking: str) -> None:
+    """Reject a t10 density outside (0, 1) or an unknown ranking."""
+    if not 0.0 < density < 1.0:
+        raise ValidationError(f"density must be in (0, 1), got {density}")
+    if ranking not in RANKINGS:
+        raise ValidationError(f"ranking must be one of {RANKINGS}")
+
+
 def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
                       ranking: str = "signed") -> np.ndarray:
     """Nodal degrees after keeping the top round(density * E) edges.
@@ -57,14 +66,31 @@ def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
     return node_sums(g.n, selected).astype(np.int64)
 
 
+def stacked_degrees(mats: tuple[SymmetricMatrix, ...], density: float,
+                    ranking: str) -> np.ndarray:
+    """degree_at_density of every subject, one row each, from one stable
+    row-wise argsort of the stacked edge values."""
+    n = mats[0].n
+    vals = np.vstack([m.values for m in mats])
+    if ranking == "absolute":
+        vals = np.abs(vals)
+    k = density_edge_count(vals.shape[1], density)
+    top = np.argsort(-vals, axis=1, kind="stable")[:, :k]
+    iu, ju = triu_index_pairs(n)
+    # node index offset by n per subject, so one bincount counts every row
+    offset = n * np.arange(len(mats))[:, None]
+    counts = (np.bincount((iu[top] + offset).ravel(), minlength=n * len(mats))
+              + np.bincount((ju[top] + offset).ravel(), minlength=n * len(mats)))
+    return counts.reshape(len(mats), n).astype(np.int64)
+
+
 def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
                  alpha: float = 0.05, ranking: str = "signed") -> DegreeTTestResult:
     """Welch two-sample t-test of density-thresholded nodal degrees."""
-    if not 0.0 < density < 1.0:
-        raise ValidationError(f"density must be in (0, 1), got {density}")
+    check_t10_settings(density, ranking)
     validate_cohort(cohort)
-    d1 = np.vstack([degree_at_density(m, density, ranking) for m in cohort.group1])
-    d2 = np.vstack([degree_at_density(m, density, ranking) for m in cohort.group2])
+    d1 = stacked_degrees(cohort.group1, density, ranking)
+    d2 = stacked_degrees(cohort.group2, density, ranking)
     p = _vector_welch(d1.astype(float), d2.astype(float))
     return DegreeTTestResult(pvalues=p, significant=p < alpha,
                              density=density, alpha=alpha)
@@ -86,7 +112,10 @@ def binomial_corrected(pmat: PValueMatrix, correction: str = "bonferroni",
         raise ValidationError(f"correction must be one of {CORRECTIONS}")
     n = pmat.n
     degrees = AdjacencyMatrix(n, pmat.values < alpha).degrees()
-    raw = np.array([binomial_upper_tail(int(k), n - 1, alpha) for k in degrees])
+    # the null is the same for every node, so the tail depends on k alone
+    tail = {int(k): binomial_upper_tail(int(k), n - 1, alpha)
+            for k in np.unique(degrees)}
+    raw = np.array([tail[int(k)] for k in degrees])
     if correction == "bonferroni":
         adjusted = np.minimum(1.0, n * raw)
     else:

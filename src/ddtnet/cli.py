@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import binomial_corrected, degree_ttest
+from .baselines import binomial_corrected, check_t10_settings, degree_ttest
 from .core import (
     AdjacencyMatrix,
     DdtError,
@@ -97,6 +97,15 @@ def _parse_threads(raw: str, source: str) -> int:
     return threads
 
 
+def _manifest_number(manifest: dict, key: str, default, kind=float):
+    """manifest[key] (or default) as `kind`; anything else is a ManifestError."""
+    raw = manifest.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ManifestError(f"{key} must be a number, got {raw!r}") from None
+
+
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
     _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
@@ -107,39 +116,46 @@ def cmd_run(args) -> int:
     if "seed" not in manifest and args.seed is None:
         raise ManifestError("manifest must carry a seed (or pass --seed); "
                             "runs never draw implicit entropy")
-    seed = int(args.seed if args.seed is not None else manifest["seed"])
-    cohort_block = manifest.get("cohort", manifest)
-    cohort = load_cohort(cohort_block, base_dir,
-                         header=bool(manifest.get("header", False)))
+    seed = (args.seed if args.seed is not None
+            else _manifest_number(manifest, "seed", None, int))
     test_cfg = parse_test_config(manifest.get("test_config",
                                               {"test": manifest.get("test", "welch_t"),
                                                "fisher_z": manifest.get("fisher_z", False),
                                                "permutations": manifest.get("permutations", 1000)}),
                                  seed)
     rule = parse_threshold_rule(manifest.get("threshold", {}))
-    ensemble_size = int(manifest.get("null_networks", 1000))
-    alpha = float(manifest.get("alpha", 0.05))
+    ensemble_size = _manifest_number(manifest, "null_networks", 1000, int)
+    if ensemble_size < 1:
+        raise ValidationError(f"null_networks must be >= 1, got {ensemble_size}")
+    alpha = _manifest_number(manifest, "alpha", 0.05)
     baselines_wanted = manifest.get("baselines", [])
     if args.baselines:
         baselines_wanted = [b.strip() for b in args.baselines.split(",") if b.strip()]
     unknown = [b for b in baselines_wanted if b not in BASELINE_NAMES]
     if unknown:
         raise ManifestError(f"unknown baselines {unknown}; valid: {BASELINE_NAMES}")
+    density = _manifest_number(manifest, "density", 0.10)
+    ranking = manifest.get("ranking", "signed")
+    inner_dim = _manifest_number(manifest, "inner_dim", 2, int)
+    if "t10" in baselines_wanted:
+        check_t10_settings(density, ranking)
+    cohort_block = manifest.get("cohort", manifest)
+    cohort = load_cohort(cohort_block, base_dir,
+                         header=bool(manifest.get("header", False)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = ddt_run(cohort, test_cfg=test_cfg, rule=rule,
                      ensemble_size=ensemble_size, alpha=alpha, seed=seed,
-                     inner_dim=int(manifest.get("inner_dim", 2)),
+                     inner_dim=inner_dim,
                      correct_nodes=bool(manifest.get("correct_nodes", False)))
 
     baseline_results = {}
     for name in baselines_wanted:
         if name == "t10":
             baseline_results[name] = degree_ttest(
-                cohort, density=float(manifest.get("density", 0.10)),
-                alpha=alpha, ranking=manifest.get("ranking", "signed"))
+                cohort, density=density, alpha=alpha, ranking=ranking)
         elif name == "binb":
             baseline_results[name] = binomial_corrected(result.pvalues,
                                                         "bonferroni", alpha)

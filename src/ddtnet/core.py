@@ -9,6 +9,7 @@ workers; the transforms here are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,9 +110,14 @@ class _FrozenArrays:
             object.__setattr__(self, name, value)
 
 
+@lru_cache(maxsize=32)
 def triu_index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the upper triangle in canonical (i, j) order."""
-    return np.triu_indices(n, k=1)
+    """Row/column indices of the upper triangle in canonical (i, j) order.
+
+    Cached per n and shared by every caller, so the arrays are read-only.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    return _frozen(iu), _frozen(ju)
 
 
 def node_sums(n: int, per_edge: np.ndarray) -> np.ndarray:

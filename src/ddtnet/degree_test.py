@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,6 +98,13 @@ def null_probability_from_counts(counts: np.ndarray, size: int,
     return node_sums(n, counts) / (size * (n - 1))
 
 
+@lru_cache(maxsize=64)
+def _log_binomial_row(n: int) -> tuple[float, ...]:
+    """log C(n, i) for i = 0..n, by the lgamma expression of every tail."""
+    return tuple(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                 for i in range(n + 1))
+
+
 def binomial_upper_tail(k: int, n: int, p: float) -> float:
     """Exact P(X >= k) for X ~ Binomial(n, p), by log-space pmf summation."""
     if not 0 <= k <= n:
@@ -111,10 +119,8 @@ def binomial_upper_tail(k: int, n: int, p: float) -> float:
         return 1.0
     log_p = math.log(p)
     log_q = math.log1p(-p)
-    terms = []
-    for i in range(k, n + 1):
-        log_c = (math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1))
-        terms.append(log_c + i * log_p + (n - i) * log_q)
+    log_c = _log_binomial_row(n)
+    terms = [log_c[i] + i * log_p + (n - i) * log_q for i in range(k, n + 1)]
     m = max(terms)
     total = m + math.log(math.fsum(math.exp(t - m) for t in terms))
     return float(min(1.0, math.exp(total)))

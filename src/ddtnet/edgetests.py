@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import (
     ConnectivityCohort,
@@ -25,7 +25,7 @@ from .core import (
 )
 
 EDGE_TEST_METHODS = ("welch_t", "wilcoxon", "permutation", "regression")
-# edge columns per scipy call in the vectorised Welch test
+# edge columns per block in the vectorised Welch test
 _WELCH_BLOCK = 4096
 
 
@@ -119,6 +119,7 @@ def wilcoxon_edge(x, y) -> float:
         return 1.0
     no_ties = len(np.unique(pooled)) == len(pooled)
     method = "exact" if (len(pooled) <= 12 and no_ties) else "asymptotic"
+    from scipy import stats  # deferred: a Welch-only run never loads it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = stats.mannwhitneyu(x, y, alternative="two-sided", method=method)
@@ -183,6 +184,7 @@ def regression_edge(values, group, covariates=None) -> float:
     if se == 0.0:
         return 1.0 if beta[1] == 0.0 else P_MIN
     t = beta[1] / se
+    from scipy import stats  # deferred: a Welch-only run never loads it
     return _finite_p(2.0 * stats.t.sf(abs(t), df))
 
 
@@ -231,7 +233,7 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
 def _vector_welch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Welch t-test p-value of every column of x against the same column of
     y, in blocks of _WELCH_BLOCK columns; each column is tested on its own,
-    so the blocks bound scipy's temporaries without changing a bit."""
+    so the blocks bound the temporaries without changing a bit."""
     p = np.empty(x.shape[1])
     for start in range(0, x.shape[1], _WELCH_BLOCK):
         cols = slice(start, start + _WELCH_BLOCK)
@@ -240,14 +242,24 @@ def _vector_welch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _welch_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, p = stats.ttest_ind(x, y, axis=0, equal_var=False)
-    p = np.asarray(p, dtype=float)
+    """Column-wise two-sided Welch p-values. The arithmetic repeats
+    scipy.stats.ttest_ind(equal_var=False) of scipy 1.17 step for step, so
+    each p-value is the same double; the tests keep ttest_ind as the oracle."""
+    n1, n2 = len(x), len(y)
+    m1, m2 = x.mean(axis=0), y.mean(axis=0)
+    # ddof=1 variance over n, as scipy.stats._var forms it
+    vn1 = np.mean((x - m1) ** 2, axis=0) * (n1 / (n1 - 1)) / n1
+    vn2 = np.mean((y - m2) ** 2, axis=0) * (n2 / (n2 - 1)) / n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
+        # nan df means zero variance in both groups; any df then serves
+        df = np.where(np.isnan(df), 1.0, df)
+        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+    p = 2 * special.stdtr(df, -np.abs(t))
     # nan marks zero variance in both groups: p = 1 when means agree
     bad = ~np.isfinite(p)
     if bad.any():
-        equal = np.isclose(x.mean(axis=0), y.mean(axis=0))
+        equal = np.isclose(m1, m2)
         p[bad & equal] = 1.0
         p[bad & ~equal] = P_MIN
     return np.clip(p, P_MIN, 1.0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import AdjacencyMatrix, DdtError, ValidationError
 from .thresholds import bh_adjust
@@ -125,6 +124,7 @@ def enrichment_test(adjacency: AdjacencyMatrix, partition: ModulePartition,
     block is flagged only when Q > E (enrichment, not depletion) and the
     corrected p-value is below alpha.
     """
+    from scipy import stats  # deferred: only enrichment needs scipy.stats
     total = adjacency.n_edges_selected
     if total == 0:
         raise NoSelectedEdgesError(

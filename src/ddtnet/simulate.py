@@ -100,6 +100,9 @@ class SimDesign:
                 raise ValidationError(f"{name} must be positive")
         if self.replicates < 1:
             raise ValidationError("need at least one replicate")
+        if self.null_networks < 1:
+            raise ValidationError(
+                f"null_networks must be >= 1, got {self.null_networks}")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
 

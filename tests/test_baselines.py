@@ -6,10 +6,12 @@ from ddtnet.baselines import (
     degree_at_density,
     degree_ttest,
     density_edge_count,
+    stacked_degrees,
 )
-from ddtnet.core import ConnectivityCohort, SymmetricMatrix, ValidationError
+from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix, ValidationError
 from ddtnet.degree_test import binomial_upper_tail
 from ddtnet.edgetests import PValueMatrix
+from ddtnet.thresholds import bh_adjust
 
 
 def test_density_edge_count_rounding():
@@ -160,3 +162,34 @@ def test_degree_ttest_matches_per_node_welch():
     assert res.pvalues[0] == 1.0
     assert np.allclose(res.pvalues, per_node, rtol=0, atol=1e-15)
     assert np.array_equal(res.significant, per_node < 0.05)
+
+
+@pytest.mark.parametrize("ranking", ["signed", "absolute"])
+def test_stacked_degrees_equal_per_subject_degrees(ranking):
+    rng = np.random.default_rng(21)
+    n = 15
+    # rounded values tie often, so the stable tie rule is exercised
+    vals = np.round(rng.normal(size=(9, n * (n - 1) // 2)), 1)
+    mats = tuple(SymmetricMatrix.from_upper(n, v, 1.0) for v in vals)
+    for density in (0.001, 0.1, 0.25, 0.5, 0.999):
+        want = np.vstack([degree_at_density(m, density, ranking) for m in mats])
+        got = stacked_degrees(mats, density, ranking)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), density
+
+
+@pytest.mark.parametrize("correction", ["bonferroni", "fdr"])
+def test_binomial_corrected_equals_per_node_loop(correction):
+    rng = np.random.default_rng(22)
+    n, alpha = 30, 0.05
+    pmat = PValueMatrix(n=n, values=rng.uniform(size=n * (n - 1) // 2) ** 3,
+                        diagonal=np.ones(n))
+    degrees = AdjacencyMatrix(n, pmat.values < alpha).degrees()
+    raw = np.array([binomial_upper_tail(int(k), n - 1, alpha) for k in degrees])
+    adjusted = np.minimum(1.0, n * raw) if correction == "bonferroni" else bh_adjust(raw)
+    nodes = binomial_corrected(pmat, correction, alpha)
+    assert len(set(degrees.tolist())) < n          # repeated degrees share a tail
+    for i, r in enumerate(nodes):
+        assert (r.node, r.degree, r.p_null) == (i, degrees[i], alpha)
+        assert r.pvalue == adjusted[i]
+        assert r.significant == (adjusted[i] < alpha)

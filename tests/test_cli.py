@@ -443,3 +443,54 @@ def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case):
     assert "bad_subject.csv" in payload["message"]
     assert expected in payload["message"]
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("field", [{"density": 1.5, "baselines": ["t10"]},
+                                   {"ranking": "weighted", "baselines": ["t10"]},
+                                   {"null_networks": 0}])
+def test_run_rejects_settings_before_reading_the_cohort(tmp_path, capfd, field):
+    # the subject files do not exist: only a check made before load_cohort
+    # can report the setting instead of the missing file
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        "group1": ["a.csv", "b.csv"], "group2": ["c.csv", "d.csv"],
+        "seed": 3, **field}))
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert next(iter(field)) in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "null_networks", "alpha", "density",
+                                 "inner_dim"])
+def test_run_non_numeric_setting_is_one_json_line(tmp_path, capfd, key):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        "group1": ["a.csv", "b.csv"], "group2": ["c.csv", "d.csv"],
+        "seed": 3, "baselines": ["t10"], key: "abc"}))
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest" and key in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+def test_simulate_rejects_zero_null_networks_before_any_replicate(tmp_path,
+                                                                   capsys):
+    code = main(["--quiet", "--threads", "1", "simulate", "--design",
+                 str(_small_design(tmp_path, null_networks=0)),
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    # reported like every other invalid SimDesign field
+    assert payload["error"] == "manifest"
+    assert "null_networks" in payload["message"]
+    assert not (tmp_path / "bench").exists()

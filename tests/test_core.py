@@ -10,6 +10,7 @@ from ddtnet.core import (
     fisher_z_clamped,
     inv_logit,
     logit,
+    triu_index_pairs,
     validate_cohort,
 )
 
@@ -182,3 +183,15 @@ def test_containers_stay_frozen_across_pickling():
     back = pickle.loads(pickle.dumps(cohort))
     assert back.group1[0].values.flags.writeable is False
     assert pickle.loads(pickle.dumps(pmat)).fisher_z_clamped == 2
+
+
+def test_triu_index_pairs_is_cached_and_read_only():
+    for n in (2, 3, 35):
+        iu, ju = triu_index_pairs(n)
+        want_i, want_j = np.triu_indices(n, k=1)
+        assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
+        assert iu.dtype == want_i.dtype and ju.dtype == want_j.dtype
+        assert not iu.flags.writeable and not ju.flags.writeable
+        with pytest.raises(ValueError):
+            iu[0] = 1
+        assert triu_index_pairs(n)[0] is iu

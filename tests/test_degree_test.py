@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ def test_binomial_upper_tail_matches_scipy(data, n, p):
     # against an exact sum), so tails that small only need to be tiny
     assert binomial_upper_tail(k, n, p) == pytest.approx(
         stats.binom.sf(k - 1, n, p), rel=1e-9, abs=1e-280)
+
+
+def _binomial_upper_tail_per_term(k: int, n: int, p: float) -> float:
+    """binomial_upper_tail with lgamma evaluated afresh for every term, as
+    before the log-binomial rows were cached."""
+    if k == 0 or p == 1.0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    terms = []
+    for i in range(k, n + 1):
+        log_c = (math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1))
+        terms.append(log_c + i * log_p + (n - i) * log_q)
+    m = max(terms)
+    total = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return float(min(1.0, math.exp(total)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 600), p=st.floats(0.0, 1.0))
+def test_binomial_upper_tail_equals_per_term_lgamma(data, n, p):
+    k = data.draw(st.integers(0, n))
+    assert binomial_upper_tail(k, n, p) == _binomial_upper_tail_per_term(k, n, p)
 
 
 def test_binomial_upper_tail_validation():

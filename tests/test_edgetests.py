@@ -1,11 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from ddtnet.core import ConnectivityCohort, SymmetricMatrix, ValidationError
+from ddtnet.core import P_MIN, ConnectivityCohort, SymmetricMatrix, ValidationError
 from ddtnet.edgetests import (
     EdgeTestConfig,
     PValueMatrix,
@@ -344,3 +345,51 @@ def test_welch_t_edge_is_one_column_of_the_vector_test():
     vector = _vector_welch(x, y)
     for e in range(40):
         assert welch_t_edge(x[:, e], y[:, e]) == vector[e]
+
+
+def _welch_columns(kind: str, n1: int, n2: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    width = 64
+    x = rng.normal(size=(n1, width)) * rng.uniform(0.01, 10.0)
+    y = rng.normal(0.3, 1.0, size=(n2, width))
+    if kind == "constant-equal":
+        x = np.tile(x[0], (n1, 1))
+        y = np.tile(x[0], (n2, 1))
+    elif kind == "constant-unequal":
+        x = np.tile(x[0], (n1, 1))
+        y = np.tile(y[0], (n2, 1))
+    elif kind == "rounded":
+        x, y = np.round(x, 1), np.round(y, 1)
+    elif kind == "integer-degree":
+        x = rng.integers(0, 6, size=(n1, width)).astype(float)
+        y = rng.integers(0, 6, size=(n2, width)).astype(float)
+    return x, y
+
+
+def _ttest_ind_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Welch block through scipy.stats.ttest_ind, with the same
+    degenerate-column rule and clamp as _welch_block."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = np.asarray(stats.ttest_ind(x, y, axis=0, equal_var=False)[1], float)
+    bad = ~np.isfinite(p)
+    equal = np.isclose(x.mean(axis=0), y.mean(axis=0))
+    p[bad & equal] = 1.0
+    p[bad & ~equal] = P_MIN
+    return np.clip(p, P_MIN, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["random", "constant-equal", "constant-unequal",
+                                  "rounded", "integer-degree"])
+def test_welch_block_is_bit_identical_to_ttest_ind(kind):
+    from ddtnet.edgetests import _welch_block
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for n1 in range(2, 31):
+        n2 = int(rng.integers(2, 31))
+        x, y = _welch_columns(kind, n1, n2, rng)
+        got = _welch_block(x, y)
+        assert np.array_equal(got.view(np.int64),
+                              _ttest_ind_block(x, y).view(np.int64)), (n1, n2)
+        # a strided view of the columns, as _vector_welch's blocks pass them
+        got = _welch_block(x[:, ::3], y[:, ::3])
+        assert np.array_equal(got.view(np.int64), _ttest_ind_block(
+            x[:, ::3], y[:, ::3]).view(np.int64)), (n1, n2)

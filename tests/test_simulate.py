@@ -132,6 +132,8 @@ def test_design_validation():
         SimDesign(targets=(0,))              # 1-based
     with pytest.raises(ValidationError):
         SimDesign(targets=(1, 1))
+    with pytest.raises(ValidationError, match="null_networks"):
+        SimDesign(null_networks=0)
 
 
 def test_score_and_mcc_examples():
