@@ -37,6 +37,7 @@ from .io import (
     load_design,
     load_json,
     load_partition,
+    manifest_number,
     parse_test_config,
     parse_threshold_rule,
     read_matrix_csv,
@@ -97,15 +98,6 @@ def _parse_threads(raw: str, source: str) -> int:
     return threads
 
 
-def _manifest_number(manifest: dict, key: str, default, kind=float):
-    """manifest[key] (or default) as `kind`; anything else is a ManifestError."""
-    raw = manifest.get(key, default)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise ManifestError(f"{key} must be a number, got {raw!r}") from None
-
-
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
     _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
@@ -117,26 +109,26 @@ def cmd_run(args) -> int:
         raise ManifestError("manifest must carry a seed (or pass --seed); "
                             "runs never draw implicit entropy")
     seed = (args.seed if args.seed is not None
-            else _manifest_number(manifest, "seed", None, int))
+            else manifest_number(manifest, "seed", None, int))
     test_cfg = parse_test_config(manifest.get("test_config",
                                               {"test": manifest.get("test", "welch_t"),
                                                "fisher_z": manifest.get("fisher_z", False),
                                                "permutations": manifest.get("permutations", 1000)}),
                                  seed)
     rule = parse_threshold_rule(manifest.get("threshold", {}))
-    ensemble_size = _manifest_number(manifest, "null_networks", 1000, int)
+    ensemble_size = manifest_number(manifest, "null_networks", 1000, int)
     if ensemble_size < 1:
         raise ValidationError(f"null_networks must be >= 1, got {ensemble_size}")
-    alpha = _manifest_number(manifest, "alpha", 0.05)
+    alpha = manifest_number(manifest, "alpha", 0.05)
     baselines_wanted = manifest.get("baselines", [])
     if args.baselines:
         baselines_wanted = [b.strip() for b in args.baselines.split(",") if b.strip()]
     unknown = [b for b in baselines_wanted if b not in BASELINE_NAMES]
     if unknown:
         raise ManifestError(f"unknown baselines {unknown}; valid: {BASELINE_NAMES}")
-    density = _manifest_number(manifest, "density", 0.10)
+    density = manifest_number(manifest, "density", 0.10)
     ranking = manifest.get("ranking", "signed")
-    inner_dim = _manifest_number(manifest, "inner_dim", 2, int)
+    inner_dim = manifest_number(manifest, "inner_dim", 2, int)
     if "t10" in baselines_wanted:
         check_t10_settings(density, ranking)
     cohort_block = manifest.get("cohort", manifest)
@@ -177,8 +169,7 @@ def cmd_run(args) -> int:
         "test_config": {"test": test_cfg.method, "fisher_z": test_cfg.fisher_z,
                         "permutations": test_cfg.permutations,
                         "seed": test_cfg.seed},
-        "threshold": {"kind": rule.kind, "level": rule.level,
-                      "resolution": rule.resolution, "seed": rule.seed},
+        "threshold": {"kind": rule.kind, "level": rule.level},
         "baselines": list(baselines_wanted),
         "n_nodes": cohort.n,
         "n_subjects": [cohort.n1, cohort.n2],

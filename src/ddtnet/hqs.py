@@ -14,8 +14,8 @@ variance vbar exactly:
 
 Each off-diagonal entry is distributed as (sigma2/2) (T - Q) with
 T ~ noncentral chi^2_m(lambda), lambda = 2 m mu^2 / sigma2, Q ~ chi^2_m,
-T independent of Q. mixture_sample draws that law directly, which is what
-the parametric threshold uses.
+T independent of Q. mixture_cdf evaluates that law's distribution function,
+which the parametric threshold inverts; mixture_sample draws from it.
 
 The pipeline never holds the M x E ensemble: a NullStream regenerates the
 replicates in fixed-size row blocks, and null_exceedances takes every
@@ -27,9 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
+from scipy import special
 
 from .core import (
     DdtError,
@@ -395,3 +397,67 @@ def mixture_sample(moments: MomentSummary, count: int, seed: int = 0,
     t = rng.chisquare(moments.m + 2 * k)
     q = rng.chisquare(moments.m, size=count)
     return 0.5 * moments.sigma2 * (t - q)
+
+
+# Tanh-sinh rule on (0, 1): nodes t = k h for |t| <= _TS_HALF_WIDTH. The
+# weights beyond that width are below 1e-21, and the step gives an absolute
+# CDF error below 1e-13 over m in 1..5 and noncentrality 0..3200.
+_TS_STEP = 1.0 / 8.0
+_TS_HALF_WIDTH = 3.5
+
+
+@lru_cache(maxsize=1)
+def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes s in (0, 1), their complements 1 - s and the weights of the
+    tanh-sinh rule s(t) = (1 + tanh((pi/2) sinh t)) / 2. Both s and 1 - s
+    are computed from the distance to the nearer end, so neither loses
+    digits where the nodes crowd an endpoint."""
+    k = int(_TS_HALF_WIDTH / _TS_STEP)
+    t = np.arange(-k, k + 1) * _TS_STEP
+    near = 1.0 / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))
+    weights = _TS_STEP * np.pi * np.cosh(t) * near * (1.0 - near)
+    below = t < 0
+    return (_frozen(np.where(below, near, 1.0 - near)),
+            _frozen(np.where(below, 1.0 - near, near)), _frozen(weights))
+
+
+def _chi2_quantiles(m: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Quantiles of chi^2_m at lower-tail probabilities `lower`, whose
+    complements are `upper`; each is inverted from its smaller tail."""
+    a = 0.5 * m
+    return 2.0 * np.where(lower <= 0.5,
+                          special.gammaincinv(a, np.minimum(lower, 0.5)),
+                          special.gammainccinv(a, np.minimum(upper, 0.5)))
+
+
+@lru_cache(maxsize=8)
+def _chi2_nodes(m: int) -> np.ndarray:
+    """chi^2_m quantiles at the tanh-sinh nodes (the rule over all of Q)."""
+    s, c, _ = _tanh_sinh_rule()
+    return _frozen(_chi2_quantiles(m, s, c))
+
+
+def mixture_cdf(moments: MomentSummary, x: float) -> float:
+    """P(X <= x) for the null edge law X = (sigma2/2) (T - Q).
+
+    With y = 2x / sigma2, F(x) = P(T <= y + Q) = E[chndtr(y + Q; m, lambda)]
+    over Q > max(0, -y). The expectation is an integral over u = P(Q <= q),
+    taken by the tanh-sinh rule, which keeps its double-exponential
+    convergence despite the integrand's endpoint singularities in u (a
+    sqrt at the lower end for m = 1, a heavier noncentral tail at u -> 1).
+    The nodes for y >= 0 depend only on m and are cached. Each call costs
+    57 chndtr values, whose series grows as sqrt(lambda).
+    """
+    m, lam = moments.m, moments.noncentrality
+    y = 2.0 * x / moments.sigma2
+    s, c, weights = _tanh_sinh_rule()
+    if y >= 0.0:
+        return float(weights @ special.chndtr(y + _chi2_nodes(m), m, lam))
+    # only Q > -y contributes: the rule runs over u in (P(Q <= -y), 1)
+    span = special.chdtrc(m, -y)
+    if span == 0.0:
+        return 0.0
+    q = _chi2_quantiles(m, special.chdtr(m, -y) + span * s, span * c)
+    # chndtr is NaN below 0, where y + q lands when q rounds under -y
+    t = np.maximum(y + q, 0.0)
+    return float(span * (weights @ special.chndtr(t, m, lam)))

@@ -9,6 +9,7 @@ byte-identical delimited output.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gzip
 import json
 import math
@@ -89,9 +90,12 @@ def load_json(path) -> dict:
         raise ManifestError(f"file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except json.JSONDecodeError as err:
         raise ManifestError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise ManifestError(f"{path}: expected a JSON object")
+    return payload
 
 
 def write_json(path, payload: dict) -> None:
@@ -154,34 +158,66 @@ def parse_test_config(block: dict, seed: int) -> EdgeTestConfig:
         raise ManifestError(f"test config: {err}") from err
 
 
-def parse_threshold_rule(block: dict) -> ThresholdRule:
+def manifest_number(manifest: dict, key: str, default, kind=float):
+    """manifest[key] (or default) as `kind`; anything else is a ManifestError."""
+    raw = manifest.get(key, default)
     try:
-        kwargs = {}
-        if "seed" in block:
-            kwargs["seed"] = int(block["seed"])
-        return ThresholdRule(
-            kind=block.get("kind", "addt"),
-            level=float(block.get("level", 0.95)),
-            resolution=int(block.get("resolution", 1_000_000)),
-            **kwargs)
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ManifestError(f"{key} must be a number, got {raw!r}") from None
+
+
+def parse_threshold_rule(block: dict) -> ThresholdRule:
+    """The manifest's threshold block: kind and level. The resolution and
+    seed keys of the former Monte Carlo aDDT threshold are ignored."""
+    if not isinstance(block, dict):
+        raise ManifestError(f"threshold must be an object, got {block!r}")
+    level = manifest_number(block, "level", 0.95)
+    try:
+        return ThresholdRule(kind=block.get("kind", "addt"), level=level)
     except ValidationError as err:
         raise ManifestError(f"threshold config: {err}") from err
 
 
+# Checks of a design file value against its SimDesign annotation: the test
+# and what a failing value must be instead.
+_DESIGN_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float) and math.isfinite(v),
+              "a finite number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple[int, ...]": (lambda v: type(v) is list
+                        and all(type(t) is int for t in v),
+                        "a list of integers"),
+}
+
+
 def load_design(path) -> tuple[SimDesign, tuple[str, ...], tuple[str, ...]]:
-    """Design file -> (SimDesign, node methods, edge rules)."""
+    """Design file -> (SimDesign, node methods, edge rules).
+
+    Every SimDesign value must have its field's annotated type (an int is
+    also a float); anything else is a ManifestError, raised before any
+    replicate runs.
+    """
     raw = load_json(path)
     methods = tuple(raw.pop("methods", ["addt", "eddt", "binb", "binf", "t10"]))
     edge_rules = tuple(raw.pop("edge_rules", []))
-    if "targets" in raw:
-        raw["targets"] = tuple(raw["targets"])
-    known = set(SimDesign.__dataclass_fields__)
-    unknown = set(raw) - known
+    raw.pop("resolution", None)    # the former Monte Carlo aDDT sample count
+    fields = {f.name: f.type for f in dataclasses.fields(SimDesign)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ManifestError(f"unknown design fields: {sorted(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        check, expected = _DESIGN_TYPES[fields[name]]
+        if not check(value):
+            raise ManifestError(
+                f"design field {name!r} must be {expected}, got {value!r}")
+        values[name] = tuple(value) if type(value) is list else value
     try:
-        return SimDesign(**raw), methods, edge_rules
-    except (ValidationError, TypeError) as err:
+        return SimDesign(**values), methods, edge_rules
+    except ValidationError as err:
         raise ManifestError(f"design file: {err}") from err
 
 

@@ -49,8 +49,8 @@ class SimDesign:
     """One benchmark configuration.
 
     targets are 1-based node indices (the differentially connected nodes);
-    q is the number of injected edges per target. null_networks and
-    resolution size the adaptive-threshold machinery per replicate.
+    q is the number of injected edges per target. null_networks is the eDDT
+    null ensemble size per replicate.
     """
 
     structure: str = "random"
@@ -67,7 +67,6 @@ class SimDesign:
     alpha: float = 0.05
     level: float = 0.95
     null_networks: int = 100
-    resolution: int = 200_000
     density: float = 0.10
     ranking: str = "signed"
     edge_test: str = "welch_t"
@@ -469,8 +468,8 @@ def run_experiment(design: SimDesign,
     Per-replicate method failures (e.g. a nonpositive logit-scale mean under
     weak signal) are recorded and the affected method simply contributes no
     decisions for that replicate; aggregates are over the replicates where
-    the method ran. The design's level and resolution are validated, as
-    the aDDT/eDDT rules, before any replicate runs. Replicates run on
+    the method ran. The design's level is validated, as the aDDT/eDDT
+    rules, before any replicate runs. Replicates run on
     pool_size(threads, replicates) processes; the results are the same for
     any count.
     """
@@ -481,7 +480,7 @@ def run_experiment(design: SimDesign,
     for r in edge_rules:
         if r not in ("addt", "eddt"):
             _edge_rule(r, design)
-    rules = {"addt": ThresholdRule("addt", design.level, design.resolution),
+    rules = {"addt": ThresholdRule("addt", design.level),
              "eddt": ThresholdRule("eddt", design.level)}
     rules = {name: rule for name, rule in rules.items()
              if name in methods or name in edge_rules}

@@ -38,7 +38,7 @@ def _report(label: str, checks: list[tuple[str, bool]]):
 def _benchmark_design(q: int, targets=(1,), seed=20260801) -> SimDesign:
     return SimDesign(structure="random", n_nodes=35, n1=20, n2=20, q=q,
                      targets=targets, replicates=500, seed=seed,
-                     null_networks=100, resolution=200_000)
+                     null_networks=100)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def three_targets_q7():
 def pure_null():
     design = SimDesign(structure="random", n_nodes=35, n1=20, n2=20, q=1,
                        targets=(), replicates=500, seed=20260804,
-                       null_networks=100, resolution=200_000)
+                       null_networks=100)
     return run_experiment(design, threads=THREADS)
 
 
@@ -106,7 +106,7 @@ def test_criterion_03_closed_form_threshold():
     # mu=0, sigma2=1, m=2: the null edge law is standard Laplace and the
     # 95th quantile is -ln(0.1)
     ms = MomentSummary(ebar=0.0, vbar=2.0, m=2, mu=0.0, sigma2=1.0)
-    gamma = addt_threshold(ms, q=0.95, resolution=1_000_000)
+    gamma = addt_threshold(ms, q=0.95)
     target = -math.log(0.1)
     _report("criterion 3 (closed-form threshold)", [
         (f"aDDT q95 = {gamma:.5f} vs {target:.5f} (+/- 0.02)",
@@ -247,7 +247,7 @@ def test_criterion_09_null_calibration(pure_null):
     # edge-selection fraction at the 0.95 adaptive threshold on
     # self-generated nulls
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
-    gamma_a = addt_threshold(ms, 0.95, resolution=2_000_000)
+    gamma_a = addt_threshold(ms, 0.95)
     cal = generate_null(ms, n=60, size=400, seed=20260812)
     gamma_e = eddt_threshold(cal, 0.95)
     frac_a, frac_e = [], []

@@ -494,3 +494,47 @@ def test_simulate_rejects_zero_null_networks_before_any_replicate(tmp_path,
     assert payload["error"] == "manifest"
     assert "null_networks" in payload["message"]
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("threshold", [{"level": "high"}, {"level": None},
+                                       {"kind": "addt", "level": [0.9]}])
+def test_run_non_numeric_threshold_level_is_one_json_line(tmp_path, capfd,
+                                                          threshold):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        "group1": ["a.csv", "b.csv"], "group2": ["c.csv", "d.csv"],
+        "seed": 3, "threshold": threshold}))
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest" and "level" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_ignores_the_retired_threshold_keys(tmp_path):
+    manifest = _manifest(tmp_path, threshold={
+        "kind": "addt", "level": 0.95, "resolution": "many", "seed": "x"})
+    assert main(["--quiet", "run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")]) == 0
+    summary = json.loads((tmp_path / "results" / "run_summary.json").read_text())
+    assert summary["threshold"] == {"kind": "addt", "level": 0.95}
+
+
+@pytest.mark.parametrize("field", [{"level": "x"}, {"alpha": "x"},
+                                   {"density": "x"}, {"dwe_mean": "x"},
+                                   {"null_networks": "5"}])
+def test_simulate_non_numeric_design_value_is_one_json_line(tmp_path, capfd,
+                                                            field):
+    code = main(["--threads", "1", "simulate", "--design",
+                 str(_small_design(tmp_path, **field)),
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert next(iter(field)) in payload["message"]
+    assert not (tmp_path / "bench").exists()

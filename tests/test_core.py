@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddtnet.core import (
+    AdjacencyMatrix,
     ConnectivityCohort,
     DifferenceNetwork,
     SymmetricMatrix,
@@ -74,6 +77,37 @@ def test_symmetric_matrix_roundtrip_and_lookup():
         for j in range(6):
             assert m.value(i, j) == dense[i, j]
             assert m.value(i, j) == m.value(j, i)
+
+
+# finite and small enough that from_dense's averaging of the two triangles
+# cannot overflow
+_ENTRIES = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_symmetric_matrix_dense_roundtrip_property(n, data):
+    values = data.draw(arrays(float, n * (n - 1) // 2, elements=_ENTRIES))
+    diagonal = data.draw(arrays(float, n, elements=_ENTRIES))
+    dense = SymmetricMatrix(n=n, values=values, diagonal=diagonal).to_dense()
+    assert np.array_equal(dense, dense.T)
+    back = SymmetricMatrix.from_dense(dense)
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.diagonal, diagonal)
+    assert np.array_equal(back.to_dense(), dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_adjacency_matrix_dense_roundtrip_property(n, data):
+    selected = data.draw(arrays(bool, n * (n - 1) // 2))
+    dense = AdjacencyMatrix(n=n, selected=selected).to_dense()
+    assert np.array_equal(dense, dense.T)
+    assert not np.diag(dense).any()
+    assert set(np.unique(dense)) <= {0, 1}
+    back = AdjacencyMatrix.from_dense(dense)
+    assert np.array_equal(back.selected, selected)
+    assert np.array_equal(back.to_dense(), dense)
 
 
 def test_symmetric_matrix_rejects_asymmetry_and_size():

@@ -174,7 +174,7 @@ def _random_cohort(n_nodes, n1, n2, seed, shift_edges=(), shift=0.0):
 
 def test_ddt_run_deterministic_end_to_end():
     cohort = _random_cohort(12, 8, 8, seed=3, shift_edges=range(11), shift=0.4)
-    kwargs = dict(test_cfg=EdgeTestConfig(), rule=ThresholdRule(resolution=100_000),
+    kwargs = dict(test_cfg=EdgeTestConfig(), rule=ThresholdRule(),
                   ensemble_size=50, alpha=0.05, seed=99)
     r1 = ddt_run(cohort, **kwargs)
     r2 = ddt_run(cohort, **kwargs)
@@ -187,7 +187,7 @@ def test_ddt_run_detects_planted_node():
     # edges 0..10 in canonical order are exactly node 0's incident edges
     # for n = 12
     cohort = _random_cohort(12, 14, 14, seed=8, shift_edges=range(11), shift=0.5)
-    result = ddt_run(cohort, rule=ThresholdRule(resolution=100_000),
+    result = ddt_run(cohort, rule=ThresholdRule(),
                      ensemble_size=200, seed=7)
     assert result.nodes[0].significant
     assert result.nodes[0].degree >= 5
@@ -217,9 +217,9 @@ def test_ddt_run_degenerate_cohort_surfaces_moment_error():
 
 def test_ddt_run_bh_across_nodes_flag():
     cohort = _random_cohort(12, 12, 12, seed=13, shift_edges=range(11), shift=0.45)
-    plain = ddt_run(cohort, rule=ThresholdRule(resolution=100_000),
+    plain = ddt_run(cohort, rule=ThresholdRule(),
                     ensemble_size=100, seed=5)
-    corrected = ddt_run(cohort, rule=ThresholdRule(resolution=100_000),
+    corrected = ddt_run(cohort, rule=ThresholdRule(),
                         ensemble_size=100, seed=5, correct_nodes=True)
     sig_plain = {n.node for n in plain.nodes if n.significant}
     sig_corr = {n.node for n in corrected.nodes if n.significant}

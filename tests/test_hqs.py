@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ddtnet.core import DifferenceNetwork, ValidationError, inv_logit
@@ -10,6 +11,7 @@ from ddtnet.hqs import (
     NonpositiveMeanError,
     ZeroVarianceError,
     generate_null,
+    mixture_cdf,
     mixture_sample,
     observed_moments,
 )
@@ -113,6 +115,30 @@ def test_mixture_laplace_case():
     s = mixture_sample(ms, 1_000_000, seed=10)
     q95 = np.quantile(s, 0.95)
     assert q95 == pytest.approx(-math.log(0.1), abs=0.02)
+
+
+def test_mixture_cdf_laplace_case():
+    # mu=0, sigma2=1, m=2: F(x) = 1 - e^-x / 2 for x >= 0, e^x / 2 below
+    ms = MomentSummary(ebar=0.0, vbar=2.0, m=2, mu=0.0, sigma2=1.0)
+    for x in (-20.0, -3.0, -0.4, 0.0, 0.4, 3.0, 20.0):
+        exact = 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
+        assert mixture_cdf(ms, x) == pytest.approx(exact, abs=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 5), ebar=st.floats(0.02, 20.0),
+       vbar=st.floats(0.05, 5.0))
+def test_mixture_cdf_matches_mixture_draws(m, ebar, vbar):
+    # Dvoretzky-Kiefer-Wolfowitz: the empirical CDF of n iid draws is
+    # further than eps from the true CDF with probability <= 2 exp(-2 n eps^2),
+    # here 1e-6 for n = 1e5
+    n = 100_000
+    eps = math.sqrt(math.log(2 / 1e-6) / (2 * n))
+    ms = MomentSummary.from_moments(ebar, vbar, m=m)
+    draws = np.sort(mixture_sample(ms, n, seed=m))
+    ranks = np.linspace(0, n - 1, 41).astype(int)
+    gap = max(abs(mixture_cdf(ms, draws[k]) - (k + 1) / n) for k in ranks)
+    assert gap <= eps
 
 
 def test_mixture_vs_generated_distributional_equivalence():

@@ -13,9 +13,11 @@ from ddtnet.io import (
     load_cohort,
     load_design,
     load_partition,
+    parse_threshold_rule,
     read_matrix_csv,
     write_matrix_csv,
 )
+from ddtnet.thresholds import ThresholdRule
 
 
 def test_matrix_csv_roundtrip_bit_identical(tmp_path):
@@ -165,3 +167,50 @@ def test_load_design(tmp_path):
     unknown.write_text(json.dumps({"wobble": 3}))
     with pytest.raises(ManifestError, match="wobble"):
         load_design(unknown)
+
+
+def test_load_design_ignores_the_retired_resolution(tmp_path):
+    fields = {"n_nodes": 16, "n1": 5, "n2": 5, "q": 3, "targets": [1],
+              "replicates": 2, "seed": 7}
+    plain, retired = tmp_path / "plain.json", tmp_path / "retired.json"
+    plain.write_text(json.dumps(fields))
+    retired.write_text(json.dumps({**fields, "resolution": 200_000}))
+    assert load_design(retired) == load_design(plain)
+
+
+@pytest.mark.parametrize("field", [
+    {"level": "x"}, {"alpha": "x"}, {"density": "x"}, {"dwe_mean": "x"},
+    {"null_networks": "5"}, {"replicates": 2.0}, {"level": None},
+    {"alpha": float("nan")}, {"targets": ["1"]}, {"targets": 1},
+    {"sw_signed": 1}, {"structure": 3}])
+def test_load_design_rejects_values_of_the_wrong_type(tmp_path, field):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"replicates": 2, **field}))
+    with pytest.raises(ManifestError, match=next(iter(field))):
+        load_design(path)
+
+
+def test_load_design_checks_every_field_type():
+    # a SimDesign field whose annotation load_design cannot check would
+    # crash the load instead of rejecting a bad value
+    from dataclasses import fields
+
+    from ddtnet.io import _DESIGN_TYPES
+    from ddtnet.simulate import SimDesign
+    assert {f.type for f in fields(SimDesign)} <= set(_DESIGN_TYPES)
+
+
+def test_parse_threshold_rule_reads_kind_and_level_only():
+    rule = parse_threshold_rule({"kind": "addt", "level": 0.9,
+                                 "resolution": "many", "seed": "x"})
+    assert rule == ThresholdRule("addt", 0.9)
+    for block in ({"level": "high"}, {"level": None}, {"level": [0.9]}, 0.95):
+        with pytest.raises(ManifestError, match="level|threshold"):
+            parse_threshold_rule(block)
+
+
+def test_load_json_needs_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ManifestError, match="JSON object"):
+        load_design(path)

@@ -251,7 +251,7 @@ def test_ddt_run_null_stage_matches_the_materialized_ensemble(monkeypatch, kind)
     n, size, seed = 16, 50, 21
     _rows_per_block(monkeypatch, n, 6)
     cohort = _planted_cohort(n, 8, seed=2)
-    rule = ThresholdRule(kind=kind, resolution=20_000)
+    rule = ThresholdRule(kind=kind)
     result = ddt_run(cohort, rule=rule, ensemble_size=size, seed=seed)
     entries = generate_null(result.moments, n, size, seed).logit_entries
     if kind == "eddt":

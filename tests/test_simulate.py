@@ -172,14 +172,12 @@ def test_run_replicate_records_method_error_on_null_signal():
     # a pure-noise design with a tiny network frequently yields a
     # nonpositive logit-scale mean; errors are recorded, not raised
     design = SimDesign(q=1, targets=(1,), n_nodes=10, n1=5, n2=5,
-                       dwe_mean=0.0, seed=2, null_networks=20,
-                       resolution=20_000)
+                       dwe_mean=0.0, seed=2, null_networks=20)
     base = base_network_for(design)
     seen_error = seen_ok = False
     for rep in range(12):
         out = run_replicate(design, base, rep, ("addt", "binb"), (),
-                            {"addt": ThresholdRule("addt", design.level,
-                                                   design.resolution)})
+                            {"addt": ThresholdRule("addt", design.level)})
         if "addt" in out.errors:
             seen_error = True
             assert "addt" not in out.node_counts
@@ -191,8 +189,7 @@ def test_run_replicate_records_method_error_on_null_signal():
 
 def test_run_experiment_smoke_and_determinism():
     design = SimDesign(q=6, targets=(1,), n_nodes=16, n1=10, n2=10,
-                       replicates=8, seed=4, null_networks=30,
-                       resolution=20_000)
+                       replicates=8, seed=4, null_networks=30)
     r1 = run_experiment(design, methods=("addt", "binb", "t10"),
                         edge_rules=("addt", "bonferroni"))
     r2 = run_experiment(design, methods=("addt", "binb", "t10"),
@@ -207,8 +204,7 @@ def test_run_experiment_smoke_and_determinism():
 
 def test_run_experiment_parallel_matches_serial():
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
-                       replicates=6, seed=11, null_networks=25,
-                       resolution=20_000)
+                       replicates=6, seed=11, null_networks=25)
     serial = run_experiment(design, methods=("addt", "t10"))
     parallel = run_experiment(design, methods=("addt", "t10"), threads=2)
     for ms, mp in zip(serial.metrics, parallel.metrics):
@@ -222,7 +218,7 @@ def test_run_experiment_rejects_unknown_method():
 
 
 @pytest.mark.parametrize("settings", [{"level": 1.5}, {"level": 0.0},
-                                      {"resolution": 500}])
+                                      {"level": "x"}])
 def test_run_experiment_rejects_bad_rule_settings_before_replicates(
         monkeypatch, settings):
     def no_replicate(*args, **kwargs):
@@ -251,7 +247,6 @@ def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
-                       replicates=2, seed=11, null_networks=25,
-                       resolution=20_000)
+                       replicates=2, seed=11, null_networks=25)
     result = run_experiment(design, methods=("addt",), threads=10 ** 9)
     assert result.metric("addt").replicates_used == 2

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import integrate, stats
 
 from ddtnet.core import DifferenceNetwork, ValidationError, logit
 from ddtnet.edgetests import PValueMatrix
-from ddtnet.hqs import MomentSummary, NullEnsemble, generate_null
+from ddtnet.hqs import MomentSummary, NullEnsemble, generate_null, mixture_cdf
 from ddtnet.thresholds import (
     EmptyEnsembleError,
     ThresholdRule,
@@ -22,25 +23,73 @@ from ddtnet.thresholds import (
 LAPLACE_MOMENTS = MomentSummary(ebar=0.0, vbar=2.0, m=2, mu=0.0, sigma2=1.0)
 
 
+def _law(m: int, lam: float, sigma2: float = 1.0) -> MomentSummary:
+    """Moments whose null edge law has inner dimension m and noncentrality lam."""
+    return MomentSummary(ebar=0.5 * sigma2 * lam, vbar=sigma2 ** 2 * (m + lam),
+                         m=m, mu=math.sqrt(0.5 * sigma2 * lam / m), sigma2=sigma2)
+
+
+def _oracle_cdf(ms: MomentSummary, x: float) -> float:
+    """P((sigma2/2)(T - Q) <= x) by adaptive quadrature over T rather than Q:
+    P(T <= y) + int_{t > y} f_T(t) P(Q >= t - y) dt, with y = 2x / sigma2."""
+    m, lam = ms.m, ms.noncentrality
+    y = 2.0 * x / ms.sigma2
+    law = stats.ncx2(m, lam) if lam > 0 else stats.chi2(m)
+    lo = max(0.0, y)
+    mean, sd = m + lam, math.sqrt(2.0 * (m + 2.0 * lam))
+    points = [p for p in (mean - 3 * sd, mean, mean + 3 * sd) if p > lo]
+    tail, _ = integrate.quad(lambda t: law.pdf(t) * stats.chi2.sf(t - y, m),
+                             lo, max(lo, mean) + 40 * sd + 200,
+                             points=points or None, epsabs=1e-13, epsrel=1e-13,
+                             limit=500)
+    return float(law.cdf(lo)) + tail
+
+
 def test_addt_laplace_closed_form():
-    gamma = addt_threshold(LAPLACE_MOMENTS, q=0.95, resolution=1_000_000)
-    assert gamma == pytest.approx(-math.log(0.1), abs=0.02)
+    gamma = addt_threshold(LAPLACE_MOMENTS, q=0.95)
+    assert gamma == pytest.approx(-math.log(0.1), abs=1e-9)
 
 
 def test_addt_median_zero_when_symmetric():
-    gamma = addt_threshold(LAPLACE_MOMENTS, q=0.5, resolution=500_000)
-    assert abs(gamma) < 0.01
+    gamma = addt_threshold(LAPLACE_MOMENTS, q=0.5)
+    assert abs(gamma) < 1e-9
 
 
 def test_addt_monotone_in_quantile():
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
-    gs = [addt_threshold(ms, q, resolution=200_000) for q in (0.9, 0.95, 0.99)]
-    assert gs[0] <= gs[1] <= gs[2]
+    gs = [addt_threshold(ms, q) for q in (0.01, 0.1, 0.5, 0.9, 0.95, 0.99)]
+    assert all(a < b for a, b in zip(gs, gs[1:]))
 
 
-def test_addt_fixed_seed_reproducible():
+def test_addt_identical_on_repeat_calls():
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
-    assert addt_threshold(ms, 0.95, 200_000) == addt_threshold(ms, 0.95, 200_000)
+    assert addt_threshold(ms, 0.95) == addt_threshold(ms, 0.95)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_addt_quantile_matches_quadrature_oracle(m):
+    for lam, sigma2 in ((0.0, 1.0), (0.3, 0.2), (5.0, 1.0), (60.0, 0.2),
+                        (3202.0, 1.0)):
+        ms = _law(m, lam, sigma2)
+        for q in (0.01, 0.5, 0.95, 0.99):
+            gamma = addt_threshold(ms, q)
+            assert abs(_oracle_cdf(ms, gamma) - q) <= 1e-8, (m, lam, sigma2, q)
+
+
+def test_addt_cornish_fisher_quantile_past_the_switch():
+    # just above the switch the expansion agrees with the exact CDF
+    for m in (1, 5):
+        ms = _law(m, 1.0001e5)
+        for q in (0.01, 0.95, 0.99):
+            assert abs(mixture_cdf(ms, addt_threshold(ms, q)) - q) <= 1e-9
+
+
+def test_addt_near_degenerate_law_is_prompt():
+    # sigma2 -> 0 puts lambda at 2e14, where one chndtr value of the exact
+    # CDF takes about a second; every entry is then close to ebar
+    ms = MomentSummary(ebar=1.0, vbar=1e-12, m=2, mu=math.sqrt(0.5),
+                       sigma2=1e-14)
+    assert addt_threshold(ms, 0.95) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_eddt_degenerate_ensemble():
@@ -70,7 +119,7 @@ def test_eddt_converges_to_addt():
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
     ens = generate_null(ms, n=200, size=100, seed=31)
     ge = eddt_threshold(ens, 0.95)
-    ga = addt_threshold(ms, 0.95, resolution=1_000_000)
+    ga = addt_threshold(ms, 0.95)
     assert abs(ge - ga) < 0.02
 
 
@@ -204,14 +253,15 @@ def test_rule_validation():
         ThresholdRule(kind="percentile")
     with pytest.raises(ValidationError):
         ThresholdRule(level=1.5)
-    with pytest.raises(ValidationError):
-        ThresholdRule(resolution=10)
+    for level in ("high", None, True):
+        with pytest.raises(ValidationError):
+            ThresholdRule(level=level)
 
 
 def test_null_edge_fraction_calibrated():
     # fraction of self-generated null edges above the 0.95 threshold
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
-    gamma_a = addt_threshold(ms, 0.95, resolution=2_000_000)
+    gamma_a = addt_threshold(ms, 0.95)
     fractions = []
     for rep in range(120):
         ens = generate_null(ms, n=60, size=1, seed=1000 + rep)
