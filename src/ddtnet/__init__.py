@@ -19,7 +19,6 @@ from .core import (
     fisher_z,
     inv_logit,
     logit,
-    validate_cohort,
 )
 from .edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
 from .hqs import (

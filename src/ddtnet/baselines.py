@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
-                   ValidationError, node_sums, triu_index_pairs,
-                   validate_cohort)
+                   ValidationError, node_sums, triu_index_pairs)
 from .degree_test import NodeTestResult, binomial_upper_tail
 from .edgetests import PValueMatrix, _vector_welch
 from .thresholds import bh_adjust
@@ -66,31 +65,28 @@ def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
     return node_sums(g.n, selected).astype(np.int64)
 
 
-def stacked_degrees(mats: tuple[SymmetricMatrix, ...], density: float,
+def stacked_degrees(values: np.ndarray, n: int, density: float,
                     ranking: str) -> np.ndarray:
-    """degree_at_density of every subject, one row each, from one stable
-    row-wise argsort of the stacked edge values."""
-    n = mats[0].n
-    vals = np.vstack([m.values for m in mats])
-    if ranking == "absolute":
-        vals = np.abs(vals)
+    """degree_at_density of every row of a (subjects x edges) array of an
+    n-node network, from one stable row-wise argsort."""
+    vals = np.abs(values) if ranking == "absolute" else values
     k = density_edge_count(vals.shape[1], density)
     top = np.argsort(-vals, axis=1, kind="stable")[:, :k]
     iu, ju = triu_index_pairs(n)
     # node index offset by n per subject, so one bincount counts every row
-    offset = n * np.arange(len(mats))[:, None]
-    counts = (np.bincount((iu[top] + offset).ravel(), minlength=n * len(mats))
-              + np.bincount((ju[top] + offset).ravel(), minlength=n * len(mats)))
-    return counts.reshape(len(mats), n).astype(np.int64)
+    subjects = len(vals)
+    offset = n * np.arange(subjects)[:, None]
+    counts = (np.bincount((iu[top] + offset).ravel(), minlength=n * subjects)
+              + np.bincount((ju[top] + offset).ravel(), minlength=n * subjects))
+    return counts.reshape(subjects, n).astype(np.int64)
 
 
 def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
                  alpha: float = 0.05, ranking: str = "signed") -> DegreeTTestResult:
     """Welch two-sample t-test of density-thresholded nodal degrees."""
     check_t10_settings(density, ranking)
-    validate_cohort(cohort)
-    d1 = stacked_degrees(cohort.group1, density, ranking)
-    d2 = stacked_degrees(cohort.group2, density, ranking)
+    d1 = stacked_degrees(cohort.x1, cohort.n, density, ranking)
+    d2 = stacked_degrees(cohort.x2, cohort.n, density, ranking)
     p = _vector_welch(d1.astype(float), d2.astype(float))
     return DegreeTTestResult(pvalues=p, significant=p < alpha,
                              density=density, alpha=alpha)

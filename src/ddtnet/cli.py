@@ -213,7 +213,10 @@ def cmd_simulate(args) -> int:
 def cmd_null(args) -> int:
     n_nodes = args.nodes
     if args.moments:
-        moments = MomentSummary.from_dict(load_json(args.moments))
+        raw = load_json(args.moments)
+        moments = MomentSummary.from_moments(
+            manifest_number(raw, "ebar", None), manifest_number(raw, "vbar", None),
+            manifest_number(raw, "m", 2, int))
     elif args.difference:
         dense = read_matrix_csv(args.difference, header=args.header)
         sym = SymmetricMatrix.from_dense(dense)

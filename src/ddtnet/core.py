@@ -8,6 +8,7 @@ workers; the transforms here are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,6 +130,22 @@ def node_sums(n: int, per_edge: np.ndarray) -> np.ndarray:
             + np.bincount(ju, weights=weights, minlength=n))
 
 
+def upper_triangle(dense: np.ndarray, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
+    """The off-diagonal values of a square, symmetric matrix in canonical i<j
+    order: the mean of the two triangles, so tiny read asymmetries do not
+    leak through. Non-finite entries pass through for the caller to report."""
+    dense = np.asarray(dense, dtype=float)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {dense.shape}")
+    n = dense.shape[0]
+    asym = np.nanmax(np.abs(dense - dense.T)) if n else 0.0
+    if asym > tol:
+        raise ValidationError(
+            f"matrix is asymmetric beyond tolerance ({asym:.3g} > {tol:.3g})")
+    iu, ju = triu_index_pairs(n)
+    return 0.5 * (dense[iu, ju] + dense[ju, iu])
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix(_FrozenArrays):
     """Symmetric n x n matrix stored as upper triangle plus diagonal."""
@@ -159,17 +176,8 @@ class SymmetricMatrix(_FrozenArrays):
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, tol: float = SYMMETRY_TOL) -> "SymmetricMatrix":
         dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {dense.shape}")
-        n = dense.shape[0]
-        asym = np.nanmax(np.abs(dense - dense.T)) if n else 0.0
-        if asym > tol:
-            raise ValidationError(
-                f"matrix is asymmetric beyond tolerance ({asym:.3g} > {tol:.3g})")
-        iu, ju = triu_index_pairs(n)
-        # average the two triangles so tiny read asymmetries do not leak through
-        vals = 0.5 * (dense[iu, ju] + dense[ju, iu])
-        return cls(n=n, values=vals, diagonal=np.diag(dense).copy())
+        values = upper_triangle(dense, tol=tol)
+        return cls(n=dense.shape[0], values=values, diagonal=np.diag(dense).copy())
 
     @classmethod
     def from_upper(cls, n: int, values: np.ndarray,
@@ -275,78 +283,68 @@ class DifferenceNetwork(_FrozenArrays):
 
 @dataclass(frozen=True)
 class ConnectivityCohort(_FrozenArrays):
-    """Two groups of subject connectivity matrices plus optional covariates.
+    """Two groups of subject connectivity values plus optional covariates.
 
-    Covariates are one row per subject, subjects ordered group 1 then
-    group 2 (the on-disk manifest convention).
+    x1 (n1 x E) and x2 (n2 x E) hold one row per subject and one column per
+    edge of an n-node network, E = n(n-1)/2 in canonical i<j order; subject
+    diagonals are not kept. Covariates are one row per subject, group 1
+    then group 2 (the on-disk manifest convention). Construction checks
+    every field and freezes the arrays, so a cohort that exists is valid.
     """
 
-    group1: tuple[SymmetricMatrix, ...]
-    group2: tuple[SymmetricMatrix, ...]
+    x1: np.ndarray
+    x2: np.ndarray
     covariates: np.ndarray | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "group1", tuple(self.group1))
-        object.__setattr__(self, "group2", tuple(self.group2))
+        x1, x2 = (np.asarray(x, dtype=float) for x in (self.x1, self.x2))
+        if x1.ndim != 2 or x2.ndim != 2:
+            raise ValidationError("each group must be a (subjects x edges) "
+                                  f"array, got shapes {x1.shape} and {x2.shape}")
+        if len(x1) < 2 or len(x2) < 2:
+            raise ValidationError(
+                f"each group needs at least 2 subjects (got {len(x1)} and "
+                f"{len(x2)}); per-edge variance is not estimable")
+        object.__setattr__(self, "x1", _frozen(x1))
+        object.__setattr__(self, "x2", _frozen(x2))
+        n, n_edges = self.n, x1.shape[1]
+        if x2.shape[1] != n_edges or n * (n - 1) // 2 != n_edges or n < 2:
+            raise ValidationError(
+                f"dimension mismatch: groups of {n_edges} and {x2.shape[1]} "
+                "edges; both must be n(n-1)/2 for one n >= 2")
+        for g, x in ((1, x1), (2, x2)):
+            # min and max propagate nan and reach any inf, with no mask
+            if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+                s, k = np.argwhere(~np.isfinite(x))[0]
+                iu, ju = triu_index_pairs(n)
+                raise ValidationError(
+                    f"invalid value in group {g} subject {s} at edge "
+                    f"({int(iu[k])}, {int(ju[k])})")
+        if self.labels is not None:
+            labels = tuple(str(label) for label in self.labels)
+            if len(labels) != n:
+                raise ValidationError(f"{len(labels)} node labels for n={n} nodes")
+            object.__setattr__(self, "labels", labels)
         if self.covariates is not None:
             cov = np.asarray(self.covariates, dtype=float)
+            if cov.ndim != 2 or cov.shape[0] != len(x1) + len(x2):
+                raise ValidationError(
+                    f"covariates must be one row per subject ({len(x1) + len(x2)}), "
+                    f"got shape {cov.shape}")
+            if not np.all(np.isfinite(cov)):
+                raise ValidationError("covariates contain non-finite values")
             object.__setattr__(self, "covariates", _frozen(cov))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     @property
     def n(self) -> int:
-        return self.group1[0].n
+        """Nodes: the largest n with n(n-1)/2 <= E."""
+        return (1 + math.isqrt(1 + 8 * self.x1.shape[1])) // 2
 
     @property
     def n1(self) -> int:
-        return len(self.group1)
+        return len(self.x1)
 
     @property
     def n2(self) -> int:
-        return len(self.group2)
-
-    def edge_samples(self, group: int) -> np.ndarray:
-        """(n_subjects, n_edges) matrix of per-subject edge values."""
-        mats = self.group1 if group == 1 else self.group2
-        return np.vstack([m.values for m in mats])
-
-
-def validate_cohort(cohort: ConnectivityCohort) -> ConnectivityCohort:
-    """Check dimensions, group sizes, finiteness and covariate alignment.
-
-    Returns the cohort unchanged when valid; raises ValidationError with the
-    offending (subject, i, j) coordinates otherwise.
-    """
-    if len(cohort.group1) < 2 or len(cohort.group2) < 2:
-        raise ValidationError(
-            f"each group needs at least 2 subjects (got {len(cohort.group1)} "
-            f"and {len(cohort.group2)}); per-edge variance is not estimable")
-    n = cohort.group1[0].n
-    for gi, group in ((1, cohort.group1), (2, cohort.group2)):
-        for si, mat in enumerate(group):
-            if mat.n != n:
-                raise ValidationError(
-                    f"dimension mismatch: group {gi} subject {si} has n={mat.n}, "
-                    f"expected n={n}")
-            bad = ~np.isfinite(mat.values)
-            if bad.any():
-                iu, ju = triu_index_pairs(mat.n)
-                k = int(np.flatnonzero(bad)[0])
-                raise ValidationError(
-                    f"invalid value in group {gi} subject {si} at edge "
-                    f"({int(iu[k])}, {int(ju[k])})")
-    if cohort.labels is not None and len(cohort.labels) != n:
-        raise ValidationError(
-            f"{len(cohort.labels)} node labels for n={n} nodes")
-    if cohort.covariates is not None:
-        cov = cohort.covariates
-        n_subj = len(cohort.group1) + len(cohort.group2)
-        if cov.ndim != 2 or cov.shape[0] != n_subj:
-            raise ValidationError(
-                f"covariates must be one row per subject ({n_subj}), got shape "
-                f"{cov.shape}")
-        if not np.all(np.isfinite(cov)):
-            raise ValidationError("covariates contain non-finite values")
-    return cohort
+        return len(self.x2)

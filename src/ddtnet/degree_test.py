@@ -23,7 +23,6 @@ from .core import (
     ValidationError,
     node_sums,
     pvalue_clamp_count,
-    validate_cohort,
 )
 from .edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
 from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it here
@@ -208,15 +207,14 @@ def ddt_run(cohort: ConnectivityCohort,
             seed: int = 0,
             inner_dim: int = 2,
             correct_nodes: bool = False) -> DdtResult:
-    """Run the full differential degree test on a validated cohort.
+    """Run the full differential degree test on a cohort.
 
     Fully deterministic given the seed: the null ensemble streams from
-    (seed, replicate) and the parametric threshold uses the rule's own
-    fixed seed. `correct_nodes` applies BH across the node p-values before
-    declaring significance (off by default).
+    (seed, replicate), and the aDDT threshold is the exact quantile of the
+    null edge law, which draws nothing. `correct_nodes` applies BH across
+    the node p-values before declaring significance (off by default).
     """
     test_cfg = test_cfg or EdgeTestConfig(seed=seed)
-    validate_cohort(cohort)
     pmat = _stage("edge tests", edgewise_pvalues, cohort, test_cfg)
     result = degree_tests(pmat, {"gamma": rule or ThresholdRule()},
                           ensemble_size, alpha, seed, inner_dim)["gamma"]

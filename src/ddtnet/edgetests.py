@@ -21,7 +21,7 @@ from .core import (
     ValidationError,
     fisher_z_clamped,
     substream,
-    validate_cohort,
+    triu_index_pairs,
 )
 
 EDGE_TEST_METHODS = ("welch_t", "wilcoxon", "permutation", "regression")
@@ -195,9 +195,7 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
     Returns the symmetric p-value matrix; the diagonal is set to 1 and
     ignored downstream.
     """
-    validate_cohort(cohort)
-    x = cohort.edge_samples(1)
-    y = cohort.edge_samples(2)
+    x, y = cohort.x1, cohort.x2
     n_clamped = 0
     if cfg.fisher_z:
         x, clamped_x = fisher_z_clamped(x)
@@ -223,7 +221,7 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
             try:
                 p[e] = regression_edge(stacked[:, e], g, cohort.covariates)
             except EdgeTestError as err:
-                iu, ju = np.triu_indices(cohort.n, k=1)
+                iu, ju = triu_index_pairs(cohort.n)
                 raise EdgeTestError(
                     f"edge ({int(iu[e])}, {int(ju[e])}): {err}") from err
     return PValueMatrix(n=cohort.n, values=p, diagonal=np.ones(cohort.n),

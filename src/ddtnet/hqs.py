@@ -50,7 +50,8 @@ class NonpositiveMeanError(DdtError):
 
 
 class ZeroVarianceError(DdtError):
-    """Observed logit-scale variance is zero (constant difference network)."""
+    """Observed logit-scale variance is zero (constant difference network),
+    or too small against the mean for a positive sigma2."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,9 @@ class MomentSummary:
     def from_moments(cls, ebar: float, vbar: float, m: int = 2) -> "MomentSummary":
         if m < 1:
             raise ValidationError(f"inner dimension m must be >= 1, got {m}")
+        if not (math.isfinite(ebar) and math.isfinite(vbar)):
+            raise ValidationError(f"moments must be finite, got ebar={ebar}, "
+                                  f"vbar={vbar}")
         if ebar <= 0.0:
             raise NonpositiveMeanError(
                 f"logit-scale mean of the difference network is {ebar:.6g} <= 0; "
@@ -84,6 +88,11 @@ class MomentSummary:
                 "logit-scale variance of the difference network is zero")
         mu = np.sqrt(ebar / m)
         sigma2 = -mu * mu + np.sqrt(mu ** 4 + vbar / m)
+        if sigma2 <= 0.0:
+            raise ZeroVarianceError(
+                f"sigma2 = {sigma2:.3g}: vbar/m = {vbar / m:.3g} is below the "
+                f"float resolution of mu^4 = {mu ** 4:.3g}, so the null edge "
+                "law is degenerate")
         return cls(ebar=float(ebar), vbar=float(vbar), m=int(m),
                    mu=float(mu), sigma2=float(sigma2))
 
@@ -96,11 +105,6 @@ class MomentSummary:
         return {"ebar": self.ebar, "vbar": self.vbar, "m": self.m,
                 "mu": self.mu, "sigma2": self.sigma2,
                 "noncentrality": self.noncentrality}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MomentSummary":
-        return cls.from_moments(float(d["ebar"]), float(d["vbar"]),
-                                int(d.get("m", 2)))
 
 
 def observed_moments(dn: DifferenceNetwork, m: int = 2) -> MomentSummary:

@@ -22,9 +22,9 @@ from .core import (
     ConnectivityCohort,
     DdtError,
     DifferenceNetwork,
-    SymmetricMatrix,
     ValidationError,
     inv_logit,
+    upper_triangle,
 )
 from .degree_test import DdtResult
 from .edgetests import EdgeTestConfig
@@ -110,32 +110,41 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
     Expected keys: group1 and group2 (lists of matrix CSV paths), optional
     covariates (CSV, one row per subject ordered group1 then group2) and
     labels (one node label per line). Relative paths resolve against the
-    manifest's directory.
+    manifest's directory. Each file fills one row of its group's array, in
+    manifest order; the cohort is validated here, before any output exists.
     """
     for key in ("group1", "group2"):
         if key not in manifest or not isinstance(manifest[key], list):
             raise ManifestError(f"cohort manifest needs a {key!r} file list")
-
-    def load_group(paths):
-        mats = []
-        for p in paths:
-            dense = read_matrix_csv(base_dir / p, header=header)
+    n, groups = None, []
+    for g, key in ((1, "group1"), (2, "group2")):
+        paths = [base_dir / name for name in manifest[key]]
+        x = np.empty((len(paths), 0))
+        for s, path in enumerate(paths):
+            dense = read_matrix_csv(path, header=header)
+            n = n or len(dense)
+            if len(dense) != n:
+                raise ValidationError(
+                    f"{path}: dimension mismatch: group {g} subject {s} has "
+                    f"n={len(dense)}, expected n={n}")
+            if s == 0:
+                x = np.empty((len(paths), n * (n - 1) // 2))
             try:
-                mats.append(SymmetricMatrix.from_dense(dense))
+                x[s] = upper_triangle(dense)
             except ValidationError as err:
-                raise ManifestError(f"{base_dir / p}: {err}") from err
-        return tuple(mats)
-
-    group1 = load_group(manifest["group1"])
-    group2 = load_group(manifest["group2"])
+                raise ManifestError(f"{path}: {err}") from err
+        groups.append(x)
     covariates = None
     if manifest.get("covariates"):
         cpath = base_dir / manifest["covariates"]
         if not cpath.exists():
             raise ManifestError(f"covariate file not found: {cpath}")
         with open(cpath, newline="") as fh:
-            covariates = np.array([[float(v) for v in row]
-                                   for row in csv.reader(fh) if row])
+            try:
+                covariates = np.array([[float(v) for v in row]
+                                       for row in csv.reader(fh) if row])
+            except ValueError as err:    # a ragged or non-numeric row
+                raise ManifestError(f"{cpath}: {err}") from err
     labels = None
     if manifest.get("labels"):
         lpath = base_dir / manifest["labels"]
@@ -143,8 +152,7 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
             raise ManifestError(f"label file not found: {lpath}")
         labels = tuple(line.strip() for line in lpath.read_text().splitlines()
                        if line.strip())
-    return ConnectivityCohort(group1=group1, group2=group2,
-                              covariates=covariates, labels=labels)
+    return ConnectivityCohort(*groups, covariates=covariates, labels=labels)
 
 
 def parse_test_config(block: dict, seed: int) -> EdgeTestConfig:

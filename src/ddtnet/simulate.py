@@ -24,6 +24,7 @@ from .core import (
     DdtError,
     SymmetricMatrix,
     ValidationError,
+    node_sums,
     substream,
     triu_index_pairs,
 )
@@ -114,12 +115,7 @@ class SimulatedCohort:
     @property
     def incident_nodes(self) -> np.ndarray:
         """Nodes touching an injected edge but not targets themselves."""
-        n = self.cohort.n
-        iu, ju = triu_index_pairs(n)
-        inc = np.zeros(n, dtype=bool)
-        inc[iu[self.dwe_edges]] = True
-        inc[ju[self.dwe_edges]] = True
-        return inc & ~self.target_nodes
+        return (node_sums(self.cohort.n, self.dwe_edges) > 0) & ~self.target_nodes
 
 
 def _ring_lattice_edges(n: int, k: int) -> list[tuple[int, int]]:
@@ -236,23 +232,19 @@ def simulate_cohort(design: SimDesign, base: SymmetricMatrix,
         taken[partners, t] = True
     dwe = taken[iu, ju]
 
-    def build_group(n_subj: int, inject: bool) -> tuple[SymmetricMatrix, ...]:
-        mats = []
-        for _ in range(n_subj):
-            w = rng.normal(0.0, design.subject_noise_sd, size=n_edges)
-            if inject:
-                w[dwe] = rng.normal(design.dwe_mean, design.subject_noise_sd,
-                                    size=int(dwe.sum()))
-            vals = np.clip(base.values + w, -1.0, 1.0)
-            mats.append(SymmetricMatrix.from_upper(n, vals, diagonal=base.diagonal))
-        return tuple(mats)
-
-    group1 = build_group(design.n1, inject=False)
-    group2 = build_group(design.n2, inject=True)
+    # group 1 in one draw, the same doubles as one size-E draw per subject;
+    # group 2 interleaves each subject's injected draws with its noise
+    w1 = rng.normal(0.0, design.subject_noise_sd, size=(design.n1, n_edges))
+    w2 = np.empty((design.n2, n_edges))
+    for w in w2:
+        w[:] = rng.normal(0.0, design.subject_noise_sd, size=n_edges)
+        w[dwe] = rng.normal(design.dwe_mean, design.subject_noise_sd,
+                            size=int(dwe.sum()))
     truth_nodes = np.zeros(n, dtype=bool)
     truth_nodes[targets0] = True
     return SimulatedCohort(
-        cohort=ConnectivityCohort(group1=group1, group2=group2),
+        cohort=ConnectivityCohort(np.clip(base.values + w1, -1.0, 1.0),
+                                  np.clip(base.values + w2, -1.0, 1.0)),
         dwe_edges=dwe, target_nodes=truth_nodes)
 
 

@@ -52,16 +52,14 @@ def test_degree_at_density_signed_vs_absolute():
     assert list(absolute) == [1, 0, 1, 0]
 
 
-def _cohort(vals1, vals2, n):
-    return ConnectivityCohort(
-        group1=tuple(SymmetricMatrix.from_upper(n, r, 1.0) for r in vals1),
-        group2=tuple(SymmetricMatrix.from_upper(n, r, 1.0) for r in vals2))
+def _cohort(vals1, vals2):
+    return ConnectivityCohort(np.vstack(vals1), np.vstack(vals2))
 
 
 def test_degree_ttest_identical_groups():
     rng = np.random.default_rng(1)
     vals = rng.normal(size=(5, 15))
-    res = degree_ttest(_cohort(vals, vals.copy(), 6))
+    res = degree_ttest(_cohort(vals, vals.copy()))
     assert np.all(res.pvalues == 1.0)
     assert not res.significant.any()
 
@@ -71,7 +69,7 @@ def test_degree_ttest_detects_degree_shift():
     vals1 = rng.normal(0, 0.2, size=(20, 190))       # n = 20 nodes
     vals2 = rng.normal(0, 0.2, size=(20, 190))
     vals2[:, :19] += 0.6                             # node 0 edges boosted
-    res = degree_ttest(_cohort(vals1, vals2, 20), density=0.10)
+    res = degree_ttest(_cohort(vals1, vals2), density=0.10)
     assert res.significant[0]
 
 
@@ -132,7 +130,7 @@ def test_binomial_fdr_detects_superset_of_bonferroni():
 def test_baseline_config_validation():
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(4, 15))
-    cohort = _cohort(vals, vals + 0.1, 6)
+    cohort = _cohort(vals, vals + 0.1)
     for density in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValidationError, match="density"):
             degree_ttest(cohort, density=density)
@@ -154,10 +152,10 @@ def test_degree_ttest_matches_per_node_welch():
     # node 0 is the strongest node of every subject: constant degree n - 1
     for v in vals1 + vals2:
         v[:n - 1] = 10.0
-    cohort = _cohort(vals1, vals2, n)
+    cohort = _cohort(vals1, vals2)
     res = degree_ttest(cohort, density=0.3)
-    d1 = np.vstack([degree_at_density(m, 0.3) for m in cohort.group1])
-    d2 = np.vstack([degree_at_density(m, 0.3) for m in cohort.group2])
+    d1, d2 = (np.vstack([degree_at_density(SymmetricMatrix.from_upper(n, row), 0.3)
+                         for row in x]) for x in (cohort.x1, cohort.x2))
     per_node = np.array([welch_t_edge(d1[:, i], d2[:, i]) for i in range(n)])
     assert res.pvalues[0] == 1.0
     assert np.allclose(res.pvalues, per_node, rtol=0, atol=1e-15)
@@ -173,7 +171,7 @@ def test_stacked_degrees_equal_per_subject_degrees(ranking):
     mats = tuple(SymmetricMatrix.from_upper(n, v, 1.0) for v in vals)
     for density in (0.001, 0.1, 0.25, 0.5, 0.999):
         want = np.vstack([degree_at_density(m, density, ranking) for m in mats])
-        got = stacked_degrees(mats, density, ranking)
+        got = stacked_degrees(vals, n, density, ranking)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), density
 

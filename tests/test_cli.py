@@ -445,6 +445,77 @@ def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case):
     assert not (tmp_path / "results").exists()
 
 
+def _nan_subject(tmp_path):
+    dense = np.loadtxt(tmp_path / "group2_1.csv", delimiter=",")
+    dense[0, 2] = dense[2, 0] = np.nan
+    return dense
+
+
+BAD_COHORTS = {
+    "nan": (_nan_subject, "invalid value in group 2 subject 1 at edge (0, 2)"),
+    "dimension": (lambda tmp_path: np.eye(5),
+                  "dimension mismatch: group 2 subject 1 has n=5, expected n=6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COHORTS))
+def test_run_bad_cohort_fails_before_any_output(tmp_path, capfd, case):
+    make, expected = BAD_COHORTS[case]
+    manifest = _manifest(tmp_path)
+    write_matrix_csv(tmp_path / "bad_subject.csv", make(tmp_path))
+    data = json.loads(manifest.read_text())
+    data["group2"][1] = "bad_subject.csv"
+    manifest.write_text(json.dumps(data))
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert expected in payload["message"]
+    if case == "dimension":
+        assert "bad_subject.csv" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("text", ["1.0\n2.0,3.0\n", "1.0\nabc\n"])
+def test_run_bad_covariate_file_is_one_json_line(tmp_path, capfd, text):
+    manifest = _manifest(tmp_path, covariates="cov.csv")
+    (tmp_path / "cov.csv").write_text(text)
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest" and "cov.csv" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+BAD_MOMENTS = {
+    "missing-ebar": ({"vbar": 0.5}, 2, "manifest", "ebar"),
+    "text-ebar": ({"ebar": "x", "vbar": 0.5}, 2, "manifest", "ebar"),
+    # vbar/m vanishes against mu^4 = 2.5e11, so sigma2 cancels to 0
+    "zero-sigma2": ({"ebar": 1e6, "vbar": 1e-9, "m": 2}, 3, "error", "sigma2"),
+    "nan-ebar": ({"ebar": float("nan"), "vbar": 0.5}, 2, "validation", "finite"),
+    "inf-vbar": ({"ebar": 1.0, "vbar": float("inf")}, 2, "validation", "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MOMENTS))
+def test_null_bad_moments_is_one_json_line(tmp_path, capfd, case):
+    moments, exit_code, kind, expected = BAD_MOMENTS[case]
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(moments))
+    assert main(["--seed", "1", "null", "--moments", str(path)]) == exit_code
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == kind
+    assert expected in payload["message"]
+
+
 @pytest.mark.parametrize("field", [{"density": 1.5, "baselines": ["t10"]},
                                    {"ranking": "weighted", "baselines": ["t10"]},
                                    {"null_networks": 0}])

@@ -14,7 +14,6 @@ from ddtnet.core import (
     inv_logit,
     logit,
     triu_index_pairs,
-    validate_cohort,
 )
 
 
@@ -122,57 +121,66 @@ def test_symmetric_matrix_rejects_asymmetry_and_size():
     assert m.value(0, 1) == pytest.approx(0.2, abs=1e-9)
 
 
-def _cohort(n_nodes=3, n1=3, n2=3, seed=0):
+def _groups(n_nodes=3, n1=3, n2=3, seed=0):
+    """(subjects x edges) arrays: each subject's matrix values, stacked."""
     rng = np.random.default_rng(seed)
 
-    def mats(k):
-        out = []
+    def stack(k):
+        rows = []
         for _ in range(k):
             d = rng.uniform(-0.5, 0.5, size=(n_nodes, n_nodes))
             d = (d + d.T) / 2
             np.fill_diagonal(d, 1.0)
-            out.append(SymmetricMatrix.from_dense(d))
-        return tuple(out)
+            rows.append(SymmetricMatrix.from_dense(d).values)
+        return np.vstack(rows)
 
-    return ConnectivityCohort(group1=mats(n1), group2=mats(n2))
+    return stack(n1), stack(n2)
 
 
 def test_validate_cohort_accepts_valid():
-    assert validate_cohort(_cohort()) is not None
+    x1, x2 = _groups()
+    cohort = ConnectivityCohort(x1, x2, covariates=np.zeros((6, 2)),
+                                labels=("a", "b", "c"))
+    assert (cohort.n, cohort.n1, cohort.n2) == (3, 3, 3)
+    assert np.array_equal(cohort.x1, x1) and not cohort.x1.flags.writeable
 
 
 def test_validate_cohort_dimension_mismatch():
-    good = _cohort()
-    odd = SymmetricMatrix.from_dense(np.eye(4))
-    bad = ConnectivityCohort(group1=good.group1[:2] + (odd,), group2=good.group2)
+    x1, x2 = _groups()
     with pytest.raises(ValidationError, match="dimension mismatch"):
-        validate_cohort(bad)
+        ConnectivityCohort(x1, _groups(n_nodes=4)[1])
+    for width in (2, 0):            # not n(n-1)/2 for any n >= 2
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            ConnectivityCohort(x1[:, :width], x2[:, :width])
 
 
 def test_validate_cohort_nan_reports_coordinates():
-    good = _cohort()
-    dense = good.group1[0].to_dense()
-    dense[0, 2] = dense[2, 0] = np.nan
-    bad = ConnectivityCohort(
-        group1=(SymmetricMatrix.from_dense(dense),) + good.group1[1:],
-        group2=good.group2)
+    x1, x2 = _groups()
+    x1[0, 1] = np.nan               # edge 1 of n=3 is (0, 2)
     with pytest.raises(ValidationError, match=r"group 1 subject 0 at edge \(0, 2\)"):
-        validate_cohort(bad)
+        ConnectivityCohort(x1, x2)
+    x1, x2 = _groups(n_nodes=5)
+    x2[2, 6] = np.inf               # edge 6 of n=5 is (1, 4)
+    with pytest.raises(ValidationError, match=r"group 2 subject 2 at edge \(1, 4\)"):
+        ConnectivityCohort(x1, x2)
 
 
 def test_validate_cohort_group_size():
-    good = _cohort()
-    bad = ConnectivityCohort(group1=good.group1[:1], group2=good.group2)
+    x1, x2 = _groups()
     with pytest.raises(ValidationError, match="at least 2 subjects"):
-        validate_cohort(bad)
+        ConnectivityCohort(x1[:1], x2)
 
 
 def test_validate_cohort_covariate_alignment():
-    good = _cohort()
-    bad = ConnectivityCohort(group1=good.group1, group2=good.group2,
-                             covariates=np.zeros((4, 2)))
+    x1, x2 = _groups()
     with pytest.raises(ValidationError, match="one row per subject"):
-        validate_cohort(bad)
+        ConnectivityCohort(x1, x2, covariates=np.zeros((4, 2)))
+    cov = np.zeros((6, 1))
+    cov[3, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        ConnectivityCohort(x1, x2, covariates=cov)
+    with pytest.raises(ValidationError, match="2 node labels for n=3"):
+        ConnectivityCohort(x1, x2, labels=("a", "b"))
 
 
 def test_difference_network_clamps_and_logits():
@@ -195,7 +203,8 @@ def test_containers_stay_frozen_across_pickling():
     sym = SymmetricMatrix.from_upper(4, np.arange(6.0), 1.0)
     pmat = PValueMatrix(n=3, values=np.full(3, 0.5), diagonal=np.ones(3),
                         fisher_z_clamped=2)
-    cohort = ConnectivityCohort(group1=(sym, sym), group2=(sym, sym),
+    cohort = ConnectivityCohort(np.vstack([sym.values] * 2),
+                                np.vstack([sym.values] * 2),
                                 covariates=np.zeros((4, 1)))
     moments = MomentSummary.from_moments(1.0, 0.5)
     cases = [
@@ -203,7 +212,7 @@ def test_containers_stay_frozen_across_pickling():
         (pmat, ("values", "diagonal")),
         (AdjacencyMatrix(4, np.arange(6) % 2 == 0), ("selected",)),
         (DifferenceNetwork(n=4, d=np.full(6, 0.3)), ("d",)),
-        (cohort, ("covariates",)),
+        (cohort, ("x1", "x2", "covariates")),
         (generate_null(moments, n=4, size=3, seed=1), ("logit_entries",)),
         (NullExceedance(gamma=0.0, counts=np.arange(6), size=3), ("counts",)),
     ]
@@ -214,8 +223,6 @@ def test_containers_stay_frozen_across_pickling():
             arr = getattr(back, name)
             assert np.array_equal(arr, getattr(obj, name)), name
             assert arr.flags.writeable is False, (type(obj).__name__, name)
-    back = pickle.loads(pickle.dumps(cohort))
-    assert back.group1[0].values.flags.writeable is False
     assert pickle.loads(pickle.dumps(pmat)).fisher_z_clamped == 2
 
 

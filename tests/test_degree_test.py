@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix, ValidationError
+from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, ValidationError
 from ddtnet.degree_test import (
     PipelineError,
     binomial_upper_tail,
@@ -166,10 +166,9 @@ def _random_cohort(n_nodes, n1, n2, seed, shift_edges=(), shift=0.0):
         vals = rng.normal(0, 0.2, size=(k, edges))
         if shifted and len(shift_edges):
             vals[:, list(shift_edges)] += shift
-        return tuple(SymmetricMatrix.from_upper(n_nodes, row, 1.0)
-                     for row in vals)
+        return vals
 
-    return ConnectivityCohort(group1=mats(n1, False), group2=mats(n2, True))
+    return ConnectivityCohort(mats(n1, False), mats(n2, True))
 
 
 def test_ddt_run_deterministic_end_to_end():
@@ -209,8 +208,7 @@ def test_ddt_run_degenerate_cohort_surfaces_moment_error():
     rng = np.random.default_rng(0)
     edges = 6 * 5 // 2
     vals = rng.normal(size=(4, edges))
-    mats = tuple(SymmetricMatrix.from_upper(6, row, 1.0) for row in vals)
-    cohort = ConnectivityCohort(group1=mats, group2=mats)
+    cohort = ConnectivityCohort(vals, vals)
     with pytest.raises(PipelineError, match="moments"):
         ddt_run(cohort, seed=0)
 

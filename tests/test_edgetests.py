@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from ddtnet.core import P_MIN, ConnectivityCohort, SymmetricMatrix, ValidationError
+from ddtnet.core import P_MIN, ConnectivityCohort, ValidationError
 from ddtnet.edgetests import (
     EdgeTestConfig,
     PValueMatrix,
@@ -220,17 +220,14 @@ def test_regression_group_null_uniform_under_covariate_signal():
 # edgewise
 
 
-def _cohort_from_stack(values1, values2, n):
-    def to_mats(vals):
-        return tuple(SymmetricMatrix.from_upper(n, row, diagonal=1.0)
-                     for row in vals)
-    return ConnectivityCohort(group1=to_mats(values1), group2=to_mats(values2))
+def _cohort_from_stack(values1, values2):
+    return ConnectivityCohort(np.vstack(values1), np.vstack(values2))
 
 
 def test_edgewise_identical_groups_all_one():
     rng = np.random.default_rng(2)
     vals = rng.uniform(-0.5, 0.5, size=(3, 3))
-    cohort = _cohort_from_stack(vals, vals.copy(), n=3)
+    cohort = _cohort_from_stack(vals, vals.copy())
     pmat = edgewise_pvalues(cohort, EdgeTestConfig(method="welch_t"))
     assert pmat.values.shape == (3,)        # N(N-1)/2 edges for N=3
     assert np.all(pmat.values == 1.0)
@@ -239,7 +236,7 @@ def test_edgewise_identical_groups_all_one():
 def test_edgewise_counts_and_range():
     rng = np.random.default_rng(4)
     cohort = _cohort_from_stack(rng.normal(size=(5, 6)),
-                                rng.normal(size=(4, 6)), n=4)
+                                rng.normal(size=(4, 6)))
     for method in ("welch_t", "wilcoxon", "regression"):
         pmat = edgewise_pvalues(cohort, EdgeTestConfig(method=method))
         assert isinstance(pmat, PValueMatrix)
@@ -250,7 +247,7 @@ def test_edgewise_counts_and_range():
 def test_edgewise_permutation_deterministic():
     rng = np.random.default_rng(8)
     cohort = _cohort_from_stack(rng.normal(size=(5, 3)),
-                                rng.normal(0.5, size=(5, 3)), n=3)
+                                rng.normal(0.5, size=(5, 3)))
     cfg = EdgeTestConfig(method="permutation", permutations=300, seed=42)
     p1 = edgewise_pvalues(cohort, cfg).values
     p2 = edgewise_pvalues(cohort, cfg).values
@@ -265,7 +262,7 @@ def test_edgewise_null_uniformity_welch():
     reps = int(np.ceil(10000 / edges))
     for _ in range(reps):
         cohort = _cohort_from_stack(rng.normal(size=(20, edges)),
-                                    rng.normal(size=(20, edges)), n=n)
+                                    rng.normal(size=(20, edges)))
         pooled.append(edgewise_pvalues(
             cohort, EdgeTestConfig(method="welch_t")).values)
     pooled = np.concatenate(pooled)
@@ -279,12 +276,9 @@ def test_edgewise_null_uniformity_regression():
     n, edges = 35, 35 * 34 // 2
     reps = int(np.ceil(10000 / edges))
     for _ in range(reps):
-        cohort = ConnectivityCohort(
-            group1=tuple(SymmetricMatrix.from_upper(n, row, 1.0)
-                         for row in rng.normal(size=(20, edges))),
-            group2=tuple(SymmetricMatrix.from_upper(n, row, 1.0)
-                         for row in rng.normal(size=(20, edges))),
-            covariates=rng.normal(size=(40, 1)))
+        cohort = ConnectivityCohort(rng.normal(size=(20, edges)),
+                                    rng.normal(size=(20, edges)),
+                                    covariates=rng.normal(size=(40, 1)))
         pooled.append(edgewise_pvalues(
             cohort, EdgeTestConfig(method="regression")).values)
     pooled = np.concatenate(pooled)
@@ -295,7 +289,7 @@ def test_edgewise_fisher_z_changes_welch_but_not_wilcoxon():
     rng = np.random.default_rng(77)
     vals1 = rng.uniform(-0.8, 0.8, size=(6, 3))
     vals2 = rng.uniform(-0.5, 0.9, size=(6, 3))
-    cohort = _cohort_from_stack(vals1, vals2, n=3)
+    cohort = _cohort_from_stack(vals1, vals2)
     raw = edgewise_pvalues(cohort, EdgeTestConfig(method="wilcoxon"))
     fz = edgewise_pvalues(cohort, EdgeTestConfig(method="wilcoxon",
                                                  fisher_z=True))
@@ -309,7 +303,7 @@ def test_edgewise_reports_the_fisher_z_clamp_count():
     vals2 = rng.uniform(-0.5, 0.9, size=(6, 3))
     vals1[:, 0] = 1.0
     vals2[2, 1] = -1.0
-    cohort = _cohort_from_stack(vals1, vals2, n=3)
+    cohort = _cohort_from_stack(vals1, vals2)
     fz = edgewise_pvalues(cohort, EdgeTestConfig(fisher_z=True))
     assert fz.fisher_z_clamped == 7
     assert np.all(np.isfinite(fz.values))

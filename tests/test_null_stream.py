@@ -11,7 +11,6 @@ from ddtnet import hqs
 from ddtnet.core import (
     AdjacencyMatrix,
     ConnectivityCohort,
-    SymmetricMatrix,
     ValidationError,
     substream,
     triu_index_pairs,
@@ -241,9 +240,9 @@ def _planted_cohort(n, subjects, seed):
     shift = np.where(iu == 0, 0.8, 0.0)
 
     def group(delta):
-        return tuple(SymmetricMatrix.from_upper(n, rng.normal(size=len(iu)) + delta, 1.0)
-                     for _ in range(subjects))
-    return ConnectivityCohort(group1=group(0.0), group2=group(shift))
+        return np.vstack([rng.normal(size=len(iu)) + delta
+                          for _ in range(subjects)])
+    return ConnectivityCohort(group(0.0), group(shift))
 
 
 @pytest.mark.parametrize("kind", ["eddt", "addt"])

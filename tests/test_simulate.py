@@ -95,8 +95,8 @@ def test_simulate_cohort_injection_mean():
     diffs = []
     for rep in range(40):
         sim = simulate_cohort(design, base, replicate_seed=rep)
-        x1 = sim.cohort.edge_samples(1)[:, sim.dwe_edges]
-        x2 = sim.cohort.edge_samples(2)[:, sim.dwe_edges]
+        x1 = sim.cohort.x1[:, sim.dwe_edges]
+        x2 = sim.cohort.x2[:, sim.dwe_edges]
         diffs.append((x2.mean() - x1.mean()))
     assert np.mean(diffs) == pytest.approx(0.1, abs=0.01)
 
@@ -108,11 +108,59 @@ def test_simulate_cohort_null_design_exchangeable():
                        seed=9, dwe_mean=0.0)
     base = base_network_for(design)
     sim = simulate_cohort(design, base, replicate_seed=0)
-    x1 = sim.cohort.edge_samples(1)
-    x2 = sim.cohort.edge_samples(2)
+    x1 = sim.cohort.x1
+    x2 = sim.cohort.x2
     # same construction, no shift: group means agree within noise
     se = math.sqrt(2 * 0.02 / (10 * len(x1[0])))
     assert abs(x1.mean() - x2.mean()) < 5 * se
+
+
+def _per_subject_draws(design, base, replicate_seed):
+    """The cohort drawn one subject at a time: the partners of each target,
+    then each group-1 subject's noise, then each group-2 subject's noise
+    followed by its injected-edge draws."""
+    rng = np.random.default_rng(replicate_seed)
+    n = design.n_nodes
+    iu, ju = triu_index_pairs(n)
+    targets0 = [t - 1 for t in design.targets]
+    available = [j for j in range(n) if j not in targets0]
+    taken = np.zeros((n, n), dtype=bool)
+    for t in targets0:
+        partners = rng.choice(available, size=design.q, replace=False)
+        taken[t, partners] = taken[partners, t] = True
+    dwe = taken[iu, ju]
+    groups = []
+    for n_subj, inject in ((design.n1, False), (design.n2, True)):
+        rows = []
+        for _ in range(n_subj):
+            w = rng.normal(0.0, design.subject_noise_sd, size=len(iu))
+            if inject:
+                w[dwe] = rng.normal(design.dwe_mean, design.subject_noise_sd,
+                                    size=int(dwe.sum()))
+            rows.append(np.clip(base.values + w, -1.0, 1.0))
+        groups.append(np.vstack(rows))
+    return dwe, groups
+
+
+@pytest.mark.parametrize("structure,n_nodes,n1,n2,targets,seed", [
+    ("random", 35, 20, 20, (1, 2, 3), 7),
+    ("smallworld", 12, 2, 5, (4,), 0),
+    ("hybrid", 20, 9, 3, (1, 20), 123456789),
+])
+def test_simulate_cohort_equals_per_subject_draws(structure, n_nodes, n1, n2,
+                                                  targets, seed):
+    design = SimDesign(structure=structure, n_nodes=n_nodes, n1=n1, n2=n2,
+                       q=3, targets=targets, seed=seed)
+    base = base_network_for(design)
+    sim = simulate_cohort(design, base, replicate_seed=seed + 1)
+    dwe, (x1, x2) = _per_subject_draws(design, base, seed + 1)
+    assert np.array_equal(sim.dwe_edges, dwe)
+    assert sim.cohort.x1.tobytes() == x1.tobytes()
+    assert sim.cohort.x2.tobytes() == x2.tobytes()
+    iu, ju = triu_index_pairs(n_nodes)
+    touched = np.zeros(n_nodes, dtype=bool)
+    touched[iu[dwe]] = touched[ju[dwe]] = True
+    assert np.array_equal(sim.incident_nodes, touched & ~sim.target_nodes)
 
 
 def test_simulate_cohort_q_capacity_error():
