@@ -12,11 +12,12 @@ or BH across nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
-                   ValidationError, node_sums, triu_index_pairs)
+                   ValidationError, _frozen, node_sums, triu_index_pairs)
 from .degree_test import NodeTestResult, binomial_upper_tail
 from .edgetests import PValueMatrix, _vector_welch
 from .thresholds import bh_adjust
@@ -68,16 +69,25 @@ def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
 def stacked_degrees(values: np.ndarray, n: int, density: float,
                     ranking: str) -> np.ndarray:
     """degree_at_density of every row of a (subjects x edges) array of an
-    n-node network, from one stable row-wise argsort."""
+    n-node network. One row-wise partition finds each row's k-th largest
+    value; the edges above it are kept, and of those equal to it the
+    lowest edge indices fill the rest, as the stable sort does."""
     vals = np.abs(values) if ranking == "absolute" else values
-    k = density_edge_count(vals.shape[1], density)
-    top = np.argsort(-vals, axis=1, kind="stable")[:, :k]
+    subjects, n_edges = vals.shape
+    k = density_edge_count(n_edges, density)
+    if k == 0:
+        return np.zeros((subjects, n), dtype=np.int64)
+    kth = np.partition(vals, n_edges - k, axis=1)[:, n_edges - k, None]
+    selected = vals > kth
+    ties = vals == kth
+    short = k - np.count_nonzero(selected, axis=1)
+    selected |= ties & (np.cumsum(ties, axis=1) <= short[:, None])
     iu, ju = triu_index_pairs(n)
+    rows, edges = np.nonzero(selected)
     # node index offset by n per subject, so one bincount counts every row
-    subjects = len(vals)
-    offset = n * np.arange(subjects)[:, None]
-    counts = (np.bincount((iu[top] + offset).ravel(), minlength=n * subjects)
-              + np.bincount((ju[top] + offset).ravel(), minlength=n * subjects))
+    offset = n * rows
+    counts = (np.bincount(iu[edges] + offset, minlength=n * subjects)
+              + np.bincount(ju[edges] + offset, minlength=n * subjects))
     return counts.reshape(subjects, n).astype(np.int64)
 
 
@@ -90,6 +100,15 @@ def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
     p = _vector_welch(d1.astype(float), d2.astype(float))
     return DegreeTTestResult(pvalues=p, significant=p < alpha,
                              density=density, alpha=alpha)
+
+
+@lru_cache(maxsize=16)
+def _binomial_tail_row(n: int, alpha: float) -> np.ndarray:
+    """P(X >= k) for X ~ Binomial(n - 1, alpha), k = 0 .. n - 1: the null
+    tail of every node's count of detected edges, which depends on k
+    alone."""
+    return _frozen(np.array([binomial_upper_tail(k, n - 1, alpha)
+                             for k in range(n)]))
 
 
 def binomial_corrected(pmat: PValueMatrix, correction: str = "bonferroni",
@@ -108,10 +127,7 @@ def binomial_corrected(pmat: PValueMatrix, correction: str = "bonferroni",
         raise ValidationError(f"correction must be one of {CORRECTIONS}")
     n = pmat.n
     degrees = AdjacencyMatrix(n, pmat.values < alpha).degrees()
-    # the null is the same for every node, so the tail depends on k alone
-    tail = {int(k): binomial_upper_tail(int(k), n - 1, alpha)
-            for k in np.unique(degrees)}
-    raw = np.array([tail[int(k)] for k in degrees])
+    raw = _binomial_tail_row(n, alpha)[degrees]
     if correction == "bonferroni":
         adjusted = np.minimum(1.0, n * raw)
     else:

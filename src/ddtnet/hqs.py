@@ -15,15 +15,20 @@ variance vbar exactly:
 Each off-diagonal entry is distributed as (sigma2/2) (T - Q) with
 T ~ noncentral chi^2_m(lambda), lambda = 2 m mu^2 / sigma2, Q ~ chi^2_m,
 T independent of Q. mixture_cdf evaluates that law's distribution function,
-which the parametric threshold inverts; mixture_sample draws from it.
+mixture_quantile inverts it (the parametric threshold) and mixture_sample
+draws from it.
 
 The pipeline never holds the M x E ensemble: a NullStream regenerates the
-replicates in fixed-size row blocks, and null_exceedances takes every
-threshold and its per-edge exceedance counts from one pass over them.
+replicates in row blocks of at most 4 MB, and null_exceedances takes every
+threshold and its per-edge exceedance counts from one pass over them. A
+pooled quantile is selected exactly from the entries inside a narrow
+bracket centred on the law's own quantile, which holds every entry of a
+generated ensemble.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +45,7 @@ from .core import (
     _FrozenArrays,
     _frozen,
     inv_logit,
-    substream,
+    substreams,
     triu_index_pairs,
 )
 
@@ -117,9 +122,12 @@ def observed_moments(dn: DifferenceNetwork, m: int = 2) -> MomentSummary:
 
 # Null replicates are generated and consumed in row blocks of at most this
 # many bytes, so a pass over the ensemble never holds all M x E entries.
-_BLOCK_BYTES = 16 * 2 ** 20
-# Half-width of the first-block bracket around a pooled quantile, in
-# standard errors of that block's estimate of it.
+_BLOCK_BYTES = 4 * 2 ** 20
+# The Gram matrices of a block are formed by one batched matmul over chunks
+# of networks of at most this many bytes (at least one network).
+_GRAM_BYTES = 128 * 2 ** 10
+# Half-width of the bracket around a pooled quantile, in standard errors of
+# the mean of the M per-network exceedance rates.
 _BRACKET_Z = 6.0
 # Size of the stride sample that re-brackets a quantile after a miss.
 _SAMPLE_SIZE = 2 ** 16
@@ -129,15 +137,26 @@ def _block_rows(n_edges: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_edges))
 
 
+@lru_cache(maxsize=8)
+def _upper_flat_index(n: int) -> np.ndarray:
+    """Flat indices i * n + j of the upper triangle of an n x n matrix, in
+    canonical i<j order."""
+    iu, ju = triu_index_pairs(n)
+    return _frozen(iu * n + ju)
+
+
 @dataclass(frozen=True)
 class NullStream:
     """The null ensemble as a recipe: M replicates that are never stored.
 
     blocks() regenerates replicate i from the (seed, i) substream, in row
-    blocks of at most _BLOCK_BYTES, so every pass holds one block at a time
-    and each row is bit-identical to the same row of generate_null. The
-    read-only blocks share one buffer: a block is valid until the next is
-    requested, so copy whatever must outlive it.
+    blocks of at most _BLOCK_BYTES (4 MB), so every pass holds one block at
+    a time and each row is bit-identical to the same row of generate_null.
+    The Gaussian factors of up to _GRAM_BYTES of Gram matrices are drawn,
+    multiplied in one batched matmul and gathered through a cached flat
+    index of the upper triangle. The read-only blocks share one buffer: a
+    block is valid until the next is requested, so copy whatever must
+    outlive it.
     """
 
     moments: MomentSummary
@@ -152,16 +171,23 @@ class NullStream:
             raise ValidationError(f"ensemble size must be >= 1, got {self.size}")
 
     def blocks(self) -> Iterator[np.ndarray]:
-        iu, ju = triu_index_pairs(self.n)
-        sd = np.sqrt(self.moments.sigma2)
-        buffer = np.empty((min(_block_rows(len(iu)), self.size), len(iu)))
+        n, m = self.n, self.moments.m
+        flat = _upper_flat_index(n)
+        mu, sd = self.moments.mu, np.sqrt(self.moments.sigma2)
+        buffer = np.empty((min(_block_rows(len(flat)), self.size), len(flat)))
+        chunk = max(1, min(len(buffer), _GRAM_BYTES // (8 * n * n)))
+        factors = np.empty((chunk, n, m))
+        grams = np.empty((chunk, n, n))
+        streams = substreams(self.seed, self.size)
         for start in range(0, self.size, len(buffer)):
             block = buffer[:min(len(buffer), self.size - start)]
-            for r in range(len(block)):
-                rng = substream(self.seed, start + r)
-                L = rng.normal(self.moments.mu, sd, size=(self.n, self.moments.m))
-                gram = L @ L.T
-                block[r] = gram[iu, ju]
+            for lo in range(0, len(block), chunk):
+                rows = block[lo:lo + chunk]
+                L, gram = factors[:len(rows)], grams[:len(rows)]
+                for factor, rng in zip(L, streams):
+                    factor[:] = rng.normal(mu, sd, size=(n, m))
+                np.matmul(L, L.transpose(0, 2, 1), out=gram)
+                np.take(gram.reshape(len(rows), n * n), flat, axis=1, out=rows)
             yield _frozen(block)
 
 
@@ -255,46 +281,49 @@ class _PooledQuantile:
     are counted per edge, and the entries inside it are kept with their
     edge. If the order statistics the quantile needs fall inside, they are
     selected from the kept entries; otherwise result() returns None and a
-    wider bracket needs another pass.
+    wider bracket needs another pass. The bracket sits at the quantiles
+    level -/+ margin of `quantile`, a quantile function of the entries.
     """
 
-    def __init__(self, level: float, size: int, n_edges: int,
-                 sample: np.ndarray, margin: float):
+    def __init__(self, level: float, size: int, n_edges: int, margin: float,
+                 quantile):
         self.level, self.size, self.n_edges = level, size, n_edges
         self.margin = margin
-        self.lo = (float(np.quantile(sample, level - margin))
-                   if level - margin > 0.0 else -math.inf)
-        self.hi = (float(np.quantile(sample, level + margin))
-                   if level + margin < 1.0 else math.inf)
+        self.lo = quantile(level - margin) if level - margin > 0.0 else -math.inf
+        self.hi = quantile(level + margin) if level + margin < 1.0 else math.inf
         self.below = 0
         self.above = np.zeros(n_edges, dtype=np.int64)
         self.values: list[np.ndarray] = []
         self.edges: list[np.ndarray] = []
 
     @classmethod
-    def from_first_block(cls, block: np.ndarray, level: float, size: int,
-                         n: int) -> "_PooledQuantile":
-        """Bracket the quantile from the first block with a margin of
-        _BRACKET_Z standard errors of the block's estimate of it.
+    def from_law(cls, block: np.ndarray, level: float, size: int, n: int,
+                 moments: MomentSummary) -> "_PooledQuantile":
+        """Bracket the quantile on the null edge law, whose CDF F every
+        entry follows: at F^-1(level -/+ margin).
 
-        The entries of one network share its n Gaussian factor rows, so its
-        exceedance rate varies like a sample of about n values, not E; the
-        spread across the block's rows is floored at that scale.
+        The pooled share of entries below x is the mean of the M
+        per-network shares, each with mean F(x), so on the probability
+        scale the pooled quantile sits within margin = _BRACKET_Z spread /
+        sqrt(M) of level, bar a _BRACKET_Z-sigma deviation. The entries of one network share its n Gaussian factor
+        rows, so its share varies like a sample of about n values, not E:
+        spread is the standard deviation of the first block's per-network
+        exceedance rates, floored at sqrt(level (1 - level) / n).
         """
-        sample = block.ravel()[::max(1, block.size // _SAMPLE_SIZE)]
-        rows = len(block)
         spread = math.sqrt(level * (1.0 - level) / n)
-        if rows > 1:
-            rates = (block > np.quantile(sample, level)).mean(axis=1)
+        if len(block) > 1:
+            rates = (block > mixture_quantile(moments, level)).mean(axis=1)
             spread = max(spread, float(rates.std(ddof=1)))
-        margin = _BRACKET_Z * spread * math.sqrt(1.0 / rows + 1.0 / size)
-        return cls(level, size, block.shape[1], sample, margin)
+        return cls(level, size, block.shape[1],
+                   _BRACKET_Z * spread / math.sqrt(size),
+                   functools.partial(mixture_quantile, moments))
 
     def widened(self, sample: np.ndarray) -> "_PooledQuantile":
         """A fresh bracket at least twice as wide, placed on a sample of the
         whole ensemble; it reaches (-inf, inf) within eight widenings."""
-        return _PooledQuantile(self.level, self.size, self.n_edges, sample,
-                               max(2.0 * self.margin, 0.01))
+        return _PooledQuantile(self.level, self.size, self.n_edges,
+                               max(2.0 * self.margin, 0.01),
+                               lambda q: float(np.quantile(sample, q)))
 
     def add(self, block: np.ndarray) -> None:
         below = block < self.lo
@@ -337,10 +366,10 @@ def null_exceedances(source: NullStream | NullEnsemble,
     levels are pooled quantile levels (eDDT): their gamma is the q-quantile
     of all M x E null entries, exactly np.quantile(pooled, q). When the
     ensemble is one block that is literally what is computed; otherwise
-    each quantile is bracketed from the first block and selected from the
-    entries that fall inside, and a bracket that misses costs another pass
-    with a wider one, never an approximation. Returns one NullExceedance per
-    name, the fixed thresholds first.
+    each quantile is bracketed on the null edge law of source.moments and
+    selected from the entries that fall inside, and a bracket that misses
+    costs another pass with a wider one, never an approximation. Returns
+    one NullExceedance per name, the fixed thresholds first.
     """
     gammas = dict(gammas or {})
     levels = dict(levels or {})
@@ -359,8 +388,8 @@ def null_exceedances(source: NullStream | NullEnsemble,
 
     n_edges = first.shape[1]
     counts = {name: np.zeros(n_edges, dtype=np.int64) for name in gammas}
-    quantiles = {name: _PooledQuantile.from_first_block(first, level,
-                                                        source.size, source.n)
+    quantiles = {name: _PooledQuantile.from_law(first, level, source.size,
+                                                source.n, source.moments)
                  for name, level in levels.items()}
     stride = max(1, source.size * n_edges // _SAMPLE_SIZE)
     sample = []
@@ -371,6 +400,7 @@ def null_exceedances(source: NullStream | NullEnsemble,
             quantile.add(block)
         if quantiles:
             sample.append(block.ravel()[::stride].copy())
+    del first, block    # frees the block buffer before the selection
 
     out = {name: NullExceedance(gamma=gamma, counts=counts[name],
                                 size=source.size)
@@ -382,6 +412,7 @@ def null_exceedances(source: NullStream | NullEnsemble,
             quantile = quantile.widened(sample)
             for block in source.blocks():
                 quantile.add(block)
+            del block
         out[name] = found
     return out
 
@@ -465,3 +496,76 @@ def mixture_cdf(moments: MomentSummary, x: float) -> float:
     # chndtr is NaN below 0, where y + q lands when q rounds under -y
     t = np.maximum(y + q, 0.0)
     return float(span * (weights @ special.chndtr(t, m, lam)))
+
+
+# Width of the bracket that mixture_quantile stops at, in standard
+# deviations of the null edge law.
+_QUANTILE_XTOL = 1e-11
+_QUANTILE_MAX_STEPS = 200
+# Above this noncentrality mixture_quantile takes the Cornish-Fisher
+# quantile: chndtr's cost grows as sqrt(lambda) (1.6 ms per value at 1e9),
+# while the expansion's error falls as lambda^(-3/2) and is below 5e-10 in
+# probability here.
+_CORNISH_FISHER_NONCENTRALITY = 1e5
+
+
+def mixture_quantile(moments: MomentSummary, q: float) -> float:
+    """q-quantile of the null edge law (sigma2/2)(T - Q), for q in (0, 1).
+
+    Inverts mixture_cdf, so the quantile is exact to the quadrature and
+    deterministic. The law has mean sigma2 lambda / 2 and standard
+    deviation sd = sigma2 sqrt(m + lambda); by Cantelli's inequality its
+    q-quantile lies in [mean - sd sqrt((1-q)/q), mean + sd sqrt(q/(1-q))],
+    which regula falsi narrows to 1e-11 sd. Past
+    _CORNISH_FISHER_NONCENTRALITY the law is near normal and the
+    Cornish-Fisher expansion through its fourth cumulant gives the quantile.
+    """
+    m, lam = moments.m, moments.noncentrality
+    mean = 0.5 * moments.sigma2 * lam
+    sd = moments.sigma2 * math.sqrt(m + lam)
+    if lam > _CORNISH_FISHER_NONCENTRALITY:
+        # skewness and excess kurtosis of T - Q from the chi-square
+        # cumulants kappa_r = 2^(r-1) (r-1)! (m + r lambda) of T and of Q
+        skew = 3.0 * lam / (m + lam) ** 1.5
+        kurt = 6.0 * (m + 2.0 * lam) / (m + lam) ** 2
+        z = float(special.ndtri(q))
+        return mean + sd * (z + skew * (z * z - 1.0) / 6.0
+                            + kurt * (z ** 3 - 3.0 * z) / 24.0
+                            - skew * skew * (2.0 * z ** 3 - 5.0 * z) / 36.0)
+    return _regula_falsi(lambda x: mixture_cdf(moments, x) - q,
+                         mean - sd * math.sqrt((1.0 - q) / q),
+                         mean + sd * math.sqrt(q / (1.0 - q)),
+                         _QUANTILE_XTOL * sd)
+
+
+def _regula_falsi(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of the increasing function f in [lo, hi], given f(lo) <= 0 <=
+    f(hi), by the Illinois variant of regula falsi: an end that stays put
+    twice in a row has its f halved, so both ends close in. Stops once the
+    bracket is at most xtol wide."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo >= 0.0:
+        return lo
+    if f_hi <= 0.0:
+        return hi
+    kept = 0    # the end that stayed put in the last step: -1 low, +1 high
+    for _ in range(_QUANTILE_MAX_STEPS):
+        if hi - lo <= xtol:
+            break
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return 0.5 * (lo + hi)

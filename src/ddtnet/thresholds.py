@@ -13,25 +13,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import AdjacencyMatrix, DdtError, DifferenceNetwork, ValidationError, logit
 from .edgetests import PValueMatrix
-from .hqs import MomentSummary, NullEnsemble, mixture_cdf
+from .hqs import MomentSummary, NullEnsemble, mixture_quantile
 # perfbench/spans.py counts thresholds.mc_samples through this binding
 from .hqs import mixture_sample  # noqa: F401
 
 THRESHOLD_KINDS = ("addt", "eddt", "hard", "bonferroni", "fdr")
-
-# Width of the bracket that addt_threshold stops at, in standard deviations
-# of the null edge law.
-_QUANTILE_XTOL = 1e-11
-_QUANTILE_MAX_STEPS = 200
-# Above this noncentrality addt_threshold takes the Cornish-Fisher quantile:
-# chndtr's cost grows as sqrt(lambda) (1.6 ms per value at 1e9), while the
-# expansion's error falls as lambda^(-3/2) and is below 5e-10 in
-# probability here.
-_CORNISH_FISHER_NONCENTRALITY = 1e5
 
 
 class EmptyEnsembleError(DdtError):
@@ -61,67 +50,12 @@ class ThresholdRule:
 
 
 def addt_threshold(moments: MomentSummary, q: float = 0.95) -> float:
-    """q-quantile of the parametric null edge law (sigma2/2)(T - Q).
-
-    Inverts hqs.mixture_cdf, so the threshold is exact to the quadrature
-    and deterministic. The law has mean sigma2 lambda / 2 and standard
-    deviation sd = sigma2 sqrt(m + lambda); by Cantelli's inequality its
-    q-quantile lies in [mean - sd sqrt((1-q)/q), mean + sd sqrt(q/(1-q))],
-    which regula falsi narrows to 1e-11 sd. Past
-    _CORNISH_FISHER_NONCENTRALITY the law is near normal and the
-    Cornish-Fisher expansion through its fourth cumulant gives the quantile.
-    """
+    """q-quantile of the parametric null edge law (sigma2/2)(T - Q), exact
+    to the quadrature of hqs.mixture_cdf and deterministic (see
+    hqs.mixture_quantile)."""
     if not 0.0 < q < 1.0:
         raise ValidationError(f"quantile must be in (0, 1), got {q}")
-    m, lam = moments.m, moments.noncentrality
-    mean = 0.5 * moments.sigma2 * lam
-    sd = moments.sigma2 * math.sqrt(m + lam)
-    if lam > _CORNISH_FISHER_NONCENTRALITY:
-        # skewness and excess kurtosis of T - Q from the chi-square
-        # cumulants kappa_r = 2^(r-1) (r-1)! (m + r lambda) of T and of Q
-        skew = 3.0 * lam / (m + lam) ** 1.5
-        kurt = 6.0 * (m + 2.0 * lam) / (m + lam) ** 2
-        z = float(special.ndtri(q))
-        return mean + sd * (z + skew * (z * z - 1.0) / 6.0
-                            + kurt * (z ** 3 - 3.0 * z) / 24.0
-                            - skew * skew * (2.0 * z ** 3 - 5.0 * z) / 36.0)
-    return _regula_falsi(lambda x: mixture_cdf(moments, x) - q,
-                         mean - sd * math.sqrt((1.0 - q) / q),
-                         mean + sd * math.sqrt(q / (1.0 - q)),
-                         _QUANTILE_XTOL * sd)
-
-
-def _regula_falsi(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of the increasing function f in [lo, hi], given f(lo) <= 0 <=
-    f(hi), by the Illinois variant of regula falsi: an end that stays put
-    twice in a row has its f halved, so both ends close in. Stops once the
-    bracket is at most xtol wide."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo >= 0.0:
-        return lo
-    if f_hi <= 0.0:
-        return hi
-    kept = 0    # the end that stayed put in the last step: -1 low, +1 high
-    for _ in range(_QUANTILE_MAX_STEPS):
-        if hi - lo <= xtol:
-            break
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = x, fx
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-    return 0.5 * (lo + hi)
+    return mixture_quantile(moments, q)
 
 
 def eddt_threshold(ensemble: NullEnsemble, q: float = 0.95) -> float:

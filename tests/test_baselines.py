@@ -166,14 +166,18 @@ def test_degree_ttest_matches_per_node_welch():
 def test_stacked_degrees_equal_per_subject_degrees(ranking):
     rng = np.random.default_rng(21)
     n = 15
-    # rounded values tie often, so the stable tie rule is exercised
-    vals = np.round(rng.normal(size=(9, n * (n - 1) // 2)), 1)
-    mats = tuple(SymmetricMatrix.from_upper(n, v, 1.0) for v in vals)
-    for density in (0.001, 0.1, 0.25, 0.5, 0.999):
-        want = np.vstack([degree_at_density(m, density, ranking) for m in mats])
-        got = stacked_degrees(vals, n, density, ranking)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), density
+    raw = rng.normal(size=(9, n * (n - 1) // 2))
+    # rounded values tie often, so the stable tie rule is exercised; -0.0
+    # and 0.0 tie too, and the lower edge index wins
+    for vals in (raw, np.round(raw, 1),
+                 np.where(np.abs(raw) < 0.8, np.copysign(0.0, raw), raw)):
+        mats = tuple(SymmetricMatrix.from_upper(n, v, 1.0) for v in vals)
+        for density in (0.001, 0.1, 0.25, 0.5, 0.999):
+            want = np.vstack([degree_at_density(m, density, ranking)
+                              for m in mats])
+            got = stacked_degrees(vals, n, density, ranking)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), density
 
 
 @pytest.mark.parametrize("correction", ["bonferroni", "fdr"])

@@ -13,6 +13,8 @@ from ddtnet.core import (
     fisher_z_clamped,
     inv_logit,
     logit,
+    substream,
+    substreams,
     triu_index_pairs,
 )
 
@@ -21,6 +23,28 @@ def test_logit_examples():
     assert logit(0.5) == 0.0
     assert logit(0.95) == pytest.approx(np.log(19), abs=1e-9)
     assert inv_logit(logit(0.3)) == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
+                                  2 ** 100 + 12345])
+def test_substreams_equal_substream_draw_for_draw(seed, count):
+    drawn = 0
+    for i, rng in enumerate(substreams(seed, count)):
+        reference = substream(seed, i)
+        assert (rng.bit_generator.random_raw(2).tobytes()
+                == reference.bit_generator.random_raw(2).tobytes())
+        assert rng.normal(size=3).tobytes() == reference.normal(size=3).tobytes()
+        drawn += 1
+    assert drawn == count
+
+
+def test_substreams_reject_bad_arguments():
+    with pytest.raises(ValidationError):
+        next(substreams(-1, 3))
+    with pytest.raises(ValidationError):
+        next(substreams(0, -1))
+    assert list(substreams(0, 0)) == []
 
 
 def test_logit_domain_errors():
@@ -72,10 +96,10 @@ def test_symmetric_matrix_roundtrip_and_lookup():
     dense = (dense + dense.T) / 2
     m = SymmetricMatrix.from_dense(dense)
     assert np.array_equal(m.to_dense(), dense)
-    for i in range(6):
-        for j in range(6):
-            assert m.value(i, j) == dense[i, j]
-            assert m.value(i, j) == m.value(j, i)
+    iu, ju = triu_index_pairs(6)
+    assert np.array_equal(m.values, dense[iu, ju])
+    assert np.array_equal(m.values, dense[ju, iu])
+    assert np.array_equal(m.diagonal, np.diag(dense))
 
 
 # finite and small enough that from_dense's averaging of the two triangles
@@ -118,7 +142,8 @@ def test_symmetric_matrix_rejects_asymmetry_and_size():
     # asymmetry within tolerance is averaged away
     almost = np.array([[1.0, 0.2], [0.2 + 1e-9, 1.0]])
     m = SymmetricMatrix.from_dense(almost)
-    assert m.value(0, 1) == pytest.approx(0.2, abs=1e-9)
+    assert m.values[0] == pytest.approx(0.2, abs=1e-9)
+    assert np.array_equal(m.diagonal, [1.0, 1.0])
 
 
 def _groups(n_nodes=3, n1=3, n2=3, seed=0):

@@ -1,6 +1,7 @@
 """The streamed null stage: block generation, the fused threshold and
 exceedance pass, and the exact pooled quantile under bracket misses."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,6 @@ from ddtnet.core import (
     AdjacencyMatrix,
     ConnectivityCohort,
     ValidationError,
-    substream,
     triu_index_pairs,
 )
 from ddtnet.degree_test import ddt_run, null_probability_from_counts
@@ -39,7 +39,7 @@ class _CountingSource:
 
     def __init__(self, source):
         self.source = source
-        self.n, self.size = source.n, source.size
+        self.n, self.size, self.moments = source.n, source.size, source.moments
         self.passes = 0
 
     def blocks(self):
@@ -70,16 +70,34 @@ def _assert_matches_mask(null, entries, n):
 
 
 def test_stream_rows_match_the_per_replicate_gram(monkeypatch):
-    n, size, seed = 9, 7, 4
-    _rows_per_block(monkeypatch, n, 3)
-    blocks = [b.copy() for b in NullStream(MOMENTS, n, size, seed).blocks()]
-    assert [len(b) for b in blocks] == [3, 3, 1]
-    iu, ju = triu_index_pairs(n)
-    sd = np.sqrt(MOMENTS.sigma2)
-    for i, row in enumerate(np.concatenate(blocks)):
-        L = substream(seed, i).normal(MOMENTS.mu, sd, size=(n, MOMENTS.m))
-        gram = L @ L.T
-        assert row.tobytes() == gram[iu, ju].tobytes()
+    # the reference: one generator, one Gram and one fancy-index gather per
+    # network; 7 networks in blocks of 3 rows
+    size, seed = 7, 4
+    for n, m in itertools.product([2, 3, 35, 120, 400], [1, 2, 3]):
+        moments = MomentSummary.from_moments(1.3, 0.7, m=m)
+        _rows_per_block(monkeypatch, n, 3)
+        blocks = [b.copy() for b in NullStream(moments, n, size, seed).blocks()]
+        assert [len(b) for b in blocks] == [3, 3, 1]
+        iu, ju = triu_index_pairs(n)
+        sd = np.sqrt(moments.sigma2)
+        for i, row in enumerate(np.concatenate(blocks)):
+            L = np.random.default_rng([seed, i]).normal(moments.mu, sd,
+                                                        size=(n, m))
+            gram = L @ L.T
+            assert row.tobytes() == gram[iu, ju].tobytes(), (n, m, i)
+
+
+def test_stream_gram_chunks_split_a_block(monkeypatch):
+    # 3 Gram matrices per batched matmul, 5 rows per block: chunks of 3, 2
+    n, size, seed = 20, 12, 9
+    _rows_per_block(monkeypatch, n, 5)
+    monkeypatch.setattr(hqs, "_GRAM_BYTES", 3 * 8 * n * n)
+    chunked = np.concatenate([b.copy() for b in
+                              NullStream(MOMENTS, n, size, seed).blocks()])
+    monkeypatch.setattr(hqs, "_GRAM_BYTES", 1)
+    single = np.concatenate([b.copy() for b in
+                             NullStream(MOMENTS, n, size, seed).blocks()])
+    assert chunked.tobytes() == single.tobytes()
 
 
 def test_generate_null_is_block_size_free(monkeypatch):
@@ -133,6 +151,23 @@ def test_streamed_quantile_equals_np_quantile(monkeypatch, level, rows):
     assert null.gamma == float(np.quantile(entries, level))
     assert source.passes == 1
     _assert_matches_mask(null, entries, n)
+
+
+@pytest.mark.parametrize("level", [0.95, 0.99])
+@pytest.mark.parametrize("n", [35, 116, 264, 400])
+def test_streams_from_the_law_make_one_pass(monkeypatch, n, level):
+    # the bracket is centred on the exact law, which every entry follows
+    _rows_per_block(monkeypatch, n, 8)
+    for ebar, vbar, m in [(1.0, 0.5, 2), (0.2, 3.0, 2), (3.0, 0.1, 1),
+                          (0.5, 0.5, 3)]:
+        moments = MomentSummary.from_moments(ebar, vbar, m=m)
+        for seed in (0, 1):
+            stream = NullStream(moments, n, 40, seed)
+            source = _CountingSource(stream)
+            null = null_exceedances(source, levels={"eddt": level})["eddt"]
+            assert source.passes == 1
+            entries = np.concatenate([b.copy() for b in stream.blocks()])
+            assert null.gamma == float(np.quantile(entries, level))
 
 
 @pytest.mark.parametrize("level", [0.5, 0.95, 0.99])
@@ -271,4 +306,7 @@ def test_eddt_run_memory_does_not_grow_with_the_ensemble():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < ensemble_bytes / 4
+    # one row block, its comparison masks and the entries inside the
+    # quantile bracket; the ensemble is 43 times the block budget
+    assert ensemble_bytes > 40 * hqs._BLOCK_BYTES
+    assert peak < 3 * hqs._BLOCK_BYTES
