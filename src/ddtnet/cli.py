@@ -37,6 +37,8 @@ from .io import (
     load_design,
     load_json,
     load_partition,
+    manifest_flag,
+    manifest_names,
     manifest_number,
     parse_test_config,
     parse_threshold_rule,
@@ -120,9 +122,10 @@ def cmd_run(args) -> int:
     if ensemble_size < 1:
         raise ValidationError(f"null_networks must be >= 1, got {ensemble_size}")
     alpha = manifest_number(manifest, "alpha", 0.05)
-    baselines_wanted = manifest.get("baselines", [])
     if args.baselines:
         baselines_wanted = [b.strip() for b in args.baselines.split(",") if b.strip()]
+    else:
+        baselines_wanted = manifest_names(manifest, "baselines")
     unknown = [b for b in baselines_wanted if b not in BASELINE_NAMES]
     if unknown:
         raise ManifestError(f"unknown baselines {unknown}; valid: {BASELINE_NAMES}")
@@ -131,17 +134,17 @@ def cmd_run(args) -> int:
     inner_dim = manifest_number(manifest, "inner_dim", 2, int)
     if "t10" in baselines_wanted:
         check_t10_settings(density, ranking)
+    correct_nodes = manifest_flag(manifest, "correct_nodes")
     cohort_block = manifest.get("cohort", manifest)
     cohort = load_cohort(cohort_block, base_dir,
-                         header=bool(manifest.get("header", False)))
+                         header=manifest_flag(manifest, "header"))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = ddt_run(cohort, test_cfg=test_cfg, rule=rule,
                      ensemble_size=ensemble_size, alpha=alpha, seed=seed,
-                     inner_dim=inner_dim,
-                     correct_nodes=bool(manifest.get("correct_nodes", False)))
+                     inner_dim=inner_dim, correct_nodes=correct_nodes)
 
     baseline_results = {}
     for name in baselines_wanted:

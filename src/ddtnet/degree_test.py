@@ -1,10 +1,13 @@
 """The differential degree test.
 
 Pipeline: edge-wise p-values -> difference network (probability and logit
-scale) -> observed moments -> one streamed pass over the null ensemble
-(threshold gamma and per-edge null exceedance counts) -> observed adjacency
-and differential degrees -> per-node null probability -> exact binomial
+scale) -> observed moments -> threshold gamma -> observed adjacency and
+differential degrees -> per-node null probability -> exact binomial
 upper-tail p-values.
+
+Every null edge follows one law F (hqs.mixture_cdf), so a gamma known in
+advance (aDDT, baselines) gives each node the exact null probability
+1 - F(gamma); only eDDT streams its null ensemble, for its gamma and counts.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it her
     MomentSummary,
     NullStream,
     generate_null,
+    mixture_cdf,
     null_exceedances,
     observed_moments,
 )
@@ -161,40 +165,50 @@ def degree_tests(pmat: PValueMatrix, rules: dict[str, ThresholdRule],
                  inner_dim: int = 2) -> dict[str, DdtResult]:
     """The degree test after the edge tests, for several rules at once.
 
-    One difference network, one set of moments and one streamed pass over
-    the null ensemble from `seed` serve every rule; each rule then gets its
-    own adjacency, null probabilities and node tests. Results follow the
-    order of `rules`. A failing moment or threshold stage raises
-    PipelineError naming the stage, with the stage's error as __cause__.
+    One difference network and one set of moments serve every rule; each
+    rule then gets its own adjacency, null probabilities and node tests.
+    A gamma known in advance gives p_null = max(0, 1 - F(gamma)) on the
+    null edge law F; the eDDT rules share one streamed pass over the null
+    ensemble from `seed`, made only for them. Results follow the order of
+    `rules`. A failing moment or threshold stage raises PipelineError
+    naming the stage, with the stage's error as __cause__.
     """
     n = pmat.n
     dn = DifferenceNetwork.from_pvalues(pmat)
     moments = _stage("moments", observed_moments, dn, m=inner_dim)
-    stream = NullStream(moments, n, ensemble_size, seed=seed)
-    fixed = {name: _stage("threshold", select_gamma, rule, moments=moments,
-                          pmat=pmat)
-             for name, rule in rules.items() if rule.kind != "eddt"}
+    if ensemble_size < 1:
+        raise ValidationError(f"ensemble size must be >= 1, got {ensemble_size}")
+    gammas = {name: _stage("threshold", select_gamma, rule, moments=moments,
+                           pmat=pmat)
+              for name, rule in rules.items() if rule.kind != "eddt"}
     levels = {name: rule.level for name, rule in rules.items()
               if rule.kind == "eddt"}
-    nulls = null_exceedances(stream, fixed, levels)
+    nulls = (null_exceedances(NullStream(moments, n, ensemble_size, seed=seed),
+                              levels) if levels else {})
     pvalues_clamped = pvalue_clamp_count(pmat.values)
 
     results = {}
     for name in rules:
-        null = nulls[name]
-        adjacency = apply_threshold(dn, null.gamma)
-        p_null = null_probability_from_counts(null.counts, null.size, n)
+        if name in nulls:
+            null = nulls[name]
+            gamma, fraction = null.gamma, null.edge_fraction
+            p_null = null_probability_from_counts(null.counts, null.size, n)
+        else:
+            gamma = gammas[name]
+            fraction = max(0.0, 1.0 - mixture_cdf(moments, gamma))
+            p_null = np.full(n, fraction)
+        adjacency = apply_threshold(dn, gamma)
         nodes = node_tests(adjacency.degrees(), p_null, alpha=alpha)
         flags = {
             "degenerate_nodes": [r.node for r in nodes if r.degenerate],
-            "null_edge_fraction": null.edge_fraction,
+            "null_edge_fraction": fraction,
             "fisher_z_clamped": pmat.fisher_z_clamped,
             "pvalues_clamped": pvalues_clamped,
             "node_correction": "none",
         }
         results[name] = DdtResult(
             nodes=nodes, pvalues=pmat, difference=dn, moments=moments,
-            gamma=null.gamma, adjacency=adjacency,
+            gamma=gamma, adjacency=adjacency,
             ensemble_size=ensemble_size, alpha=alpha, seed=seed, flags=flags)
     return results
 
@@ -209,10 +223,10 @@ def ddt_run(cohort: ConnectivityCohort,
             correct_nodes: bool = False) -> DdtResult:
     """Run the full differential degree test on a cohort.
 
-    Fully deterministic given the seed: the null ensemble streams from
-    (seed, replicate), and the aDDT threshold is the exact quantile of the
-    null edge law, which draws nothing. `correct_nodes` applies BH across
-    the node p-values before declaring significance (off by default).
+    Fully deterministic given the seed: aDDT takes gamma and p_null from
+    the null edge law and draws nothing; only eDDT streams `ensemble_size`
+    null networks, from (seed, replicate). `correct_nodes` applies BH
+    across the node p-values before declaring significance (off by default).
     """
     test_cfg = test_cfg or EdgeTestConfig(seed=seed)
     pmat = _stage("edge tests", edgewise_pvalues, cohort, test_cfg)

@@ -18,17 +18,17 @@ T independent of Q. mixture_cdf evaluates that law's distribution function,
 mixture_quantile inverts it (the parametric threshold) and mixture_sample
 draws from it.
 
-The pipeline never holds the M x E ensemble: a NullStream regenerates the
-replicates in row blocks of at most 4 MB, and null_exceedances takes every
-threshold and its per-edge exceedance counts from one pass over them. A
-pooled quantile is selected exactly from the entries inside a narrow
-bracket centred on the law's own quantile, which holds every entry of a
-generated ensemble.
+Since every entry follows that law, a threshold fixed in advance is
+exceeded by each null edge with probability 1 - mixture_cdf, and needs no
+ensemble. Only the pooled quantile of the eDDT threshold does, and the
+pipeline never holds its M x E entries: a NullStream regenerates the
+replicates in row blocks of at most 4 MB, and null_exceedances selects each
+quantile and its per-edge exceedance counts from one pass over them, keeping
+only the entries inside a narrow bracket centred on the law's own quantile.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,8 +129,6 @@ _GRAM_BYTES = 128 * 2 ** 10
 # Half-width of the bracket around a pooled quantile, in standard errors of
 # the mean of the M per-network exceedance rates.
 _BRACKET_Z = 6.0
-# Size of the stride sample that re-brackets a quantile after a miss.
-_SAMPLE_SIZE = 2 ** 16
 
 
 def _block_rows(n_edges: int) -> int:
@@ -281,16 +279,19 @@ class _PooledQuantile:
     are counted per edge, and the entries inside it are kept with their
     edge. If the order statistics the quantile needs fall inside, they are
     selected from the kept entries; otherwise result() returns None and a
-    wider bracket needs another pass. The bracket sits at the quantiles
-    level -/+ margin of `quantile`, a quantile function of the entries.
+    wider bracket needs another pass. The bracket sits at F^-1(level -/+
+    margin) on the null edge law F of `moments`, which every entry of a
+    generated ensemble follows; a margin of at least 1 keeps every entry.
     """
 
     def __init__(self, level: float, size: int, n_edges: int, margin: float,
-                 quantile):
+                 moments: MomentSummary):
         self.level, self.size, self.n_edges = level, size, n_edges
-        self.margin = margin
-        self.lo = quantile(level - margin) if level - margin > 0.0 else -math.inf
-        self.hi = quantile(level + margin) if level + margin < 1.0 else math.inf
+        self.margin, self.moments = margin, moments
+        self.lo = (mixture_quantile(moments, level - margin)
+                   if level - margin > 0.0 else -math.inf)
+        self.hi = (mixture_quantile(moments, level + margin)
+                   if level + margin < 1.0 else math.inf)
         self.below = 0
         self.above = np.zeros(n_edges, dtype=np.int64)
         self.values: list[np.ndarray] = []
@@ -299,31 +300,29 @@ class _PooledQuantile:
     @classmethod
     def from_law(cls, block: np.ndarray, level: float, size: int, n: int,
                  moments: MomentSummary) -> "_PooledQuantile":
-        """Bracket the quantile on the null edge law, whose CDF F every
-        entry follows: at F^-1(level -/+ margin).
+        """Bracket the quantile on the null edge law.
 
         The pooled share of entries below x is the mean of the M
         per-network shares, each with mean F(x), so on the probability
         scale the pooled quantile sits within margin = _BRACKET_Z spread /
-        sqrt(M) of level, bar a _BRACKET_Z-sigma deviation. The entries of one network share its n Gaussian factor
-        rows, so its share varies like a sample of about n values, not E:
-        spread is the standard deviation of the first block's per-network
-        exceedance rates, floored at sqrt(level (1 - level) / n).
+        sqrt(M) of level, bar a _BRACKET_Z-sigma deviation. The entries of
+        one network share its n Gaussian factor rows, so its share varies
+        like a sample of about n values, not E: spread is the standard
+        deviation of the first block's per-network exceedance rates,
+        floored at sqrt(level (1 - level) / n).
         """
         spread = math.sqrt(level * (1.0 - level) / n)
         if len(block) > 1:
             rates = (block > mixture_quantile(moments, level)).mean(axis=1)
             spread = max(spread, float(rates.std(ddof=1)))
         return cls(level, size, block.shape[1],
-                   _BRACKET_Z * spread / math.sqrt(size),
-                   functools.partial(mixture_quantile, moments))
+                   _BRACKET_Z * spread / math.sqrt(size), moments)
 
-    def widened(self, sample: np.ndarray) -> "_PooledQuantile":
-        """A fresh bracket at least twice as wide, placed on a sample of the
-        whole ensemble; it reaches (-inf, inf) within eight widenings."""
+    def widened(self) -> "_PooledQuantile":
+        """A fresh bracket on the law with at least twice the margin; it
+        keeps every entry within eight widenings."""
         return _PooledQuantile(self.level, self.size, self.n_edges,
-                               max(2.0 * self.margin, 0.01),
-                               lambda q: float(np.quantile(sample, q)))
+                               max(2.0 * self.margin, 0.01), self.moments)
 
     def add(self, block: np.ndarray) -> None:
         below = block < self.lo
@@ -357,59 +356,42 @@ class _PooledQuantile:
 
 
 def null_exceedances(source: NullStream | NullEnsemble,
-                     gammas: Mapping[str, float] | None = None,
-                     levels: Mapping[str, float] | None = None,
-                     ) -> dict[str, NullExceedance]:
-    """Thresholds and per-edge exceedance counts from one pass over the null.
+                     levels: Mapping[str, float]) -> dict[str, NullExceedance]:
+    """Pooled quantiles and their per-edge exceedance counts from one pass.
 
-    gammas are fixed logit-scale thresholds (aDDT and the baseline rules).
-    levels are pooled quantile levels (eDDT): their gamma is the q-quantile
+    levels are pooled quantile levels (eDDT): each gamma is the q-quantile
     of all M x E null entries, exactly np.quantile(pooled, q). When the
     ensemble is one block that is literally what is computed; otherwise
     each quantile is bracketed on the null edge law of source.moments and
     selected from the entries that fall inside, and a bracket that misses
     costs another pass with a wider one, never an approximation. Returns
-    one NullExceedance per name, the fixed thresholds first.
+    one NullExceedance per name.
     """
-    gammas = dict(gammas or {})
-    levels = dict(levels or {})
     for level in levels.values():
         if not 0.0 < level < 1.0:
             raise ValidationError(f"quantile must be in (0, 1), got {level}")
     blocks = source.blocks()
     first = next(blocks)
     if len(first) == source.size:
-        gammas.update((name, float(np.quantile(first, level)))
-                      for name, level in levels.items())
+        gammas = {name: float(np.quantile(first, level))
+                  for name, level in levels.items()}
         return {name: NullExceedance(gamma=gamma,
                                      counts=(first > gamma).sum(axis=0),
                                      size=source.size)
                 for name, gamma in gammas.items()}
 
-    n_edges = first.shape[1]
-    counts = {name: np.zeros(n_edges, dtype=np.int64) for name in gammas}
     quantiles = {name: _PooledQuantile.from_law(first, level, source.size,
                                                 source.n, source.moments)
                  for name, level in levels.items()}
-    stride = max(1, source.size * n_edges // _SAMPLE_SIZE)
-    sample = []
     for block in itertools.chain([first], blocks):
-        for name, gamma in gammas.items():
-            counts[name] += (block > gamma).sum(axis=0)
         for quantile in quantiles.values():
             quantile.add(block)
-        if quantiles:
-            sample.append(block.ravel()[::stride].copy())
     del first, block    # frees the block buffer before the selection
 
-    out = {name: NullExceedance(gamma=gamma, counts=counts[name],
-                                size=source.size)
-           for name, gamma in gammas.items()}
-    if quantiles:
-        sample = np.concatenate(sample)
+    out = {}
     for name, quantile in quantiles.items():
         while (found := quantile.result()) is None:
-            quantile = quantile.widened(sample)
+            quantile = quantile.widened()
             for block in source.blocks():
                 quantile.add(block)
             del block

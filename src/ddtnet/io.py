@@ -113,9 +113,16 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
     manifest's directory. Each file fills one row of its group's array, in
     manifest order; the cohort is validated here, before any output exists.
     """
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"cohort must be an object, got {manifest!r}")
     for key in ("group1", "group2"):
-        if key not in manifest or not isinstance(manifest[key], list):
+        if key not in manifest:
             raise ManifestError(f"cohort manifest needs a {key!r} file list")
+        manifest_names(manifest, key)
+    for key in ("covariates", "labels"):
+        if not isinstance(manifest.get(key) or "", str):
+            raise ManifestError(f"{key} must be a file name, got "
+                                f"{manifest[key]!r}")
     n, groups = None, []
     for g, key in ((1, "group1"), (2, "group2")):
         paths = [base_dir / name for name in manifest[key]]
@@ -156,12 +163,14 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
 
 
 def parse_test_config(block: dict, seed: int) -> EdgeTestConfig:
+    if not isinstance(block, dict):
+        raise ManifestError(f"test_config must be an object, got {block!r}")
     try:
         return EdgeTestConfig(
             method=block.get("test", "welch_t"),
-            fisher_z=bool(block.get("fisher_z", False)),
-            permutations=int(block.get("permutations", 1000)),
-            seed=int(block.get("seed", seed)))
+            fisher_z=manifest_flag(block, "fisher_z"),
+            permutations=manifest_number(block, "permutations", 1000, int),
+            seed=manifest_number(block, "seed", seed, int))
     except ValidationError as err:
         raise ManifestError(f"test config: {err}") from err
 
@@ -173,6 +182,22 @@ def manifest_number(manifest: dict, key: str, default, kind=float):
         return kind(raw)
     except (TypeError, ValueError):
         raise ManifestError(f"{key} must be a number, got {raw!r}") from None
+
+
+def manifest_flag(manifest: dict, key: str) -> bool:
+    """manifest[key] (or false), which must be a JSON boolean."""
+    raw = manifest.get(key, False)
+    if type(raw) is not bool:
+        raise ManifestError(f"{key} must be true or false, got {raw!r}")
+    return raw
+
+
+def manifest_names(manifest: dict, key: str) -> list[str]:
+    """manifest[key] (or []), which must be a list of strings."""
+    raw = manifest.get(key, [])
+    if type(raw) is not list or not all(type(v) is str for v in raw):
+        raise ManifestError(f"{key} must be a list of strings, got {raw!r}")
+    return raw
 
 
 def parse_threshold_rule(block: dict) -> ThresholdRule:

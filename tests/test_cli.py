@@ -554,6 +554,44 @@ def test_run_non_numeric_setting_is_one_json_line(tmp_path, capfd, key):
     assert not (tmp_path / "results").exists()
 
 
+BAD_MANIFEST_VALUES = {
+    "permutations": ({"permutations": "many"}, "permutations"),
+    "test-config-seed": ({"test_config": {"seed": "x"}}, "seed"),
+    "test-config-permutations": ({"test_config": {"permutations": [9]}},
+                                 "permutations"),
+    "test-config-not-object": ({"test_config": ["welch_t"]}, "test_config"),
+    "correct-nodes": ({"correct_nodes": "no"}, "correct_nodes"),
+    "fisher-z": ({"fisher_z": "no"}, "fisher_z"),
+    "test-config-fisher-z": ({"test_config": {"fisher_z": 1}}, "fisher_z"),
+    "header": ({"header": "no"}, "header"),
+    "baselines-string": ({"baselines": "t10"},
+                         "baselines must be a list of strings"),
+    "baselines-number": ({"baselines": ["t10", 5]},
+                         "baselines must be a list of strings"),
+    "cohort-not-object": ({"cohort": "subjects"}, "cohort must be an object"),
+    "group-file-number": ({"group1": ["group1_0.csv", 7]},
+                          "group1 must be a list of strings"),
+    "labels-number": ({"labels": 5}, "labels must be a file name"),
+    "covariates-list": ({"covariates": ["cov.csv"]},
+                        "covariates must be a file name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFEST_VALUES))
+def test_run_malformed_manifest_value_is_one_json_line(tmp_path, capfd, case):
+    # the subject files exist, so only the malformed value can fail the run
+    field, expected = BAD_MANIFEST_VALUES[case]
+    manifest = _manifest(tmp_path, **field)
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest" and expected in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
 def test_simulate_rejects_zero_null_networks_before_any_replicate(tmp_path,
                                                                    capsys):
     code = main(["--quiet", "--threads", "1", "simulate", "--design",

@@ -11,10 +11,12 @@ from ddtnet.degree_test import (
     PipelineError,
     binomial_upper_tail,
     ddt_run,
+    degree_tests,
     node_tests,
     null_probability_from_counts,
 )
-from ddtnet.edgetests import EdgeTestConfig
+from ddtnet.edgetests import EdgeTestConfig, PValueMatrix
+from ddtnet.hqs import mixture_cdf
 from ddtnet.thresholds import ThresholdRule
 
 
@@ -223,3 +225,40 @@ def test_ddt_run_bh_across_nodes_flag():
     sig_corr = {n.node for n in corrected.nodes if n.significant}
     assert sig_corr <= sig_plain
     assert corrected.flags["node_correction"] == "bh"
+
+
+def _pvalue_matrix(n, seed, low, high, strong=0):
+    """Uniform p-values in (low, high), with the first `strong` edges at
+    1e-6; every d = 1 - p above 1/2 keeps the logit-scale mean positive."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(low, high, size=n * (n - 1) // 2)
+    values[:strong] = 1e-6
+    return PValueMatrix(n=n, values=values, diagonal=np.ones(n))
+
+
+FIXED_RULES = {"addt": ThresholdRule("addt", 0.95),
+               "hard": ThresholdRule("hard", 0.9),
+               "bonferroni": ThresholdRule("bonferroni", 0.05),
+               "fdr": ThresholdRule("fdr", 0.05)}
+
+
+@pytest.mark.parametrize("strong", [0, 6])
+def test_fixed_threshold_p_null_is_exact(strong):
+    n = 15
+    pmat = _pvalue_matrix(n, seed=strong, low=0.001, high=0.45, strong=strong)
+    results = degree_tests(pmat, FIXED_RULES, 1, 0.05, seed=0)
+    for name, result in results.items():
+        p = max(0.0, 1.0 - mixture_cdf(result.moments, result.gamma))
+        assert [r.p_null for r in result.nodes] == [p] * n, name
+        assert result.flags["null_edge_fraction"] == p
+        assert 0.0 <= p < 1.0
+    assert results["addt"].nodes[0].p_null == pytest.approx(0.05, abs=1e-9)
+    # fdr rejects the strong edges only when there are any
+    fdr = results["fdr"]
+    if strong:
+        assert math.isfinite(fdr.gamma) and fdr.adjacency.selected.any()
+    else:
+        assert fdr.gamma == math.inf
+        assert [(r.degree, r.p_null, r.pvalue) for r in fdr.nodes] == \
+            [(0, 0.0, 1.0)] * n
+        assert not fdr.flags["degenerate_nodes"]

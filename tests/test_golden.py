@@ -1,10 +1,11 @@
-"""Golden-output guard: SHA-256 digests of two small end-to-end runs.
+"""Golden-output guard: SHA-256 digests of three small end-to-end runs.
 
 The digests pin the exact bytes of `ddt simulate` (every node method and
 edge rule) and of `ddt run` (welch_t on Fisher-Z values with the t10, binb
-and binf baselines). A refactor that claims byte-identical outputs must keep
-them. Any intended output change must update the pins here and say so, with
-the reason, in CHANGES.md.
+and binf baselines), once with the eDDT and once with the aDDT threshold.
+A refactor that claims byte-identical outputs must keep them. Any intended
+output change must update the pins here and say so, with the reason, in
+CHANGES.md.
 """
 
 import hashlib
@@ -17,15 +18,23 @@ from ddtnet.io import write_matrix_csv
 
 SIMULATE_DIGESTS = {
     "metrics.csv":
-        "04ff4097fe1a2b89b0e74c9579d413c6d303d5f4c070f1eedfa2f871e35617c3",
+        "fbd3c9086dcca4b211842865972b98257e223c31b03cd3562ab784b6634512cd",
     "replicates.csv.gz":
-        "3ecfa8db429d4bfec89673783699adf57e16d031e7027268df08147e2e47d3e1",
+        "317b22ae1b7a1a5762cd5775ff4e04c1f4cc018e277e00a614aa3e30cf3bd012",
 }
 RUN_DIGESTS = {
     "nodes.csv":
         "7b323eb1f90e95031f6c664437ae85dbbebcc85b7710ec24e4ef49aec7834098",
     "adjacency.csv":
         "256be9dbec7978a99548ca9da6eac935fe798c289ebc0b2866130c91ad62c53a",
+}
+ADDT_RUN_DIGESTS = {
+    "nodes.csv":
+        "f7af844c093b3a5b6d7134f8e0e127a5fcdc6f96e9bdcd450275fc5bd6827223",
+    "adjacency.csv":
+        "256be9dbec7978a99548ca9da6eac935fe798c289ebc0b2866130c91ad62c53a",
+    "gamma.json":
+        "e5359de11920325fc1a6f841083f28abd328f1df7c0662eb1322f8b68f7d5ec6",
 }
 
 
@@ -48,7 +57,9 @@ def test_simulate_outputs_match_the_pinned_digests(tmp_path):
     assert _digests(tmp_path / "sim", SIMULATE_DIGESTS) == SIMULATE_DIGESTS
 
 
-def test_run_outputs_match_the_pinned_digests(tmp_path):
+def _run(tmp_path, threshold):
+    """`ddt run` on a 12-node cohort of 5 + 5 subjects with a planted block;
+    returns its output directory."""
     n, per_group = 12, 5
     rng = np.random.default_rng(41)
     iu, ju = np.triu_indices(n, k=1)
@@ -68,8 +79,18 @@ def test_run_outputs_match_the_pinned_digests(tmp_path):
     manifest = tmp_path / "run.json"
     manifest.write_text(json.dumps({
         **files, "seed": 8, "test": "welch_t", "fisher_z": True,
-        "null_networks": 50, "threshold": {"kind": "eddt", "level": 0.9},
+        "null_networks": 50, "threshold": threshold,
         "baselines": ["t10", "binb", "binf"], "density": 0.2}))
     assert main(["--quiet", "run", "--manifest", str(manifest),
                  "--out", str(tmp_path / "out")]) == 0
-    assert _digests(tmp_path / "out", RUN_DIGESTS) == RUN_DIGESTS
+    return tmp_path / "out"
+
+
+def test_run_outputs_match_the_pinned_digests(tmp_path):
+    out = _run(tmp_path, {"kind": "eddt", "level": 0.9})
+    assert _digests(out, RUN_DIGESTS) == RUN_DIGESTS
+
+
+def test_addt_run_outputs_match_the_pinned_digests(tmp_path):
+    out = _run(tmp_path, {"kind": "addt", "level": 0.9})
+    assert _digests(out, ADDT_RUN_DIGESTS) == ADDT_RUN_DIGESTS

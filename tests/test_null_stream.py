@@ -1,5 +1,6 @@
-"""The streamed null stage: block generation, the fused threshold and
-exceedance pass, and the exact pooled quantile under bracket misses."""
+"""The null stage: block generation, the streamed eDDT quantile and
+exceedance pass, the exact pooled quantile under bracket misses, and the
+exact p_null of the thresholds fixed in advance, which stream nothing."""
 
 import itertools
 import math
@@ -15,14 +16,20 @@ from ddtnet.core import (
     ValidationError,
     triu_index_pairs,
 )
-from ddtnet.degree_test import ddt_run, null_probability_from_counts
+from ddtnet.degree_test import (
+    ddt_run,
+    degree_tests,
+    null_probability_from_counts,
+)
 from ddtnet.hqs import (
     MomentSummary,
     NullEnsemble,
     NullStream,
     generate_null,
+    mixture_cdf,
     null_exceedances,
 )
+from ddtnet.simulate import SimDesign, base_network_for, run_replicate
 from ddtnet.thresholds import ThresholdRule
 
 MOMENTS = MomentSummary.from_moments(1.0, 0.5, m=2)
@@ -247,25 +254,23 @@ def test_streamed_empty_ensemble_error():
 
 
 # ---------------------------------------------------------------------------
-# fixed thresholds, both kinds in one pass, and the pipeline
+# several quantiles in one pass, and the pipeline
 
 
 @pytest.mark.parametrize("rows", [None, 5])
-def test_one_pass_serves_fixed_and_quantile_thresholds(monkeypatch, rows):
+def test_one_pass_serves_two_quantile_levels(monkeypatch, rows):
     n, size, seed = 11, 23, 9
     if rows is not None:
         _rows_per_block(monkeypatch, n, rows)
     source = _CountingSource(NullStream(MOMENTS, n, size, seed))
-    nulls = null_exceedances(source, {"addt": 2.0, "hard": -math.inf},
-                             {"eddt": 0.95})
-    assert list(nulls) == ["addt", "hard", "eddt"]
+    levels = {"median": 0.5, "eddt": 0.95}
+    nulls = null_exceedances(source, levels)
+    assert list(nulls) == ["median", "eddt"]
     assert source.passes == 1
     entries = generate_null(MOMENTS, n, size, seed).logit_entries
-    assert nulls["addt"].gamma == 2.0
-    assert nulls["eddt"].gamma == float(np.quantile(entries, 0.95))
-    for null in nulls.values():
-        _assert_matches_mask(null, entries, n)
-    assert nulls["hard"].edge_fraction == 1.0
+    for name, level in levels.items():
+        assert nulls[name].gamma == float(np.quantile(entries, level))
+        _assert_matches_mask(nulls[name], entries, n)
 
 
 def _planted_cohort(n, subjects, seed):
@@ -282,17 +287,62 @@ def _planted_cohort(n, subjects, seed):
 
 @pytest.mark.parametrize("kind", ["eddt", "addt"])
 def test_ddt_run_null_stage_matches_the_materialized_ensemble(monkeypatch, kind):
-    n, size, seed = 16, 50, 21
+    # eDDT counts its own ensemble, so it matches that ensemble's mask
+    # exactly; aDDT's p_null = 1 - F(gamma) is the law's exceedance
+    # probability, which a large independent ensemble estimates per edge
+    # from M iid networks, within 5 binomial standard errors
+    n, seed = 16, 21
+    size = 50 if kind == "eddt" else 4000
     _rows_per_block(monkeypatch, n, 6)
     cohort = _planted_cohort(n, 8, seed=2)
     rule = ThresholdRule(kind=kind)
     result = ddt_run(cohort, rule=rule, ensemble_size=size, seed=seed)
     entries = generate_null(result.moments, n, size, seed).logit_entries
+    p_null = np.array([r.p_null for r in result.nodes])
     if kind == "eddt":
         assert result.gamma == float(np.quantile(entries, rule.level))
-    _, p_null, fraction = _mask_oracle(entries, result.gamma, n)
-    assert np.array_equal([r.p_null for r in result.nodes], p_null)
-    assert result.flags["null_edge_fraction"] == fraction
+        _, expected, fraction = _mask_oracle(entries, result.gamma, n)
+        assert np.array_equal(p_null, expected)
+        assert result.flags["null_edge_fraction"] == fraction
+        return
+    p = 1.0 - mixture_cdf(result.moments, result.gamma)
+    assert np.all(p_null == p)
+    assert result.flags["null_edge_fraction"] == p
+    assert p == pytest.approx(1.0 - rule.level, abs=1e-9)
+    per_edge = (entries > result.gamma).mean(axis=0)
+    assert np.all(np.abs(per_edge - p) <= 5.0 * math.sqrt(p * (1 - p) / size))
+
+
+def _no_null_network(self):
+    raise AssertionError("a null network was generated")
+
+
+def test_fixed_thresholds_generate_no_null_network(monkeypatch):
+    monkeypatch.setattr(NullStream, "blocks", _no_null_network)
+    cohort = _planted_cohort(16, 8, seed=2)
+    result = ddt_run(cohort, rule=ThresholdRule(kind="addt"),
+                     ensemble_size=1000, seed=4)
+    assert result.flags["null_edge_fraction"] > 0.0
+    pmat = result.pvalues
+    rules = {"addt": ThresholdRule("addt"), "hard": ThresholdRule("hard"),
+             "bonferroni": ThresholdRule("bonferroni", 0.05),
+             "fdr": ThresholdRule("fdr", 0.05)}
+    assert list(degree_tests(pmat, rules, 1000, 0.05, seed=4)) == list(rules)
+    # the check on the ensemble size holds for every rule
+    with pytest.raises(ValidationError, match="ensemble size"):
+        degree_tests(pmat, rules, 0, 0.05, seed=4)
+    # and an eDDT rule does stream the ensemble
+    with pytest.raises(AssertionError, match="null network"):
+        degree_tests(pmat, {"eddt": ThresholdRule("eddt")}, 10, 0.05, seed=4)
+
+    design = SimDesign(q=6, targets=(1,), n_nodes=16, n1=10, n2=10, seed=4,
+                       null_networks=1000)
+    out = run_replicate(design, base_network_for(design), 0,
+                        ("addt", "binb"), ("addt", "fdr"),
+                        {"addt": ThresholdRule("addt", design.level)})
+    assert not out.errors
+    assert set(out.node_counts) == {"addt", "binb"}
+    assert set(out.edge_counts) == {"addt", "fdr"}
 
 
 def test_eddt_run_memory_does_not_grow_with_the_ensemble():
