@@ -117,11 +117,16 @@ def cmd_run(args) -> int:
                                                "fisher_z": manifest.get("fisher_z", False),
                                                "permutations": manifest.get("permutations", 1000)}),
                                  seed)
+    for name, value in (("seed", seed), ("test_config.seed", test_cfg.seed)):
+        if value < 0:
+            raise ValidationError(f"{name} must be non-negative, got {value}")
     rule = parse_threshold_rule(manifest.get("threshold", {}))
     ensemble_size = manifest_number(manifest, "null_networks", 1000, int)
     if ensemble_size < 1:
         raise ValidationError(f"null_networks must be >= 1, got {ensemble_size}")
     alpha = manifest_number(manifest, "alpha", 0.05)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     if args.baselines:
         baselines_wanted = [b.strip() for b in args.baselines.split(",") if b.strip()]
     else:
@@ -236,10 +241,10 @@ def cmd_null(args) -> int:
         if not n_nodes:
             raise ManifestError("--nodes is required when generating from "
                                 "--moments")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         stream = NullStream(moments, n=n_nodes, size=args.ensemble_size,
                             seed=args.seed or 0)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_null_networks(out_dir, stream)
         if not args.quiet:
             print(f"wrote {stream.size} null networks to {out_dir}")

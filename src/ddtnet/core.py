@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -88,99 +87,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for a (seed, key...) substream.
 
     Substreams derived this way are independent of evaluation order, which
-    is what makes parallel edge tests and null replicates reproducible.
+    is what makes parallel edge tests and simulation replicates
+    reproducible.
     """
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
-
-
-# numpy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx
-# and pcg64.h), which substreams runs over many keys at once
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(value: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian 32-bit
-    words, at least one."""
-    if value < 0:
-        raise ValidationError(f"seed must be non-negative, got {value}")
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, with its running hash constant."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _M32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _seed_words(entropy: np.ndarray) -> list[np.ndarray]:
-    """The 8 uint32 words SeedSequence(row).generate_state(4, uint64) reads,
-    for each row of a (count, words) uint32 entropy array."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    width = entropy.shape[1]
-    pool = [hashmix(entropy[:, i] if i < width else zero)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    return [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
-
-
-def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """substream(seed, i) for i = 0 .. count - 1, bit for bit, in order.
-
-    The SeedSequence hash runs over all the keys at once, and one PCG64 has
-    its state set to each substream's in turn, in place of building a
-    generator per key; the one Generator yielded is valid until the next is
-    requested.
-    """
-    # every key below 2^32 is one entropy word, so the rows hash alike
-    if not 0 <= count <= 1 << 32:
-        raise ValidationError(f"substream count must be in [0, 2^32], got {count}")
-    seed_words = _uint32_words(int(seed))
-    entropy = np.empty((count, len(seed_words) + 1), dtype=np.uint32)
-    entropy[:, :-1] = seed_words
-    entropy[:, -1] = np.arange(count)
-    # generate_state(4, uint64) is words (0, 1), (2, 3), ... read as
-    # little-endian uint64; the first two are the PCG64 seed, the last two
-    # its stream
-    w = [word.astype(object) for word in _seed_words(entropy)]
-    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-    initseq = (w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    for start, seq in zip(initstate, initseq):
-        # pcg_setseq_128_srandom_r: two LCG steps around adding the seed
-        inc = (seq << 1 | 1) & _M128
-        state["state"] = {"state": ((inc + start) * _PCG64_MULT + inc) & _M128,
-                          "inc": inc}
-        bit_generator.state = state
-        yield rng
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -225,7 +225,8 @@ def ddt_run(cohort: ConnectivityCohort,
 
     Fully deterministic given the seed: aDDT takes gamma and p_null from
     the null edge law and draws nothing; only eDDT streams `ensemble_size`
-    null networks, from (seed, replicate). `correct_nodes` applies BH
+    null networks, all drawn from one generator keyed by the seed (see
+    hqs.NullStream). `correct_nodes` applies BH
     across the node p-values before declaring significance (off by default).
     """
     test_cfg = test_cfg or EdgeTestConfig(seed=seed)

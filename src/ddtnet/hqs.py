@@ -21,10 +21,10 @@ draws from it.
 Since every entry follows that law, a threshold fixed in advance is
 exceeded by each null edge with probability 1 - mixture_cdf, and needs no
 ensemble. Only the pooled quantile of the eDDT threshold does, and the
-pipeline never holds its M x E entries: a NullStream regenerates the
-replicates in row blocks of at most 4 MB, and null_exceedances selects each
-quantile and its per-edge exceedance counts from one pass over them, keeping
-only the entries inside a narrow bracket centred on the law's own quantile.
+pipeline never holds its M x E entries: a NullStream draws the replicates
+from one generator in row blocks of at most 4 MB, and null_exceedances
+selects each quantile and its per-edge exceedance counts from one pass over
+them, keeping only the entries in a narrow bracket around the law's quantile.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .core import (
     _FrozenArrays,
     _frozen,
     inv_logit,
-    substreams,
+    substream,
     triu_index_pairs,
 )
 
@@ -147,14 +147,14 @@ def _upper_flat_index(n: int) -> np.ndarray:
 class NullStream:
     """The null ensemble as a recipe: M replicates that are never stored.
 
-    blocks() regenerates replicate i from the (seed, i) substream, in row
-    blocks of at most _BLOCK_BYTES (4 MB), so every pass holds one block at
-    a time and each row is bit-identical to the same row of generate_null.
-    The Gaussian factors of up to _GRAM_BYTES of Gram matrices are drawn,
-    multiplied in one batched matmul and gathered through a cached flat
-    index of the upper triangle. The read-only blocks share one buffer: a
-    block is valid until the next is requested, so copy whatever must
-    outlive it.
+    blocks() draws every replicate's Gaussian factors, in replicate order,
+    from one generator keyed by the seed, in row blocks of at most
+    _BLOCK_BYTES (4 MB): a pass holds one block at a time, and the rows are
+    the same at any block size. The factors of up to _GRAM_BYTES of Gram
+    matrices are drawn at once, multiplied in one batched matmul and
+    gathered through a cached flat index of the upper triangle. The
+    read-only blocks share one buffer: a block is valid until the next is
+    requested, so copy whatever must outlive it.
     """
 
     moments: MomentSummary
@@ -167,6 +167,8 @@ class NullStream:
             raise ValidationError(f"need at least 2 nodes, got n={self.n}")
         if self.size < 1:
             raise ValidationError(f"ensemble size must be >= 1, got {self.size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     def blocks(self) -> Iterator[np.ndarray]:
         n, m = self.n, self.moments.m
@@ -174,16 +176,16 @@ class NullStream:
         mu, sd = self.moments.mu, np.sqrt(self.moments.sigma2)
         buffer = np.empty((min(_block_rows(len(flat)), self.size), len(flat)))
         chunk = max(1, min(len(buffer), _GRAM_BYTES // (8 * n * n)))
-        factors = np.empty((chunk, n, m))
         grams = np.empty((chunk, n, n))
-        streams = substreams(self.seed, self.size)
+        # SeedSequence pads its entropy with zero words, so this key, whose
+        # third word is 1, equals no permutation test's (seed, edge) key
+        rng = substream(self.seed, 0, 1)
         for start in range(0, self.size, len(buffer)):
             block = buffer[:min(len(buffer), self.size - start)]
             for lo in range(0, len(block), chunk):
                 rows = block[lo:lo + chunk]
-                L, gram = factors[:len(rows)], grams[:len(rows)]
-                for factor, rng in zip(L, streams):
-                    factor[:] = rng.normal(mu, sd, size=(n, m))
+                L = rng.normal(mu, sd, size=(len(rows), n, m))
+                gram = grams[:len(rows)]
                 np.matmul(L, L.transpose(0, 2, 1), out=gram)
                 np.take(gram.reshape(len(rows), n * n), flat, axis=1, out=rows)
             yield _frozen(block)
@@ -235,9 +237,9 @@ def generate_null(moments: MomentSummary, n: int, size: int,
                   seed: int = 0) -> NullEnsemble:
     """Generate and keep `size` null networks of n nodes.
 
-    Replicate i draws its Gaussian factor from the (seed, i) substream, so
-    ensembles are reproducible and order-stable under any scheduling. This
-    holds all M x E entries; the pipeline streams a NullStream instead.
+    Its rows are those of NullStream(moments, n, size, seed), so it is the
+    first rows of any larger ensemble with the same seed. This holds all
+    M x E entries; the pipeline streams a NullStream instead.
     """
     stream = NullStream(moments, n, size, seed)
     entries = np.empty((size, n * (n - 1) // 2))

@@ -30,7 +30,7 @@ from .degree_test import DdtResult
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
 from .hqs import MomentSummary, NullEnsemble, NullStream
-from .simulate import ExperimentResult, SimDesign
+from .simulate import NODE_METHODS, ExperimentResult, SimDesign, experiment_rules
 from .thresholds import ThresholdRule
 
 
@@ -52,8 +52,8 @@ def write_matrix_csv(path, dense: np.ndarray) -> None:
     dense = np.asarray(dense)
     conv = str if np.issubdtype(dense.dtype, np.integer) else repr
     with open(path, "w", newline="") as fh:
-        for row in dense.tolist():
-            fh.write(",".join(map(conv, row)) + "\r\n")
+        for row in dense:
+            fh.write(",".join(map(conv, row.tolist())) + "\r\n")
 
 
 def read_matrix_csv(path, header: bool = False) -> np.ndarray:
@@ -176,8 +176,14 @@ def parse_test_config(block: dict, seed: int) -> EdgeTestConfig:
 
 
 def manifest_number(manifest: dict, key: str, default, kind=float):
-    """manifest[key] (or default) as `kind`; anything else is a ManifestError."""
+    """manifest[key] (or default) as `kind`; anything else is a ManifestError.
+    An int must be a JSON integer, as in a design file."""
     raw = manifest.get(key, default)
+    if kind is int:
+        is_int, expected = _DESIGN_TYPES["int"]
+        if not is_int(raw):
+            raise ManifestError(f"{key} must be {expected}, got {raw!r}")
+        return raw
     try:
         return kind(raw)
     except (TypeError, ValueError):
@@ -230,13 +236,18 @@ def load_design(path) -> tuple[SimDesign, tuple[str, ...], tuple[str, ...]]:
     """Design file -> (SimDesign, node methods, edge rules).
 
     Every SimDesign value must have its field's annotated type (an int is
-    also a float); anything else is a ManifestError, raised before any
-    replicate runs.
+    also a float), and methods and edge_rules must be lists of strings;
+    anything else is a ManifestError. experiment_rules then checks the
+    methods and edge rules (ValidationError), so a bad design fails before
+    any output exists.
     """
     raw = load_json(path)
-    methods = tuple(raw.pop("methods", ["addt", "eddt", "binb", "binf", "t10"]))
-    edge_rules = tuple(raw.pop("edge_rules", []))
-    raw.pop("resolution", None)    # the former Monte Carlo aDDT sample count
+    raw.setdefault("methods", list(NODE_METHODS))
+    methods = tuple(manifest_names(raw, "methods"))
+    edge_rules = tuple(manifest_names(raw, "edge_rules"))
+    for key in ("methods", "edge_rules", "resolution"):
+        # resolution: the former Monte Carlo aDDT sample count
+        raw.pop(key, None)
     fields = {f.name: f.type for f in dataclasses.fields(SimDesign)}
     unknown = set(raw) - set(fields)
     if unknown:
@@ -249,9 +260,11 @@ def load_design(path) -> tuple[SimDesign, tuple[str, ...], tuple[str, ...]]:
                 f"design field {name!r} must be {expected}, got {value!r}")
         values[name] = tuple(value) if type(value) is list else value
     try:
-        return SimDesign(**values), methods, edge_rules
+        design = SimDesign(**values)
     except ValidationError as err:
         raise ManifestError(f"design file: {err}") from err
+    experiment_rules(design, methods, edge_rules)
+    return design, methods, edge_rules
 
 
 def load_partition(path) -> ModulePartition:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import binomial_corrected, degree_ttest
+from .baselines import binomial_corrected, check_t10_settings, degree_ttest
 from .core import (
     ConnectivityCohort,
     DdtError,
@@ -103,6 +103,10 @@ class SimDesign:
         if self.null_networks < 1:
             raise ValidationError(
                 f"null_networks must be >= 1, got {self.null_networks}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
 
@@ -345,11 +349,40 @@ class ExperimentResult:
 
 
 def _edge_rule(name: str, design: SimDesign) -> ThresholdRule:
-    if name.startswith("hard_"):
-        return ThresholdRule(kind="hard", level=float(name.split("_", 1)[1]))
     if name in ("bonferroni", "fdr"):
         return ThresholdRule(kind=name, level=design.alpha)
+    if name.startswith("hard_"):
+        try:
+            return ThresholdRule(kind="hard", level=float(name.split("_", 1)[1]))
+        except ValueError:    # not a number; a bad level is a ValidationError
+            pass
     raise ValidationError(f"unknown edge rule {name!r}")
+
+
+def experiment_rules(design: SimDesign, methods: tuple[str, ...],
+                     edge_rules: tuple[str, ...]) -> dict[str, ThresholdRule]:
+    """Check the requested node methods and edge rules against the design,
+    and return the aDDT/eDDT rules they need, in output order.
+
+    Unknown or repeated names, a bad hard level and bad t10 settings raise
+    ValidationError, so a bad request fails before any replicate runs.
+    """
+    for kind, names in (("method", methods), ("edge rule", edge_rules)):
+        if len(set(names)) != len(names):
+            raise ValidationError(f"repeated {kind} in {list(names)}")
+    for m in methods:
+        if m not in NODE_METHODS:
+            raise ValidationError(
+                f"unknown method {m!r}; expected one of {', '.join(NODE_METHODS)}")
+    for r in edge_rules:
+        if r not in ("addt", "eddt"):
+            _edge_rule(r, design)
+    if "t10" in methods:
+        check_t10_settings(design.density, design.ranking)
+    rules = {"addt": ThresholdRule("addt", design.level),
+             "eddt": ThresholdRule("eddt", design.level)}
+    return {name: rule for name, rule in rules.items()
+            if name in methods or name in edge_rules}
 
 
 def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
@@ -460,22 +493,12 @@ def run_experiment(design: SimDesign,
     Per-replicate method failures (e.g. a nonpositive logit-scale mean under
     weak signal) are recorded and the affected method simply contributes no
     decisions for that replicate; aggregates are over the replicates where
-    the method ran. The design's level is validated, as the aDDT/eDDT
-    rules, before any replicate runs. Replicates run on
+    the method ran. The methods, edge rules and the design's level are
+    checked by experiment_rules before any replicate runs. Replicates run on
     pool_size(threads, replicates) processes; the results are the same for
     any count.
     """
-    for m in methods:
-        if m not in NODE_METHODS:
-            raise ValidationError(
-                f"unknown method {m!r}; expected one of {', '.join(NODE_METHODS)}")
-    for r in edge_rules:
-        if r not in ("addt", "eddt"):
-            _edge_rule(r, design)
-    rules = {"addt": ThresholdRule("addt", design.level),
-             "eddt": ThresholdRule("eddt", design.level)}
-    rules = {name: rule for name, rule in rules.items()
-             if name in methods or name in edge_rules}
+    rules = experiment_rules(design, methods, edge_rules)
     workers = pool_size(threads, design.replicates)
     base = base_network_for(design)
     reps = range(design.replicates)

@@ -231,7 +231,11 @@ def test_run_t10_density_out_of_range_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", [{"density": 1.5, "methods": ["t10"]},
-                                   {"level": 1.5, "methods": ["addt"]}])
+                                   {"level": 1.5, "methods": ["addt"]},
+                                   {"methods": ["nbs"]},
+                                   {"methods": ["addt", "addt"]},
+                                   {"edge_rules": ["hard_abc"]},
+                                   {"edge_rules": ["hard_1.5"]}])
 def test_simulate_invalid_method_settings_exit_2(tmp_path, capsys, field):
     design = tmp_path / "design.json"
     design.write_text(json.dumps({
@@ -243,6 +247,7 @@ def test_simulate_invalid_method_settings_exit_2(tmp_path, capsys, field):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "validation"
+    assert not (tmp_path / "bench").exists()
 
 
 def test_enrich_roundtrip_and_empty(tmp_path, capsys):
@@ -518,7 +523,11 @@ def test_null_bad_moments_is_one_json_line(tmp_path, capfd, case):
 
 @pytest.mark.parametrize("field", [{"density": 1.5, "baselines": ["t10"]},
                                    {"ranking": "weighted", "baselines": ["t10"]},
-                                   {"null_networks": 0}])
+                                   {"null_networks": 0},
+                                   {"alpha": 2.0}, {"alpha": -1},
+                                   {"alpha": float("nan")}, {"seed": -1},
+                                   {"seed": -1, "test": "permutation"},
+                                   {"test_config": {"seed": -1}}])
 def test_run_rejects_settings_before_reading_the_cohort(tmp_path, capfd, field):
     # the subject files do not exist: only a check made before load_cohort
     # can report the setting instead of the missing file
@@ -537,13 +546,18 @@ def test_run_rejects_settings_before_reading_the_cohort(tmp_path, capfd, field):
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("key", ["seed", "null_networks", "alpha", "density",
-                                 "inner_dim"])
-def test_run_non_numeric_setting_is_one_json_line(tmp_path, capfd, key):
+@pytest.mark.parametrize("key, value", [
+    *[pytest.param(key, "abc", id=key) for key in
+      ["seed", "null_networks", "alpha", "density", "inner_dim"]],
+    # an integer setting must be a JSON integer, not a float or a bool
+    pytest.param("null_networks", 1.5, id="null_networks-float"),
+    pytest.param("inner_dim", 2.9, id="inner_dim-float"),
+    pytest.param("seed", True, id="seed-bool")])
+def test_run_non_numeric_setting_is_one_json_line(tmp_path, capfd, key, value):
     manifest = tmp_path / "run.json"
     manifest.write_text(json.dumps({
         "group1": ["a.csv", "b.csv"], "group2": ["c.csv", "d.csv"],
-        "seed": 3, "baselines": ["t10"], key: "abc"}))
+        "seed": 3, "baselines": ["t10"], key: value}))
     code = main(["run", "--manifest", str(manifest),
                  "--out", str(tmp_path / "results")])
     assert code == 2
@@ -647,3 +661,36 @@ def test_simulate_non_numeric_design_value_is_one_json_line(tmp_path, capfd,
     assert payload["error"] == "manifest"
     assert next(iter(field)) in payload["message"]
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("field", [{"seed": -1}, {"alpha": 2.0}])
+def test_simulate_out_of_range_design_value_is_one_json_line(tmp_path, capfd,
+                                                             field):
+    code = main(["--threads", "1", "simulate", "--design",
+                 str(_small_design(tmp_path, **field)),
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert next(iter(field)) in payload["message"]
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "null"])
+def test_negative_seed_flag_fails_before_any_output(tmp_path, capfd, command):
+    if command == "run":
+        args = ["--manifest", str(_manifest(tmp_path))]
+    else:
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps({"ebar": 1.0, "vbar": 0.5}))
+        args = ["--moments", str(moments), "--nodes", "5"]
+    code = main(["--seed", "-1", command, *args,
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation" and "seed" in payload["message"]
+    assert not (tmp_path / "results").exists()

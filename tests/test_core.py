@@ -13,8 +13,6 @@ from ddtnet.core import (
     fisher_z_clamped,
     inv_logit,
     logit,
-    substream,
-    substreams,
     triu_index_pairs,
 )
 
@@ -23,28 +21,6 @@ def test_logit_examples():
     assert logit(0.5) == 0.0
     assert logit(0.95) == pytest.approx(np.log(19), abs=1e-9)
     assert inv_logit(logit(0.3)) == pytest.approx(0.3, abs=1e-12)
-
-
-@pytest.mark.parametrize("count", [1, 7, 1000])
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
-                                  2 ** 100 + 12345])
-def test_substreams_equal_substream_draw_for_draw(seed, count):
-    drawn = 0
-    for i, rng in enumerate(substreams(seed, count)):
-        reference = substream(seed, i)
-        assert (rng.bit_generator.random_raw(2).tobytes()
-                == reference.bit_generator.random_raw(2).tobytes())
-        assert rng.normal(size=3).tobytes() == reference.normal(size=3).tobytes()
-        drawn += 1
-    assert drawn == count
-
-
-def test_substreams_reject_bad_arguments():
-    with pytest.raises(ValidationError):
-        next(substreams(-1, 3))
-    with pytest.raises(ValidationError):
-        next(substreams(0, -1))
-    assert list(substreams(0, 0)) == []
 
 
 def test_logit_domain_errors():

@@ -18,15 +18,15 @@ from ddtnet.io import write_matrix_csv
 
 SIMULATE_DIGESTS = {
     "metrics.csv":
-        "fbd3c9086dcca4b211842865972b98257e223c31b03cd3562ab784b6634512cd",
+        "0d26145ebe65d96d2c19d607f053d8f482a32fc978a9337e6164052a03d58373",
     "replicates.csv.gz":
-        "317b22ae1b7a1a5762cd5775ff4e04c1f4cc018e277e00a614aa3e30cf3bd012",
+        "87edde082415ab7667c8aa622ec94c2ff0749090a000a8d3ca28d0503731b564",
 }
 RUN_DIGESTS = {
     "nodes.csv":
-        "7b323eb1f90e95031f6c664437ae85dbbebcc85b7710ec24e4ef49aec7834098",
+        "62988715948e426bd391d480bdae3d99ed35ada1aadd4e2efe6f4fe5679a7f15",
     "adjacency.csv":
-        "256be9dbec7978a99548ca9da6eac935fe798c289ebc0b2866130c91ad62c53a",
+        "1ed08461bc138e20f3fa180fcba32d036b45abfa1699454d2f0317d4fb37c1d3",
 }
 ADDT_RUN_DIGESTS = {
     "nodes.csv":

@@ -33,6 +33,18 @@ def test_matrix_csv_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(read_matrix_csv(path), m.to_dense())
 
 
+def test_matrix_csv_rows_match_the_whole_matrix_format(tmp_path):
+    # formatting row by row gives the bytes of formatting dense.tolist()
+    rng = np.random.default_rng(3)
+    path = tmp_path / "m.csv"
+    for dense, conv in ((rng.normal(size=(7, 7)), repr),
+                        (rng.integers(-3, 3, size=(7, 7)), str)):
+        write_matrix_csv(path, dense)
+        expected = "".join(",".join(map(conv, row)) + "\r\n"
+                           for row in dense.tolist())
+        assert path.read_bytes() == expected.encode()
+
+
 @st.composite
 def _square_matrices(draw):
     n = draw(st.integers(1, 6))
@@ -182,7 +194,8 @@ def test_load_design_ignores_the_retired_resolution(tmp_path):
     {"level": "x"}, {"alpha": "x"}, {"density": "x"}, {"dwe_mean": "x"},
     {"null_networks": "5"}, {"replicates": 2.0}, {"level": None},
     {"alpha": float("nan")}, {"targets": ["1"]}, {"targets": 1},
-    {"sw_signed": 1}, {"structure": 3}])
+    {"sw_signed": 1}, {"structure": 3}, {"methods": "addt"},
+    {"edge_rules": ["fdr", 1]}])
 def test_load_design_rejects_values_of_the_wrong_type(tmp_path, field):
     path = tmp_path / "design.json"
     path.write_text(json.dumps({"replicates": 2, **field}))

@@ -14,6 +14,7 @@ from ddtnet.core import (
     AdjacencyMatrix,
     ConnectivityCohort,
     ValidationError,
+    substream,
     triu_index_pairs,
 )
 from ddtnet.degree_test import (
@@ -77,8 +78,9 @@ def _assert_matches_mask(null, entries, n):
 
 
 def test_stream_rows_match_the_per_replicate_gram(monkeypatch):
-    # the reference: one generator, one Gram and one fancy-index gather per
-    # network; 7 networks in blocks of 3 rows
+    # the reference: every factor from one normal draw on the stream's key,
+    # then one Gram and one fancy-index gather per network; 7 networks in
+    # blocks of 3 rows
     size, seed = 7, 4
     for n, m in itertools.product([2, 3, 35, 120, 400], [1, 2, 3]):
         moments = MomentSummary.from_moments(1.3, 0.7, m=m)
@@ -86,12 +88,34 @@ def test_stream_rows_match_the_per_replicate_gram(monkeypatch):
         blocks = [b.copy() for b in NullStream(moments, n, size, seed).blocks()]
         assert [len(b) for b in blocks] == [3, 3, 1]
         iu, ju = triu_index_pairs(n)
-        sd = np.sqrt(moments.sigma2)
-        for i, row in enumerate(np.concatenate(blocks)):
-            L = np.random.default_rng([seed, i]).normal(moments.mu, sd,
-                                                        size=(n, m))
+        factors = substream(seed, 0, 1).normal(
+            moments.mu, np.sqrt(moments.sigma2), size=(size, n, m))
+        for i, (row, L) in enumerate(zip(np.concatenate(blocks), factors)):
             gram = L @ L.T
             assert row.tobytes() == gram[iu, ju].tobytes(), (n, m, i)
+
+
+def test_stream_is_a_prefix_of_any_larger_stream(monkeypatch):
+    n, seed = 9, 12
+    _rows_per_block(monkeypatch, n, 4)
+    monkeypatch.setattr(hqs, "_GRAM_BYTES", 3 * 8 * n * n)
+    rows = {size: np.concatenate([b.copy() for b in
+                                  NullStream(MOMENTS, n, size, seed).blocks()])
+            for size in (1, 5, 11)}
+    for size in (1, 5):
+        assert rows[size].tobytes() == rows[11][:size].tobytes()
+
+
+def test_stream_key_is_no_permutation_test_key():
+    # the permutation test draws edge e from substream(seed, e); the first
+    # null network must come from another generator
+    n, seed = 6, 31
+    first = next(NullStream(MOMENTS, n, 1, seed).blocks())[0]
+    iu, ju = triu_index_pairs(n)
+    for e in range(64):
+        L = substream(seed, e).normal(MOMENTS.mu, np.sqrt(MOMENTS.sigma2),
+                                      size=(n, MOMENTS.m))
+        assert (L @ L.T)[iu, ju].tobytes() != first.tobytes()
 
 
 def test_stream_gram_chunks_split_a_block(monkeypatch):
@@ -126,6 +150,8 @@ def test_stream_validation():
         NullStream(MOMENTS, n=1, size=2)
     with pytest.raises(ValidationError):
         NullStream(MOMENTS, n=5, size=0)
+    with pytest.raises(ValidationError, match="seed"):
+        NullStream(MOMENTS, n=5, size=2, seed=-1)
     with pytest.raises(ValidationError):
         null_exceedances(NullStream(MOMENTS, n=5, size=2), levels={"e": 1.0})
 

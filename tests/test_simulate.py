@@ -182,6 +182,11 @@ def test_design_validation():
         SimDesign(targets=(1, 1))
     with pytest.raises(ValidationError, match="null_networks"):
         SimDesign(null_networks=0)
+    with pytest.raises(ValidationError, match="seed"):
+        SimDesign(seed=-1)
+    for alpha in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValidationError, match="alpha"):
+            SimDesign(alpha=alpha)
 
 
 def test_score_and_mcc_examples():
