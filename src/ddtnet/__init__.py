@@ -42,7 +42,8 @@ from .thresholds import (
 )
 from .degree_test import (
     DdtResult,
-    NodeTestResult,
+    NodeTests,
+    binomial_tails,
     binomial_upper_tail,
     ddt_run,
     degree_tests,

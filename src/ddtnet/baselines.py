@@ -11,29 +11,18 @@ or BH across nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
-                   ValidationError, _frozen, node_sums, triu_index_pairs)
-from .degree_test import NodeTestResult, binomial_upper_tail
+                   ValidationError, node_sums, triu_index_pairs)
+from .degree_test import NodeTests, binomial_tails
+# perfbench/spans.py counts binomial calls through this binding too
+from .degree_test import binomial_upper_tail  # noqa: F401
 from .edgetests import PValueMatrix, _vector_welch
 from .thresholds import bh_adjust
 
 RANKINGS = ("signed", "absolute")
 CORRECTIONS = ("bonferroni", "fdr")
-
-
-@dataclass(frozen=True)
-class DegreeTTestResult:
-    """Per-node p-values and decisions of the density-degree t-test."""
-
-    pvalues: np.ndarray
-    significant: np.ndarray
-    density: float
-    alpha: float
 
 
 def density_edge_count(n_edges: int, density: float) -> int:
@@ -92,48 +81,43 @@ def stacked_degrees(values: np.ndarray, n: int, density: float,
 
 
 def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
-                 alpha: float = 0.05, ranking: str = "signed") -> DegreeTTestResult:
-    """Welch two-sample t-test of density-thresholded nodal degrees."""
+                 alpha: float = 0.05, ranking: str = "signed") -> NodeTests:
+    """Welch two-sample t-test of density-thresholded nodal degrees.
+
+    Returns the per-node Welch p-values and their decisions (p < alpha) as
+    NodeTests; degree, p_null and degenerate stay None, since the nodal
+    degrees differ by subject.
+    """
     check_t10_settings(density, ranking)
     d1 = stacked_degrees(cohort.x1, cohort.n, density, ranking)
     d2 = stacked_degrees(cohort.x2, cohort.n, density, ranking)
     p = _vector_welch(d1.astype(float), d2.astype(float))
-    return DegreeTTestResult(pvalues=p, significant=p < alpha,
-                             density=density, alpha=alpha)
-
-
-@lru_cache(maxsize=16)
-def _binomial_tail_row(n: int, alpha: float) -> np.ndarray:
-    """P(X >= k) for X ~ Binomial(n - 1, alpha), k = 0 .. n - 1: the null
-    tail of every node's count of detected edges, which depends on k
-    alone."""
-    return _frozen(np.array([binomial_upper_tail(k, n - 1, alpha)
-                             for k in range(n)]))
+    return NodeTests(pvalue=p, significant=p < alpha)
 
 
 def binomial_corrected(pmat: PValueMatrix, correction: str = "bonferroni",
-                       alpha: float = 0.05) -> tuple[NodeTestResult, ...]:
+                       alpha: float = 0.05) -> NodeTests:
     """Multiplicity-corrected binomial node test.
 
     An edge is detected when its p-value is below alpha. Each node's count
     k of incident detections is tested against Binomial(N-1, alpha), the
     count of a node none of whose edges differ, by the exact upper tail.
-    The N node p-values are then corrected across nodes: Bonferroni reports
-    min(1, N p), BH ("fdr") the step-up adjusted p-value. `pvalue` holds the
-    adjusted value, `p_null` is alpha, and a node is significant when its
+    The N raw tails (binomial_tails, with no floor: a tail that underflows
+    to 0 stays 0) are then corrected across nodes: Bonferroni reports
+    min(1, N p), BH ("fdr") the step-up adjusted p-value. In the returned
+    NodeTests `pvalue` holds the adjusted value, `p_null` is alpha at every
+    node, `degenerate` is all false, and a node is significant when its
     adjusted p-value is below alpha.
     """
     if correction not in CORRECTIONS:
         raise ValidationError(f"correction must be one of {CORRECTIONS}")
     n = pmat.n
     degrees = AdjacencyMatrix(n, pmat.values < alpha).degrees()
-    raw = _binomial_tail_row(n, alpha)[degrees]
+    raw = binomial_tails(degrees, n - 1, alpha)
     if correction == "bonferroni":
         adjusted = np.minimum(1.0, n * raw)
     else:
         adjusted = bh_adjust(raw)
-    return tuple(
-        NodeTestResult(node=i, degree=int(degrees[i]), p_null=alpha,
-                       pvalue=float(adjusted[i]),
-                       significant=bool(adjusted[i] < alpha))
-        for i in range(n))
+    return NodeTests(pvalue=adjusted, significant=adjusted < alpha,
+                     degree=degrees, p_null=np.full(n, alpha),
+                     degenerate=np.zeros(n, dtype=bool))

@@ -112,14 +112,13 @@ def cmd_run(args) -> int:
                             "runs never draw implicit entropy")
     seed = (args.seed if args.seed is not None
             else manifest_number(manifest, "seed", None, int))
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     test_cfg = parse_test_config(manifest.get("test_config",
                                               {"test": manifest.get("test", "welch_t"),
                                                "fisher_z": manifest.get("fisher_z", False),
                                                "permutations": manifest.get("permutations", 1000)}),
                                  seed)
-    for name, value in (("seed", seed), ("test_config.seed", test_cfg.seed)):
-        if value < 0:
-            raise ValidationError(f"{name} must be non-negative, got {value}")
     rule = parse_threshold_rule(manifest.get("threshold", {}))
     ensemble_size = manifest_number(manifest, "null_networks", 1000, int)
     if ensemble_size < 1:
@@ -151,17 +150,11 @@ def cmd_run(args) -> int:
                      ensemble_size=ensemble_size, alpha=alpha, seed=seed,
                      inner_dim=inner_dim, correct_nodes=correct_nodes)
 
-    baseline_results = {}
-    for name in baselines_wanted:
-        if name == "t10":
-            baseline_results[name] = degree_ttest(
-                cohort, density=density, alpha=alpha, ranking=ranking)
-        elif name == "binb":
-            baseline_results[name] = binomial_corrected(result.pvalues,
-                                                        "bonferroni", alpha)
-        else:
-            baseline_results[name] = binomial_corrected(result.pvalues,
-                                                        "fdr", alpha)
+    baseline_results = {
+        name: degree_ttest(cohort, density=density, alpha=alpha, ranking=ranking)
+        if name == "t10" else binomial_corrected(
+            result.pvalues, "bonferroni" if name == "binb" else "fdr", alpha)
+        for name in baselines_wanted}
 
     write_nodes_csv(out_dir / "nodes.csv", result, labels=cohort.labels,
                     baselines=baseline_results)
@@ -183,7 +176,7 @@ def cmd_run(args) -> int:
         "n_subjects": [cohort.n1, cohort.n2],
         "gamma": result.gamma,
         "flags": result.flags,
-        "significant_nodes": [int(v) for v in result.significant_nodes],
+        "significant_nodes": result.significant_nodes.tolist(),
         "elapsed_seconds": round(time.perf_counter() - t_start, 3),
     }
     write_json(out_dir / "run_summary.json", summary)

@@ -24,6 +24,8 @@ from .core import (
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    _frozen,
+    _FrozenArrays,
     node_sums,
     pvalue_clamp_count,
 )
@@ -49,39 +51,42 @@ class PipelineError(DdtError):
 
 
 @dataclass(frozen=True)
-class NodeTestResult:
-    """Differential-degree test outcome for one node."""
+class NodeTests(_FrozenArrays):
+    """Per-node test outcome as read-only arrays, entry i for node i.
 
-    node: int
-    degree: int
-    p_null: float
-    pvalue: float
-    significant: bool
-    degenerate: bool = False
+    Every node method fills pvalue and significant. The binomial tests
+    (DDT, binb, binf) also fill degree, p_null and degenerate; the degree
+    t-test (t10) leaves them None.
+    """
+
+    pvalue: np.ndarray
+    significant: np.ndarray
+    degree: np.ndarray | None = None
+    p_null: np.ndarray | None = None
+    degenerate: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None:
+                object.__setattr__(self, name, _frozen(np.asarray(value)))
 
 
 @dataclass(frozen=True)
 class DdtResult:
-    """Everything a run produces: per-node results plus the artifacts."""
+    """Everything a run produces: the node tests, one NodeTests entry per
+    node, plus the artifacts they came from."""
 
-    nodes: tuple[NodeTestResult, ...]
+    nodes: NodeTests
     pvalues: PValueMatrix
     difference: DifferenceNetwork
     moments: MomentSummary
     gamma: float
     adjacency: AdjacencyMatrix
-    ensemble_size: int
-    alpha: float
-    seed: int
     flags: dict = field(default_factory=dict)
 
     @property
-    def degrees(self) -> np.ndarray:
-        return np.array([r.degree for r in self.nodes])
-
-    @property
     def significant_nodes(self) -> np.ndarray:
-        return np.array([r.node for r in self.nodes if r.significant])
+        return np.flatnonzero(self.nodes.significant)
 
 
 def null_probability_from_counts(counts: np.ndarray, size: int,
@@ -129,26 +134,31 @@ def binomial_upper_tail(k: int, n: int, p: float) -> float:
     return float(min(1.0, math.exp(total)))
 
 
-def node_tests(degrees: np.ndarray, p_null: np.ndarray,
-               alpha: float = 0.05) -> tuple[NodeTestResult, ...]:
-    """Upper-tail exact binomial test of each node's differential degree.
+def binomial_tails(degrees: np.ndarray, trials: int, p) -> np.ndarray:
+    """P(X >= k) for X ~ Binomial(trials, p) at each degree k, with p one
+    probability or one per degree. binomial_upper_tail runs once per
+    distinct (k, p) pair."""
+    pairs, inverse = np.unique(np.column_stack(np.broadcast_arrays(degrees, p)),
+                               axis=0, return_inverse=True)
+    tails = np.array([binomial_upper_tail(int(ki), trials, pi)
+                      for ki, pi in pairs.tolist()])
+    return tails[inverse.ravel()]
 
-    A node with a positive degree but a zero null-probability estimate gets
-    the clamped floor p-value and a degeneracy flag instead of an exact 0.
+
+def node_tests(degrees: np.ndarray, p_null: np.ndarray,
+               alpha: float = 0.05) -> NodeTests:
+    """Upper-tail exact binomial test of each node's differential degree
+    against Binomial(N - 1, p_null).
+
+    A node whose tail is an exact 0 (a positive degree but a zero
+    null-probability estimate) gets DEGENERATE_P_FLOOR and the degenerate
+    flag instead.
     """
-    n = len(degrees)
-    results = []
-    for i in range(n):
-        k = int(degrees[i])
-        p0 = float(p_null[i])
-        pv = binomial_upper_tail(k, n - 1, p0)
-        degenerate = pv == 0.0
-        if degenerate:
-            pv = DEGENERATE_P_FLOOR
-        results.append(NodeTestResult(
-            node=i, degree=k, p_null=p0, pvalue=pv,
-            significant=pv < alpha, degenerate=degenerate))
-    return tuple(results)
+    tails = binomial_tails(degrees, len(degrees) - 1, p_null)
+    degenerate = tails == 0.0
+    pvalue = np.where(degenerate, DEGENERATE_P_FLOOR, tails)
+    return NodeTests(pvalue=pvalue, significant=pvalue < alpha,
+                     degree=degrees, p_null=p_null, degenerate=degenerate)
 
 
 def _stage(label: str, fn, *args, **kwargs):
@@ -200,7 +210,7 @@ def degree_tests(pmat: PValueMatrix, rules: dict[str, ThresholdRule],
         adjacency = apply_threshold(dn, gamma)
         nodes = node_tests(adjacency.degrees(), p_null, alpha=alpha)
         flags = {
-            "degenerate_nodes": [r.node for r in nodes if r.degenerate],
+            "degenerate_nodes": np.flatnonzero(nodes.degenerate).tolist(),
             "null_edge_fraction": fraction,
             "fisher_z_clamped": pmat.fisher_z_clamped,
             "pvalues_clamped": pvalues_clamped,
@@ -208,8 +218,7 @@ def degree_tests(pmat: PValueMatrix, rules: dict[str, ThresholdRule],
         }
         results[name] = DdtResult(
             nodes=nodes, pvalues=pmat, difference=dn, moments=moments,
-            gamma=gamma, adjacency=adjacency,
-            ensemble_size=ensemble_size, alpha=alpha, seed=seed, flags=flags)
+            gamma=gamma, adjacency=adjacency, flags=flags)
     return results
 
 
@@ -235,8 +244,7 @@ def ddt_run(cohort: ConnectivityCohort,
                           ensemble_size, alpha, seed, inner_dim)["gamma"]
     if not correct_nodes:
         return result
-    reject = benjamini_hochberg([r.pvalue for r in result.nodes], alpha)
-    nodes = tuple(replace(r, significant=bool(reject[r.node]))
-                  for r in result.nodes)
+    nodes = replace(result.nodes,
+                    significant=benjamini_hochberg(result.nodes.pvalue, alpha))
     return replace(result, nodes=nodes,
                    flags={**result.flags, "node_correction": "bh"})

@@ -7,6 +7,7 @@ independently; no multiplicity correction is applied here.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ class EdgeTestConfig:
                 f"{', '.join(EDGE_TEST_METHODS)}")
         if self.method == "permutation" and self.permutations < 100:
             raise ValidationError("permutation test needs at least 100 permutations")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -165,29 +165,34 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
 def parse_test_config(block: dict, seed: int) -> EdgeTestConfig:
     if not isinstance(block, dict):
         raise ManifestError(f"test_config must be an object, got {block!r}")
+    test_seed = manifest_number(block, "seed", seed, int)
+    if test_seed < 0:    # a value out of range, as a negative run seed is
+        raise ValidationError(
+            f"test_config.seed must be non-negative, got {test_seed}")
     try:
         return EdgeTestConfig(
             method=block.get("test", "welch_t"),
             fisher_z=manifest_flag(block, "fisher_z"),
             permutations=manifest_number(block, "permutations", 1000, int),
-            seed=manifest_number(block, "seed", seed, int))
+            seed=test_seed)
     except ValidationError as err:
         raise ManifestError(f"test config: {err}") from err
 
 
 def manifest_number(manifest: dict, key: str, default, kind=float):
     """manifest[key] (or default) as `kind`; anything else is a ManifestError.
-    An int must be a JSON integer, as in a design file."""
+    An int must be a JSON integer, as in a design file; a float must be a
+    JSON number, not a string or a boolean. NaN and infinities pass through
+    to the caller's own range check."""
     raw = manifest.get(key, default)
     if kind is int:
         is_int, expected = _DESIGN_TYPES["int"]
         if not is_int(raw):
             raise ManifestError(f"{key} must be {expected}, got {raw!r}")
         return raw
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise ManifestError(f"{key} must be a number, got {raw!r}") from None
+    if type(raw) not in (int, float):
+        raise ManifestError(f"{key} must be a number, got {raw!r}")
+    return float(raw)
 
 
 def manifest_flag(manifest: dict, key: str) -> bool:
@@ -309,31 +314,24 @@ def load_partition(path) -> ModulePartition:
 
 
 def write_nodes_csv(path, result: DdtResult, labels=None, baselines=None) -> None:
-    """nodes.csv: node,label,degree,p_null,pvalue,significant plus one column
-    block per requested baseline."""
-    baselines = baselines or {}
-    header = ["node", "label", "degree", "p_null", "pvalue", "significant"]
-    for name in baselines:
-        if name == "t10":
-            header += ["t10_pvalue", "t10_significant"]
-        else:
-            header += [f"{name}_degree", f"{name}_pvalue", f"{name}_significant"]
+    """nodes.csv: node,label,degree,p_null,pvalue,significant plus, per
+    requested baseline, its degree, pvalue and significant columns (t10 has
+    no degree). Labels are written as given; a node without one is labelled
+    by its index."""
+    n = len(result.nodes.pvalue)
+    header, columns = ["node", "label"], [range(n), labels or range(n)]
+    blocks = [("", result.nodes, ("degree", "p_null", "pvalue", "significant"))]
+    blocks += [(f"{name}_", tests, ("degree", "pvalue", "significant"))
+               for name, tests in (baselines or {}).items()]
+    for prefix, tests, fields in blocks:
+        for f in fields:
+            if getattr(tests, f) is not None:
+                header.append(prefix + f)
+                columns.append(map(_fmt, getattr(tests, f).tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in result.nodes:
-            label = labels[r.node] if labels else str(r.node)
-            row = [str(r.node), label, str(r.degree), _fmt(r.p_null),
-                   _fmt(r.pvalue), _fmt(r.significant)]
-            for name, res in baselines.items():
-                if name == "t10":
-                    row += [_fmt(res.pvalues[r.node]),
-                            _fmt(res.significant[r.node])]
-                else:
-                    node = res[r.node]
-                    row += [str(node.degree), _fmt(node.pvalue),
-                            _fmt(node.significant)]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def write_enrichment_csv(path, results: tuple[EnrichmentResult, ...],

@@ -417,21 +417,19 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
         else:
             for name, result in results.items():
                 edge_detections[name] = result.adjacency.selected
-                node_decisions[name] = np.array(
-                    [r.significant for r in result.nodes])
+                node_decisions[name] = result.nodes.significant
 
     for name, correction in (("binb", "bonferroni"), ("binf", "fdr")):
         if name in node_methods:
-            results = binomial_corrected(pmat, correction, design.alpha)
-            node_decisions[name] = np.array([r.significant for r in results])
+            node_decisions[name] = binomial_corrected(
+                pmat, correction, design.alpha).significant
     if "t10" in node_methods:
-        t10 = degree_ttest(cohort, design.density, design.alpha, design.ranking)
-        node_decisions["t10"] = t10.significant
+        node_decisions["t10"] = degree_ttest(
+            cohort, design.density, design.alpha, design.ranking).significant
     for name in edge_rules:
-        if name in ("addt", "eddt"):
-            continue
-        edge_detections[name] = baseline_threshold(
-            pmat, _edge_rule(name, design)).selected
+        if name not in rules:
+            edge_detections[name] = baseline_threshold(
+                pmat, _edge_rule(name, design)).selected
 
     node_counts = {
         name: score(dec, truth_nodes, exclude=exclude)

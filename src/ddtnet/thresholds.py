@@ -2,8 +2,9 @@
 
 The adaptive threshold gamma is the q-quantile (default 0.95) of the null
 edge law on the logit scale; an edge is selected when logit(d_ij) > gamma,
-ties broken toward non-selection. Baseline rules select on the p-values
-directly (hard cut, Bonferroni, Benjamini-Hochberg).
+ties broken toward non-selection. The baseline rules (hard cut,
+Bonferroni, Benjamini-Hochberg) map their p-value cut onto the same logit
+scale, so every rule selects edges by one comparison.
 """
 
 from __future__ import annotations
@@ -99,22 +100,14 @@ def benjamini_hochberg(pvalues: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def baseline_threshold(pmat: PValueMatrix, rule: ThresholdRule) -> AdjacencyMatrix:
-    """Edge selection by a non-adaptive rule on the p-value matrix.
-
-    hard keeps edges with 1 - p > level; bonferroni keeps p < alpha / E;
-    fdr is the Benjamini-Hochberg step-up at level alpha over the E edges.
-    """
-    p = pmat.values
-    if rule.kind == "hard":
-        selected = (1.0 - p) > rule.level
-    elif rule.kind == "bonferroni":
-        selected = p < rule.level / pmat.n_edges
-    elif rule.kind == "fdr":
-        selected = benjamini_hochberg(p, rule.level)
-    else:
-        raise ValidationError(
-            f"baseline_threshold handles hard/bonferroni/fdr, not {rule.kind!r}")
-    return AdjacencyMatrix(n=pmat.n, selected=selected)
+    """Edges kept by a non-adaptive rule, as ddt_run selects them: hard keeps
+    1 - p > level, bonferroni p < alpha / E, fdr the BH step-up at alpha.
+    The rule's select_gamma cut is applied to the difference network, so a
+    p-value that d = 1 - p cannot tell from the cut falls with it: one
+    beyond the P_MIN clamp, one whose 1 - p rounds onto 1 - cut, or (hard
+    level below 0.5) one whose logit(d) rounds onto logit(level)."""
+    return apply_threshold(DifferenceNetwork.from_pvalues(pmat),
+                           select_gamma(rule, pmat=pmat))
 
 
 def select_gamma(rule: ThresholdRule,
@@ -125,8 +118,8 @@ def select_gamma(rule: ThresholdRule,
     hqs.null_exceedances selects), usable on observed and null nets.
 
     For bonferroni/fdr the rule's p-cut is mapped onto the d scale
-    (p < c  <=>  logit(d) > logit(1 - c)); fdr with no rejection returns
-    +inf, which selects nothing.
+    (p < c  <=>  logit(d) > logit(1 - c)); fdr with no rejection, and a
+    cut below the p-value clamp, return +inf, which selects nothing.
     """
     if rule.kind == "addt":
         if moments is None:
@@ -141,12 +134,13 @@ def select_gamma(rule: ThresholdRule,
         raise ValidationError(f"{rule.kind} threshold needs the p-value matrix")
     if rule.kind == "bonferroni":
         cut = rule.level / pmat.n_edges
-        return logit(1.0 - cut)
-    # fdr: cut between the largest rejected p and the next larger one
-    reject = benjamini_hochberg(pmat.values, rule.level)
-    if not reject.any():
-        return math.inf
-    p_max_rej = float(pmat.values[reject].max())
-    above = pmat.values[pmat.values > p_max_rej]
-    cut = 0.5 * (p_max_rej + (float(above.min()) if above.size else 1.0))
-    return logit(1.0 - cut)
+    else:    # fdr: cut between the largest rejected p and the next larger one
+        reject = benjamini_hochberg(pmat.values, rule.level)
+        if not reject.any():
+            return math.inf
+        p_max_rej = float(pmat.values[reject].max())
+        above = pmat.values[pmat.values > p_max_rej]
+        cut = 0.5 * (p_max_rej + (float(above.min()) if above.size else 1.0))
+    # a cut so small that 1 - cut rounds to 1 lies below P_MIN, where every
+    # p-value is clamped, so it selects nothing
+    return logit(1.0 - cut) if 1.0 - cut < 1.0 else math.inf

@@ -60,7 +60,7 @@ def test_degree_ttest_identical_groups():
     rng = np.random.default_rng(1)
     vals = rng.normal(size=(5, 15))
     res = degree_ttest(_cohort(vals, vals.copy()))
-    assert np.all(res.pvalues == 1.0)
+    assert np.all(res.pvalue == 1.0)
     assert not res.significant.any()
 
 
@@ -77,9 +77,9 @@ def test_binomial_corrected_no_detections():
     pmat = PValueMatrix(n=6, values=np.full(15, 0.8), diagonal=np.ones(6))
     for correction in ("bonferroni", "fdr"):
         nodes = binomial_corrected(pmat, correction)
-        assert all(r.degree == 0 for r in nodes)
-        assert all(r.pvalue == 1.0 for r in nodes)
-        assert not any(r.significant for r in nodes)
+        assert all(nodes.degree == 0)
+        assert all(nodes.pvalue == 1.0)
+        assert not any(nodes.significant)
 
 
 def _pmat_from_dense(p):
@@ -95,7 +95,7 @@ def test_binomial_corrected_bonferroni_cutoff():
     p[0, 1] = p[1, 0] = np.nextafter(alpha, 0.0)
     p[0, 2] = p[2, 0] = alpha
     nodes = binomial_corrected(_pmat_from_dense(p), "bonferroni", alpha)
-    assert [r.degree for r in nodes[:3]] == [1, 1, 0]
+    assert nodes.degree[:3].tolist() == [1, 1, 0]
 
     # node cut: Bonferroni across the N node tests, raw p < alpha / N
     k_star = next(k for k in range(n)
@@ -105,13 +105,15 @@ def test_binomial_corrected_bonferroni_cutoff():
     p[0, 1:k_star + 1] = p[1:k_star + 1, 0] = 0.01              # node 0: k*
     p[34, 20:20 + k_star - 1] = p[20:20 + k_star - 1, 34] = 0.01  # node 34: k* - 1
     nodes = binomial_corrected(_pmat_from_dense(p), "bonferroni", alpha)
-    assert nodes[0].degree == k_star and nodes[34].degree == k_star - 1
-    assert nodes[0].significant and not nodes[34].significant
-    for r in nodes:
-        raw = binomial_upper_tail(r.degree, n - 1, alpha)
-        assert r.pvalue == min(1.0, n * raw)
-        assert r.p_null == alpha
-        assert r.significant == (r.pvalue < alpha)
+    assert nodes.degree[0] == k_star and nodes.degree[34] == k_star - 1
+    assert nodes.significant[0] and not nodes.significant[34]
+    for degree, pvalue, p_null, significant in zip(
+            nodes.degree.tolist(), nodes.pvalue.tolist(),
+            nodes.p_null.tolist(), nodes.significant.tolist()):
+        raw = binomial_upper_tail(degree, n - 1, alpha)
+        assert pvalue == min(1.0, n * raw)
+        assert p_null == alpha
+        assert significant == (pvalue < alpha)
 
 
 def test_binomial_fdr_detects_superset_of_bonferroni():
@@ -120,11 +122,11 @@ def test_binomial_fdr_detects_superset_of_bonferroni():
     pmat = PValueMatrix(n=20, values=p, diagonal=np.ones(20))
     bonf = binomial_corrected(pmat, "bonferroni")
     fdr = binomial_corrected(pmat, "fdr")
-    sig_b = {r.node for r in bonf if r.significant}
-    sig_f = {r.node for r in fdr if r.significant}
+    sig_b = set(np.flatnonzero(bonf.significant).tolist())
+    sig_f = set(np.flatnonzero(fdr.significant).tolist())
     assert sig_b and sig_b <= sig_f
-    assert all(f.pvalue <= b.pvalue for b, f in zip(bonf, fdr))
-    assert all(r.significant == (r.pvalue < 0.05) for r in fdr)
+    assert all(fdr.pvalue <= bonf.pvalue)
+    assert np.array_equal(fdr.significant, fdr.pvalue < 0.05)
 
 
 def test_baseline_config_validation():
@@ -139,8 +141,11 @@ def test_baseline_config_validation():
     pmat = PValueMatrix(n=6, values=rng.uniform(size=15), diagonal=np.ones(6))
     with pytest.raises(ValidationError):
         binomial_corrected(pmat, correction="holm")
+    # the defaults are density 0.10 and alpha 0.05
     res = degree_ttest(cohort)
-    assert res.density == 0.10 and res.alpha == 0.05
+    want = degree_ttest(cohort, density=0.10, alpha=0.05)
+    assert np.array_equal(res.pvalue, want.pvalue)
+    assert np.array_equal(res.significant, want.significant)
 
 
 def test_degree_ttest_matches_per_node_welch():
@@ -157,8 +162,8 @@ def test_degree_ttest_matches_per_node_welch():
     d1, d2 = (np.vstack([degree_at_density(SymmetricMatrix.from_upper(n, row), 0.3)
                          for row in x]) for x in (cohort.x1, cohort.x2))
     per_node = np.array([welch_t_edge(d1[:, i], d2[:, i]) for i in range(n)])
-    assert res.pvalues[0] == 1.0
-    assert np.allclose(res.pvalues, per_node, rtol=0, atol=1e-15)
+    assert res.pvalue[0] == 1.0
+    assert np.allclose(res.pvalue, per_node, rtol=0, atol=1e-15)
     assert np.array_equal(res.significant, per_node < 0.05)
 
 
@@ -191,7 +196,7 @@ def test_binomial_corrected_equals_per_node_loop(correction):
     adjusted = np.minimum(1.0, n * raw) if correction == "bonferroni" else bh_adjust(raw)
     nodes = binomial_corrected(pmat, correction, alpha)
     assert len(set(degrees.tolist())) < n          # repeated degrees share a tail
-    for i, r in enumerate(nodes):
-        assert (r.node, r.degree, r.p_null) == (i, degrees[i], alpha)
-        assert r.pvalue == adjusted[i]
-        assert r.significant == (adjusted[i] < alpha)
+    assert np.array_equal(nodes.degree, degrees)
+    assert np.all(nodes.p_null == alpha)
+    assert np.array_equal(nodes.pvalue, adjusted)
+    assert np.array_equal(nodes.significant, adjusted < alpha)

@@ -552,7 +552,11 @@ def test_run_rejects_settings_before_reading_the_cohort(tmp_path, capfd, field):
     # an integer setting must be a JSON integer, not a float or a bool
     pytest.param("null_networks", 1.5, id="null_networks-float"),
     pytest.param("inner_dim", 2.9, id="inner_dim-float"),
-    pytest.param("seed", True, id="seed-bool")])
+    pytest.param("seed", True, id="seed-bool"),
+    # a float setting must be a JSON number, not a string or a bool
+    pytest.param("alpha", "0.05", id="alpha-numeric-string"),
+    pytest.param("density", True, id="density-bool"),
+    pytest.param("alpha", False, id="alpha-bool")])
 def test_run_non_numeric_setting_is_one_json_line(tmp_path, capfd, key, value):
     manifest = tmp_path / "run.json"
     manifest.write_text(json.dumps({

@@ -198,6 +198,7 @@ def test_containers_stay_frozen_across_pickling():
     import pickle
 
     from ddtnet.core import AdjacencyMatrix
+    from ddtnet.degree_test import NodeTests, node_tests
     from ddtnet.edgetests import PValueMatrix
     from ddtnet.hqs import MomentSummary, NullExceedance, generate_null
 
@@ -216,6 +217,10 @@ def test_containers_stay_frozen_across_pickling():
         (cohort, ("x1", "x2", "covariates")),
         (generate_null(moments, n=4, size=3, seed=1), ("logit_entries",)),
         (NullExceedance(gamma=0.0, counts=np.arange(6), size=3), ("counts",)),
+        (node_tests(np.array([2, 0, 1]), np.array([0.0, 0.2, 0.2])),
+         ("pvalue", "significant", "degree", "p_null", "degenerate")),
+        (NodeTests(pvalue=np.full(3, 0.5), significant=np.zeros(3, dtype=bool)),
+         ("pvalue", "significant")),
     ]
     for obj, fields in cases:
         back = pickle.loads(pickle.dumps(obj))
@@ -225,6 +230,7 @@ def test_containers_stay_frozen_across_pickling():
             assert np.array_equal(arr, getattr(obj, name)), name
             assert arr.flags.writeable is False, (type(obj).__name__, name)
     assert pickle.loads(pickle.dumps(pmat)).fisher_z_clamped == 2
+    assert pickle.loads(pickle.dumps(cases[-1][0])).degree is None
 
 
 def test_triu_index_pairs_is_cached_and_read_only():

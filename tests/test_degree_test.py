@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, ValidationError
+from ddtnet import degree_test
 from ddtnet.degree_test import (
+    DEGENERATE_P_FLOOR,
     PipelineError,
+    binomial_tails,
     binomial_upper_tail,
     ddt_run,
     degree_tests,
@@ -152,8 +155,48 @@ def test_binomial_upper_tail_validation():
 
 def test_node_tests_degenerate_zero_null():
     res = node_tests(np.array([2, 0, 0]), np.zeros(3), alpha=0.05)
-    assert res[0].degenerate and res[0].pvalue == 1e-300 and res[0].significant
-    assert not res[1].degenerate and res[1].pvalue == 1.0
+    assert res.degenerate[0] and res.pvalue[0] == 1e-300 and res.significant[0]
+    assert not res.degenerate[1] and res.pvalue[1] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 400), alpha=st.floats(0.001, 0.5))
+def test_node_tests_equal_a_per_node_binomial_loop(data, n, alpha):
+    # a few distinct degrees and null probabilities, zero among them, so
+    # pairs repeat and some tails are an exact 0
+    ks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    ps = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                            min_size=1, max_size=3))
+    degrees = np.array(data.draw(st.lists(st.sampled_from(ks), min_size=n,
+                                          max_size=n)))
+    p_null = np.array(data.draw(st.lists(st.sampled_from(ps), min_size=n,
+                                         max_size=n)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return binomial_upper_tail(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degree_test, "binomial_upper_tail", counted)
+        res = node_tests(degrees, p_null, alpha)
+    pairs = set(zip(degrees.tolist(), p_null.tolist()))
+    assert len(calls) == len(pairs)
+    for i, (k, p) in enumerate(zip(degrees.tolist(), p_null.tolist())):
+        tail = binomial_upper_tail(k, n - 1, p)
+        assert res.degenerate[i] == (tail == 0.0)
+        assert res.pvalue[i] == (DEGENERATE_P_FLOOR if tail == 0.0 else tail)
+        assert res.significant[i] == (res.pvalue[i] < alpha)
+        assert res.degree[i] == k and res.p_null[i] == p
+    assert not res.pvalue.flags.writeable
+
+
+def test_binomial_tails_keep_an_exact_zero():
+    # binomial_corrected reads the raw tail: no floor, unlike node_tests
+    tails = binomial_tails(np.array([399, 0, 399]), 399, 0.05)
+    assert tails.tolist() == [binomial_upper_tail(399, 399, 0.05), 1.0,
+                              binomial_upper_tail(399, 399, 0.05)]
+    assert tails[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +224,7 @@ def test_ddt_run_deterministic_end_to_end():
     r2 = ddt_run(cohort, **kwargs)
     assert r1.gamma == r2.gamma
     assert np.array_equal(r1.adjacency.selected, r2.adjacency.selected)
-    assert [n.pvalue for n in r1.nodes] == [n.pvalue for n in r2.nodes]
+    assert r1.nodes.pvalue.tolist() == r2.nodes.pvalue.tolist()
 
 
 def test_ddt_run_detects_planted_node():
@@ -190,9 +233,9 @@ def test_ddt_run_detects_planted_node():
     cohort = _random_cohort(12, 14, 14, seed=8, shift_edges=range(11), shift=0.5)
     result = ddt_run(cohort, rule=ThresholdRule(),
                      ensemble_size=200, seed=7)
-    assert result.nodes[0].significant
-    assert result.nodes[0].degree >= 5
-    assert not any(r.significant for r in result.nodes[1:])
+    assert result.nodes.significant[0]
+    assert result.nodes.degree[0] >= 5
+    assert not any(result.nodes.significant[1:])
 
 
 def test_ddt_run_eddt_matches_contract():
@@ -221,8 +264,8 @@ def test_ddt_run_bh_across_nodes_flag():
                     ensemble_size=100, seed=5)
     corrected = ddt_run(cohort, rule=ThresholdRule(),
                         ensemble_size=100, seed=5, correct_nodes=True)
-    sig_plain = {n.node for n in plain.nodes if n.significant}
-    sig_corr = {n.node for n in corrected.nodes if n.significant}
+    sig_plain = set(np.flatnonzero(plain.nodes.significant).tolist())
+    sig_corr = set(np.flatnonzero(corrected.nodes.significant).tolist())
     assert sig_corr <= sig_plain
     assert corrected.flags["node_correction"] == "bh"
 
@@ -249,16 +292,17 @@ def test_fixed_threshold_p_null_is_exact(strong):
     results = degree_tests(pmat, FIXED_RULES, 1, 0.05, seed=0)
     for name, result in results.items():
         p = max(0.0, 1.0 - mixture_cdf(result.moments, result.gamma))
-        assert [r.p_null for r in result.nodes] == [p] * n, name
+        assert result.nodes.p_null.tolist() == [p] * n, name
         assert result.flags["null_edge_fraction"] == p
         assert 0.0 <= p < 1.0
-    assert results["addt"].nodes[0].p_null == pytest.approx(0.05, abs=1e-9)
+    assert results["addt"].nodes.p_null[0] == pytest.approx(0.05, abs=1e-9)
     # fdr rejects the strong edges only when there are any
     fdr = results["fdr"]
     if strong:
         assert math.isfinite(fdr.gamma) and fdr.adjacency.selected.any()
     else:
         assert fdr.gamma == math.inf
-        assert [(r.degree, r.p_null, r.pvalue) for r in fdr.nodes] == \
-            [(0, 0.0, 1.0)] * n
+        nodes = fdr.nodes
+        assert list(zip(nodes.degree.tolist(), nodes.p_null.tolist(),
+                        nodes.pvalue.tolist())) == [(0, 0.0, 1.0)] * n
         assert not fdr.flags["degenerate_nodes"]

@@ -315,6 +315,11 @@ def test_config_validation():
         EdgeTestConfig(method="anova")
     with pytest.raises(ValidationError):
         EdgeTestConfig(method="permutation", permutations=50)
+    # a bad seed fails here, not inside the permutation substreams
+    for seed in (-1, 1.5, True, "3", None):
+        with pytest.raises(ValidationError, match="seed"):
+            EdgeTestConfig(method="permutation", permutations=100, seed=seed)
+    assert EdgeTestConfig(seed=np.int64(5)).seed == 5
 
 
 def test_vector_welch_blocks_are_bit_identical_to_one_call():

@@ -227,3 +227,27 @@ def test_load_json_needs_an_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ManifestError, match="JSON object"):
         load_design(path)
+
+
+def test_nodes_csv_writes_columns_and_labels_as_given(tmp_path):
+    from types import SimpleNamespace
+
+    from ddtnet.degree_test import NodeTests, node_tests
+    from ddtnet.io import write_nodes_csv
+
+    ddt = node_tests(np.array([2, 0, 1]), np.array([0.0, 0.2, 0.2]))
+    t10 = NodeTests(pvalue=np.array([0.5, 0.01, 1.0]),
+                    significant=np.array([False, True, False]))
+    result = SimpleNamespace(nodes=ddt)
+    path = tmp_path / "nodes.csv"
+    write_nodes_csv(path, result, labels=("0", "1.0", "a,b"),
+                    baselines={"t10": t10, "binb": ddt})
+    lines = path.read_text().splitlines()
+    assert lines[0] == ("node,label,degree,p_null,pvalue,significant,"
+                        "t10_pvalue,t10_significant,"
+                        "binb_degree,binb_pvalue,binb_significant")
+    assert lines[1] == "0,0,2,0.0,1e-300,true,0.5,false,2,1e-300,true"
+    assert lines[3].startswith('2,"a,b",1,0.2,')
+    write_nodes_csv(path, result)
+    assert [row.split(",")[:2] for row in path.read_text().splitlines()[1:]] == \
+        [["0", "0"], ["1", "1"], ["2", "2"]]

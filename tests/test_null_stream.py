@@ -324,7 +324,7 @@ def test_ddt_run_null_stage_matches_the_materialized_ensemble(monkeypatch, kind)
     rule = ThresholdRule(kind=kind)
     result = ddt_run(cohort, rule=rule, ensemble_size=size, seed=seed)
     entries = generate_null(result.moments, n, size, seed).logit_entries
-    p_null = np.array([r.p_null for r in result.nodes])
+    p_null = result.nodes.p_null
     if kind == "eddt":
         assert result.gamma == float(np.quantile(entries, rule.level))
         _, expected, fraction = _mask_oracle(entries, result.gamma, n)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate, stats
 
-from ddtnet.core import DifferenceNetwork, ValidationError, logit
+from ddtnet.core import P_MIN, DifferenceNetwork, ValidationError, logit
 from ddtnet.edgetests import PValueMatrix
 from ddtnet.hqs import MomentSummary, NullEnsemble, generate_null, mixture_cdf
 from ddtnet.thresholds import (
@@ -206,6 +206,17 @@ def test_bh_boundary_follows_the_adjusted_values():
     assert list(benjamini_hochberg(p, 0.05)) == [True, True, False]
 
 
+def _p_scale_selection(pmat, rule):
+    """The baseline rules read on the p-values themselves: the reference
+    that baseline_threshold's logit-scale selection is held to."""
+    p = pmat.values
+    if rule.kind == "hard":
+        return (1.0 - p) > rule.level
+    if rule.kind == "bonferroni":
+        return p < rule.level / pmat.n_edges
+    return benjamini_hochberg(p, rule.level)
+
+
 def test_baseline_threshold_rules():
     n = 5                                     # E = 10 edges
     p = np.array([0.004, 0.02, 0.04, 0.9, 0.5, 0.3, 0.2, 0.6, 0.7, 0.8])
@@ -225,6 +236,62 @@ def test_all_p_one_selects_nothing():
         assert baseline_threshold(pmat, rule).n_edges_selected == 0
 
 
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(4, 12),
+       kind=st.sampled_from(["hard", "bonferroni", "fdr"]))
+def test_baseline_threshold_equals_the_p_scale_rule(data, n, kind):
+    # levels whose cut the d scale resolves: alpha / E at least 2 P_MIN, so
+    # the clamped p-values stay below it on d, and a hard level of at least
+    # 0.5, where logit is strictly increasing on doubles
+    # (test_baseline_threshold_follows_the_difference_network shows what
+    # happens outside)
+    n_edges = n * (n - 1) // 2
+    low = 0.5 if kind == "hard" else 2 * n_edges * P_MIN
+    level = data.draw(st.floats(low, 1.0 - P_MIN, exclude_max=True), label="level")
+    # PValueMatrix rejects p = 0, so the smallest positive double stands for it
+    boundary = [np.nextafter(0.0, 1.0), 1.0, P_MIN, level, 1.0 - level,
+                level / n_edges]
+    rest = data.draw(st.lists(st.sampled_from(boundary)
+                              | st.floats(0.0, 1.0, exclude_min=True),
+                              min_size=n_edges - len(boundary),
+                              max_size=n_edges - len(boundary)))
+    values = data.draw(st.permutations(boundary + rest), label="p")
+    pmat = PValueMatrix(n=n, values=np.array(values), diagonal=np.ones(n))
+    rule = ThresholdRule(kind, level)
+    assert np.array_equal(baseline_threshold(pmat, rule).selected,
+                          _p_scale_selection(pmat, rule))
+
+
+def test_baseline_threshold_follows_the_difference_network():
+    # where d = 1 - p, clamped into [P_MIN, 1 - P_MIN], cannot tell a
+    # p-value from the cut, the selection follows d, as ddt_run's does
+    n, rest = 4, [0.5] * 4
+
+    def compare(values, rule):
+        pmat = PValueMatrix(n=n, values=np.array(values + rest), diagonal=np.ones(n))
+        return (_p_scale_selection(pmat, rule)[:2].tolist(),
+                baseline_threshold(pmat, rule).selected[:2].tolist())
+
+    # one ulp below a Bonferroni cut, 1 - p rounds onto 1 - cut
+    cut = 0.05 / 6
+    below = float(np.nextafter(cut, 0.0))
+    assert 1.0 - below == 1.0 - cut
+    assert compare([below, cut], ThresholdRule("bonferroni", 0.05)) == \
+        ([True, False], [False, False])
+    # p-values below P_MIN read as P_MIN: a hard level above 1 - P_MIN
+    # keeps none of them, and a cut below 2^-53 selects nothing
+    level = 1.0 - P_MIN / 2
+    assert compare([1e-300, P_MIN], ThresholdRule("hard", level)) == \
+        ([True, False], [False, False])
+    assert compare([1e-300, P_MIN], ThresholdRule("bonferroni", 1e-16)) == \
+        ([True, False], [False, False])
+    # below 0.5 logit rounds neighbouring doubles together: d = 1 - 0.99
+    # exceeds 0.01, but logit(d) == logit(0.01)
+    assert 1.0 - 0.99 > 0.01 and logit(1.0 - 0.99) == logit(0.01)
+    assert compare([0.99, 0.995], ThresholdRule("hard", 0.01)) == \
+        ([True, False], [False, False])
+
+
 def test_select_gamma_consistency_with_baseline_threshold():
     rng = np.random.default_rng(9)
     n = 8
@@ -233,13 +300,13 @@ def test_select_gamma_consistency_with_baseline_threshold():
     dn = DifferenceNetwork.from_pvalues(pmat)
     for kind, level in (("hard", 0.95), ("bonferroni", 0.05), ("fdr", 0.05)):
         rule = ThresholdRule(kind=kind, level=level)
-        direct = baseline_threshold(pmat, rule) if kind != "hard" else None
+        direct = _p_scale_selection(pmat, rule)
         gamma = select_gamma(rule, pmat=pmat)
         via_gamma = apply_threshold(dn, gamma)
         if kind == "hard":
             assert np.array_equal(via_gamma.selected, (1 - p) > 0.95)
-        else:
-            assert np.array_equal(via_gamma.selected, direct.selected)
+        assert np.array_equal(via_gamma.selected, direct)
+        assert np.array_equal(baseline_threshold(pmat, rule).selected, direct)
 
 
 def test_select_gamma_fdr_no_rejections_is_infinite():
