@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import binomial_corrected, check_t10_settings, degree_ttest
+from .baselines import binomial_corrected, degree_ttest
 from .core import (
     AdjacencyMatrix,
     DdtError,
@@ -30,18 +30,14 @@ from .core import (
 )
 from .degree_test import PipelineError, ddt_run
 from .enrichment import NoSelectedEdgesError, enrichment_test
-from .hqs import MomentSummary, NonpositiveMeanError, NullStream, observed_moments
+from .hqs import NonpositiveMeanError, NullStream, observed_moments
 from .io import (
     ManifestError,
     load_cohort,
     load_design,
-    load_json,
+    load_moments,
     load_partition,
-    manifest_flag,
-    manifest_names,
-    manifest_number,
-    parse_test_config,
-    parse_threshold_rule,
+    load_run_manifest,
     read_matrix_csv,
     write_enrichment_csv,
     write_gamma_json,
@@ -58,8 +54,6 @@ from .simulate import run_experiment
 EXIT_OK = 0
 EXIT_INPUT = 2       # missing/invalid files, manifests, usage
 EXIT_PIPELINE = 3    # domain errors raised by the statistics themselves
-
-BASELINE_NAMES = ("t10", "binb", "binf")
 
 
 def _error_json(kind: str, message: str, **extra) -> str:
@@ -103,75 +97,42 @@ def _parse_threads(raw: str, source: str) -> int:
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
     _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
-    manifest_path = Path(args.manifest)
-    manifest = load_json(manifest_path)
-    base_dir = manifest_path.parent
-
-    if "seed" not in manifest and args.seed is None:
-        raise ManifestError("manifest must carry a seed (or pass --seed); "
-                            "runs never draw implicit entropy")
-    seed = (args.seed if args.seed is not None
-            else manifest_number(manifest, "seed", None, int))
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    test_cfg = parse_test_config(manifest.get("test_config",
-                                              {"test": manifest.get("test", "welch_t"),
-                                               "fisher_z": manifest.get("fisher_z", False),
-                                               "permutations": manifest.get("permutations", 1000)}),
-                                 seed)
-    rule = parse_threshold_rule(manifest.get("threshold", {}))
-    ensemble_size = manifest_number(manifest, "null_networks", 1000, int)
-    if ensemble_size < 1:
-        raise ValidationError(f"null_networks must be >= 1, got {ensemble_size}")
-    alpha = manifest_number(manifest, "alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if args.baselines:
-        baselines_wanted = [b.strip() for b in args.baselines.split(",") if b.strip()]
-    else:
-        baselines_wanted = manifest_names(manifest, "baselines")
-    unknown = [b for b in baselines_wanted if b not in BASELINE_NAMES]
-    if unknown:
-        raise ManifestError(f"unknown baselines {unknown}; valid: {BASELINE_NAMES}")
-    density = manifest_number(manifest, "density", 0.10)
-    ranking = manifest.get("ranking", "signed")
-    inner_dim = manifest_number(manifest, "inner_dim", 2, int)
-    if "t10" in baselines_wanted:
-        check_t10_settings(density, ranking)
-    correct_nodes = manifest_flag(manifest, "correct_nodes")
-    cohort_block = manifest.get("cohort", manifest)
-    cohort = load_cohort(cohort_block, base_dir,
-                         header=manifest_flag(manifest, "header"))
+    run = load_run_manifest(args.manifest, seed=args.seed,
+                            baselines=args.baselines)
+    cohort = load_cohort(run.cohort, run.base_dir, header=run.header)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = ddt_run(cohort, test_cfg=test_cfg, rule=rule,
-                     ensemble_size=ensemble_size, alpha=alpha, seed=seed,
-                     inner_dim=inner_dim, correct_nodes=correct_nodes)
+    result = ddt_run(cohort, test_cfg=run.test_config, rule=run.threshold,
+                     ensemble_size=run.null_networks, alpha=run.alpha,
+                     seed=run.seed, inner_dim=run.inner_dim,
+                     correct_nodes=run.correct_nodes)
 
     baseline_results = {
-        name: degree_ttest(cohort, density=density, alpha=alpha, ranking=ranking)
+        name: degree_ttest(cohort, density=run.density, alpha=run.alpha,
+                           ranking=run.ranking)
         if name == "t10" else binomial_corrected(
-            result.pvalues, "bonferroni" if name == "binb" else "fdr", alpha)
-        for name in baselines_wanted}
+            result.pvalues, "bonferroni" if name == "binb" else "fdr", run.alpha)
+        for name in run.baselines}
 
     write_nodes_csv(out_dir / "nodes.csv", result, labels=cohort.labels,
                     baselines=baseline_results)
     write_matrix_csv(out_dir / "difference_network.csv",
                      result.difference.to_symmetric().to_dense())
     write_matrix_csv(out_dir / "adjacency.csv", result.adjacency.to_dense())
-    write_gamma_json(out_dir / "gamma.json", rule, result.gamma)
+    write_gamma_json(out_dir / "gamma.json", run.threshold, result.gamma)
     write_moments_json(out_dir / "moments.json", result.moments)
+    test_cfg = run.test_config
     summary = {
-        "seed": seed,
-        "alpha": alpha,
-        "null_networks": ensemble_size,
+        "seed": run.seed,
+        "alpha": run.alpha,
+        "null_networks": run.null_networks,
         "test_config": {"test": test_cfg.method, "fisher_z": test_cfg.fisher_z,
                         "permutations": test_cfg.permutations,
                         "seed": test_cfg.seed},
-        "threshold": {"kind": rule.kind, "level": rule.level},
-        "baselines": list(baselines_wanted),
+        "threshold": {"kind": run.threshold.kind, "level": run.threshold.level},
+        "baselines": list(run.baselines),
         "n_nodes": cohort.n,
         "n_subjects": [cohort.n1, cohort.n2],
         "gamma": result.gamma,
@@ -214,10 +175,7 @@ def cmd_simulate(args) -> int:
 def cmd_null(args) -> int:
     n_nodes = args.nodes
     if args.moments:
-        raw = load_json(args.moments)
-        moments = MomentSummary.from_moments(
-            manifest_number(raw, "ebar", None), manifest_number(raw, "vbar", None),
-            manifest_number(raw, "m", 2, int))
+        moments = load_moments(args.moments)
     elif args.difference:
         dense = read_matrix_csv(args.difference, header=args.header)
         sym = SymmetricMatrix.from_dense(dense)

@@ -113,8 +113,10 @@ def _log_binomial_row(n: int) -> tuple[float, ...]:
                  for i in range(n + 1))
 
 
+@lru_cache(maxsize=8192)
 def binomial_upper_tail(k: int, n: int, p: float) -> float:
-    """Exact P(X >= k) for X ~ Binomial(n, p), by log-space pmf summation."""
+    """Exact P(X >= k) for X ~ Binomial(n, p), by log-space pmf summation.
+    Cached: binb and binf, and nodes of one degree, ask for the same tail."""
     if not 0 <= k <= n:
         raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not 0.0 <= p <= 1.0:
@@ -137,12 +139,12 @@ def binomial_upper_tail(k: int, n: int, p: float) -> float:
 def binomial_tails(degrees: np.ndarray, trials: int, p) -> np.ndarray:
     """P(X >= k) for X ~ Binomial(trials, p) at each degree k, with p one
     probability or one per degree. binomial_upper_tail runs once per
-    distinct (k, p) pair."""
-    pairs, inverse = np.unique(np.column_stack(np.broadcast_arrays(degrees, p)),
-                               axis=0, return_inverse=True)
-    tails = np.array([binomial_upper_tail(int(ki), trials, pi)
-                      for ki, pi in pairs.tolist()])
-    return tails[inverse.ravel()]
+    distinct (k, p) pair, found as the distinct values of k + i p."""
+    keys = np.asarray(degrees) + 1j * np.asarray(p, dtype=float)
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    tails = np.array([binomial_upper_tail(int(pair.real), trials, pair.imag)
+                      for pair in pairs.tolist()])
+    return tails[inverse]
 
 
 def node_tests(degrees: np.ndarray, p_null: np.ndarray,
@@ -159,6 +161,17 @@ def node_tests(degrees: np.ndarray, p_null: np.ndarray,
     pvalue = np.where(degenerate, DEGENERATE_P_FLOOR, tails)
     return NodeTests(pvalue=pvalue, significant=pvalue < alpha,
                      degree=degrees, p_null=p_null, degenerate=degenerate)
+
+
+def check_run_settings(seed: int, alpha: float, null_networks: int) -> None:
+    """The range checks of a run manifest's and a simulate design's shared
+    settings: seed >= 0, 0 < alpha < 1 and null_networks >= 1."""
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if null_networks < 1:
+        raise ValidationError(f"null_networks must be >= 1, got {null_networks}")
 
 
 def _stage(label: str, fn, *args, **kwargs):

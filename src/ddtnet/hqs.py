@@ -187,7 +187,9 @@ class NullStream:
                 L = rng.normal(mu, sd, size=(len(rows), n, m))
                 gram = grams[:len(rows)]
                 np.matmul(L, L.transpose(0, 2, 1), out=gram)
-                np.take(gram.reshape(len(rows), n * n), flat, axis=1, out=rows)
+                # "clip", unlike "raise", fills `out` unbuffered; flat is in range
+                np.take(gram.reshape(len(rows), n * n), flat, axis=1, out=rows,
+                        mode="clip")
             yield _frozen(block)
 
 
@@ -274,6 +276,23 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
+def _order_quantile(values: np.ndarray, level: float, total: int,
+                    below: int = 0) -> float | None:
+    """np.quantile(pooled, level) of `total` pooled values, `below` of them
+    under `values` and the rest over: the order statistics at the floor k
+    of (total - 1) level, by one partition, and at k + 1, the minimum right
+    of it. None when `values` does not hold both."""
+    virtual = (total - 1) * level
+    k = math.floor(virtual)
+    lower, upper = k - below, min(k + 1, total - 1) - below
+    if lower < 0 or upper >= len(values):
+        return None
+    picked = np.partition(values, lower)
+    a = float(picked[lower])
+    b = float(picked[lower + 1:].min()) if upper > lower else a
+    return _lerp(a, b, virtual - k)
+
+
 class _PooledQuantile:
     """Exact pooled quantile of the ensemble from one pass over its blocks.
 
@@ -337,19 +356,12 @@ class _PooledQuantile:
         self.edges.append((keep % self.n_edges).astype(np.int32))
 
     def result(self) -> NullExceedance | None:
-        total = self.size * self.n_edges
-        # np.quantile's "linear" rule: virtual index (N - 1) q, then lerp
-        # between the order statistics at its floor and the next index
-        virtual = (total - 1) * self.level
-        k = math.floor(virtual)
         values = np.concatenate(self.values)
         self.values = [values]
-        lower, upper = k - self.below, k + 1 - self.below
-        if lower < 0 or upper >= len(values):
+        gamma = _order_quantile(values, self.level, self.size * self.n_edges,
+                                self.below)
+        if gamma is None:
             return None
-        picked = np.partition(values, (lower, upper))
-        gamma = _lerp(float(picked[lower]), float(picked[upper]), virtual - k)
-        del picked
         edges = np.concatenate(self.edges)
         self.edges = [edges]
         counts = self.above + np.bincount(edges[values > gamma],
@@ -363,8 +375,8 @@ def null_exceedances(source: NullStream | NullEnsemble,
 
     levels are pooled quantile levels (eDDT): each gamma is the q-quantile
     of all M x E null entries, exactly np.quantile(pooled, q). When the
-    ensemble is one block that is literally what is computed; otherwise
-    each quantile is bracketed on the null edge law of source.moments and
+    ensemble is one block it is selected from all of it; otherwise each
+    quantile is bracketed on the null edge law of source.moments and
     selected from the entries that fall inside, and a bracket that misses
     costs another pass with a wider one, never an approximation. Returns
     one NullExceedance per name.
@@ -375,7 +387,7 @@ def null_exceedances(source: NullStream | NullEnsemble,
     blocks = source.blocks()
     first = next(blocks)
     if len(first) == source.size:
-        gammas = {name: float(np.quantile(first, level))
+        gammas = {name: _order_quantile(first.ravel(), level, first.size)
                   for name, level in levels.items()}
         return {name: NullExceedance(gamma=gamma,
                                      counts=(first > gamma).sum(axis=0),

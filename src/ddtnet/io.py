@@ -26,7 +26,8 @@ from .core import (
     inv_logit,
     upper_triangle,
 )
-from .degree_test import DdtResult
+from .baselines import check_t10_settings
+from .degree_test import DdtResult, check_run_settings
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
 from .hqs import MomentSummary, NullEnsemble, NullStream
@@ -113,12 +114,11 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
     manifest's directory. Each file fills one row of its group's array, in
     manifest order; the cohort is validated here, before any output exists.
     """
-    if not isinstance(manifest, dict):
-        raise ManifestError(f"cohort must be an object, got {manifest!r}")
+    _json_value("cohort", manifest, "dict")
     for key in ("group1", "group2"):
         if key not in manifest:
             raise ManifestError(f"cohort manifest needs a {key!r} file list")
-        manifest_names(manifest, key)
+        _json_value(key, manifest[key], "tuple[str, ...]")
     for key in ("covariates", "labels"):
         if not isinstance(manifest.get(key) or "", str):
             raise ManifestError(f"{key} must be a file name, got "
@@ -162,79 +162,152 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
     return ConnectivityCohort(*groups, covariates=covariates, labels=labels)
 
 
-def parse_test_config(block: dict, seed: int) -> EdgeTestConfig:
-    if not isinstance(block, dict):
-        raise ManifestError(f"test_config must be an object, got {block!r}")
-    test_seed = manifest_number(block, "seed", seed, int)
-    if test_seed < 0:    # a value out of range, as a negative run seed is
-        raise ValidationError(
-            f"test_config.seed must be non-negative, got {test_seed}")
-    try:
-        return EdgeTestConfig(
-            method=block.get("test", "welch_t"),
-            fisher_z=manifest_flag(block, "fisher_z"),
-            permutations=manifest_number(block, "permutations", 1000, int),
-            seed=test_seed)
-    except ValidationError as err:
-        raise ManifestError(f"test config: {err}") from err
-
-
-def manifest_number(manifest: dict, key: str, default, kind=float):
-    """manifest[key] (or default) as `kind`; anything else is a ManifestError.
-    An int must be a JSON integer, as in a design file; a float must be a
-    JSON number, not a string or a boolean. NaN and infinities pass through
-    to the caller's own range check."""
-    raw = manifest.get(key, default)
-    if kind is int:
-        is_int, expected = _DESIGN_TYPES["int"]
-        if not is_int(raw):
-            raise ManifestError(f"{key} must be {expected}, got {raw!r}")
-        return raw
-    if type(raw) not in (int, float):
-        raise ManifestError(f"{key} must be a number, got {raw!r}")
-    return float(raw)
-
-
-def manifest_flag(manifest: dict, key: str) -> bool:
-    """manifest[key] (or false), which must be a JSON boolean."""
-    raw = manifest.get(key, False)
-    if type(raw) is not bool:
-        raise ManifestError(f"{key} must be true or false, got {raw!r}")
-    return raw
-
-
-def manifest_names(manifest: dict, key: str) -> list[str]:
-    """manifest[key] (or []), which must be a list of strings."""
-    raw = manifest.get(key, [])
-    if type(raw) is not list or not all(type(v) is str for v in raw):
-        raise ManifestError(f"{key} must be a list of strings, got {raw!r}")
-    return raw
-
-
-def parse_threshold_rule(block: dict) -> ThresholdRule:
-    """The manifest's threshold block: kind and level. The resolution and
-    seed keys of the former Monte Carlo aDDT threshold are ignored."""
-    if not isinstance(block, dict):
-        raise ManifestError(f"threshold must be an object, got {block!r}")
-    level = manifest_number(block, "level", 0.95)
-    try:
-        return ThresholdRule(kind=block.get("kind", "addt"), level=level)
-    except ValidationError as err:
-        raise ManifestError(f"threshold config: {err}") from err
-
-
-# Checks of a design file value against its SimDesign annotation: the test
-# and what a failing value must be instead.
-_DESIGN_TYPES = {
+# What a config field's annotation asks of a JSON value: the test, and what
+# a failing value must be instead. A float is any JSON number; whether it is
+# finite and in range is the config's own check.
+_JSON_TYPES = {
     "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float) and math.isfinite(v),
-              "a finite number"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
     "bool": (lambda v: type(v) is bool, "true or false"),
     "str": (lambda v: type(v) is str, "a string"),
+    "dict": (lambda v: type(v) is dict, "an object"),
     "tuple[int, ...]": (lambda v: type(v) is list
                         and all(type(t) is int for t in v),
                         "a list of integers"),
+    "tuple[str, ...]": (lambda v: type(v) is list
+                        and all(type(t) is str for t in v),
+                        "a list of strings"),
 }
+
+
+def _json_value(key: str, value, annotation: str):
+    """value, if it has the annotated type (a JSON list as a tuple)."""
+    check, expected = _JSON_TYPES[annotation]
+    if not check(value):
+        raise ManifestError(f"{key} must be {expected}, got {value!r}")
+    return tuple(value) if type(value) is list else value
+
+
+def _json_fields(raw: dict, cls, keys, prefix: str = "") -> dict:
+    """The keyword arguments of dataclass cls that raw holds, type-checked;
+    keys maps JSON keys to fields, or lists fields named as in the JSON."""
+    keys = keys if isinstance(keys, dict) else dict(zip(keys, keys))
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    return {name: _json_value(prefix + key, raw[key], types[name])
+            for key, name in keys.items() if key in raw}
+
+
+def _reject_unknown(raw: dict, allowed, what: str) -> None:
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ManifestError(f"unknown {what}: {sorted(unknown)}")
+
+
+def _block_config(cls, raw: dict, name: str, keys, ignored=(), **defaults):
+    """cls from the manifest block raw[name] (or {}): an object holding only
+    `keys` (as in _json_fields) and `ignored` keys, each value type-checked;
+    a ValidationError of cls names the block."""
+    block = _json_value(name, raw.get(name, {}), "dict")
+    _reject_unknown(block, {*keys, *ignored}, f"{name} keys")
+    try:
+        return cls(**{**defaults, **_json_fields(block, cls, keys, f"{name}.")})
+    except ValidationError as err:
+        raise ValidationError(f"{name}: {err}") from err
+
+
+BASELINE_NAMES = ("t10", "binb", "binf")
+
+
+@dataclasses.dataclass(frozen=True)
+class RunManifest:
+    """A ddt run manifest, type- and range-checked by load_run_manifest; the
+    cohort block is load_cohort's, its paths relative to base_dir."""
+
+    seed: int
+    threshold: ThresholdRule = ThresholdRule()
+    test_config: EdgeTestConfig = EdgeTestConfig()
+    null_networks: int = 1000
+    alpha: float = 0.05
+    baselines: tuple[str, ...] = ()
+    density: float = 0.10
+    ranking: str = "signed"
+    inner_dim: int = 2
+    correct_nodes: bool = False
+    header: bool = False
+    cohort: dict = dataclasses.field(default_factory=dict)
+    base_dir: Path = Path(".")
+
+    def __post_init__(self):
+        check_run_settings(self.seed, self.alpha, self.null_networks)
+        unknown = [b for b in self.baselines if b not in BASELINE_NAMES]
+        if unknown:
+            raise ManifestError(
+                f"unknown baselines {unknown}; valid: {BASELINE_NAMES}")
+        if "t10" in self.baselines:
+            check_t10_settings(self.density, self.ranking)
+
+
+# the edge test and the cohort, each given at the top level of a run
+# manifest or as a block (test_config, cohort)
+_TEST_KEYS = {"test": "method", "fisher_z": "fisher_z",
+              "permutations": "permutations"}
+_COHORT_KEYS = ("group1", "group2", "covariates", "labels")
+
+
+def load_run_manifest(path, seed: int | None = None,
+                      baselines: str | None = None) -> RunManifest:
+    """Run manifest file -> RunManifest, with --seed and the --baselines
+    comma list, when given, in place of the manifest's.
+
+    An unknown key, or a value without the annotated type of its config
+    field, is a ManifestError; a value out of range is a ValidationError
+    (RunManifest, ThresholdRule and EdgeTestConfig check their own). Either
+    comes before any subject file is read.
+    """
+    path = Path(path)
+    raw = load_json(path)
+    flat = [f.name for f in dataclasses.fields(RunManifest)
+            if f.type in _JSON_TYPES]
+    _reject_unknown(raw, {*flat, *_TEST_KEYS, *_COHORT_KEYS, "threshold",
+                          "test_config"}, "run manifest keys")
+    values = _json_fields(raw, RunManifest, flat)
+    if seed is not None:
+        values["seed"] = seed
+    if "seed" not in values:
+        raise ManifestError("manifest must carry a seed (or pass --seed); "
+                            "runs never draw implicit entropy")
+    if baselines:
+        values["baselines"] = tuple(b.strip() for b in baselines.split(",")
+                                    if b.strip())
+    if "cohort" in values:
+        _reject_unknown(values["cohort"], _COHORT_KEYS, "cohort keys")
+    else:
+        values["cohort"] = {k: raw[k] for k in _COHORT_KEYS if k in raw}
+    # the run's own checks come first, so a bad seed is reported as the
+    # run's, not as that of the edge test that inherits it
+    run = RunManifest(**values, base_dir=path.parent)
+    if "test_config" in raw:
+        test_config = _block_config(EdgeTestConfig, raw, "test_config",
+                                    {**_TEST_KEYS, "seed": "seed"},
+                                    seed=run.seed)
+    else:
+        test_config = EdgeTestConfig(
+            **_json_fields(raw, EdgeTestConfig, _TEST_KEYS), seed=run.seed)
+    # resolution and seed: the retired Monte Carlo aDDT threshold's, ignored
+    threshold = _block_config(ThresholdRule, raw, "threshold",
+                              ("kind", "level"),
+                              ignored=("resolution", "seed"))
+    return dataclasses.replace(run, threshold=threshold, test_config=test_config)
+
+
+def load_moments(path) -> MomentSummary:
+    """Moment JSON (ebar, vbar, optional m; a moments.json's derived values
+    are ignored) -> MomentSummary. A missing or non-numeric moment is a
+    ManifestError; MomentSummary.from_moments checks the values."""
+    # a missing moment reads as null, which its type check rejects
+    raw = {"ebar": None, "vbar": None, **load_json(path)}
+    return MomentSummary.from_moments(
+        **_json_fields(raw, MomentSummary, ("ebar", "vbar", "m")))
 
 
 def load_design(path) -> tuple[SimDesign, tuple[str, ...], tuple[str, ...]]:
@@ -242,30 +315,20 @@ def load_design(path) -> tuple[SimDesign, tuple[str, ...], tuple[str, ...]]:
 
     Every SimDesign value must have its field's annotated type (an int is
     also a float), and methods and edge_rules must be lists of strings;
-    anything else is a ManifestError. experiment_rules then checks the
-    methods and edge rules (ValidationError), so a bad design fails before
-    any output exists.
+    anything else, and a value SimDesign rejects, is a ManifestError.
+    experiment_rules then checks the methods and edge rules
+    (ValidationError), so a bad design fails before any output exists.
     """
     raw = load_json(path)
-    raw.setdefault("methods", list(NODE_METHODS))
-    methods = tuple(manifest_names(raw, "methods"))
-    edge_rules = tuple(manifest_names(raw, "edge_rules"))
-    for key in ("methods", "edge_rules", "resolution"):
-        # resolution: the former Monte Carlo aDDT sample count
-        raw.pop(key, None)
-    fields = {f.name: f.type for f in dataclasses.fields(SimDesign)}
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ManifestError(f"unknown design fields: {sorted(unknown)}")
-    values = {}
-    for name, value in raw.items():
-        check, expected = _DESIGN_TYPES[fields[name]]
-        if not check(value):
-            raise ManifestError(
-                f"design field {name!r} must be {expected}, got {value!r}")
-        values[name] = tuple(value) if type(value) is list else value
+    raw.pop("resolution", None)    # the former Monte Carlo aDDT sample count
+    methods = _json_value("methods", raw.pop("methods", list(NODE_METHODS)),
+                          "tuple[str, ...]")
+    edge_rules = _json_value("edge_rules", raw.pop("edge_rules", []),
+                             "tuple[str, ...]")
+    names = [f.name for f in dataclasses.fields(SimDesign)]
+    _reject_unknown(raw, names, "design fields")
     try:
-        design = SimDesign(**values)
+        design = SimDesign(**_json_fields(raw, SimDesign, names, "design field "))
     except ValidationError as err:
         raise ManifestError(f"design file: {err}") from err
     experiment_rules(design, methods, edge_rules)

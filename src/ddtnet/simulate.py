@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .baselines import binomial_corrected, check_t10_settings, degree_ttest
 from .core import (
     ConnectivityCohort,
     DdtError,
+    DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
     node_sums,
@@ -30,7 +31,7 @@ from .core import (
 )
 # perfbench/spans.py wraps node_tests, generate_null, observed_moments,
 # addt_threshold and eddt_threshold here, so they stay bound in this module
-from .degree_test import degree_tests, node_tests  # noqa: F401
+from .degree_test import check_run_settings, degree_tests, node_tests  # noqa: F401
 from .edgetests import EdgeTestConfig, edgewise_pvalues
 from .hqs import generate_null, observed_moments  # noqa: F401
 from .thresholds import (  # noqa: F401
@@ -81,6 +82,10 @@ class SimDesign:
     between_density: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.structure not in STRUCTURES:
             raise ValidationError(
                 f"unknown structure {self.structure!r}; expected one of "
@@ -100,13 +105,7 @@ class SimDesign:
                 raise ValidationError(f"{name} must be positive")
         if self.replicates < 1:
             raise ValidationError("need at least one replicate")
-        if self.null_networks < 1:
-            raise ValidationError(
-                f"null_networks must be >= 1, got {self.null_networks}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_run_settings(self.seed, self.alpha, self.null_networks)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
 
@@ -349,6 +348,8 @@ class ExperimentResult:
 
 
 def _edge_rule(name: str, design: SimDesign) -> ThresholdRule:
+    if name in ("addt", "eddt"):
+        return ThresholdRule(kind=name, level=design.level)
     if name in ("bonferroni", "fdr"):
         return ThresholdRule(kind=name, level=design.alpha)
     if name.startswith("hard_"):
@@ -362,7 +363,8 @@ def _edge_rule(name: str, design: SimDesign) -> ThresholdRule:
 def experiment_rules(design: SimDesign, methods: tuple[str, ...],
                      edge_rules: tuple[str, ...]) -> dict[str, ThresholdRule]:
     """Check the requested node methods and edge rules against the design,
-    and return the aDDT/eDDT rules they need, in output order.
+    and return the threshold rule of each: the aDDT/eDDT rules the methods
+    and edge rules need, then the fixed edge rules, in output order.
 
     Unknown or repeated names, a bad hard level and bad t10 settings raise
     ValidationError, so a bad request fails before any replicate runs.
@@ -374,15 +376,12 @@ def experiment_rules(design: SimDesign, methods: tuple[str, ...],
         if m not in NODE_METHODS:
             raise ValidationError(
                 f"unknown method {m!r}; expected one of {', '.join(NODE_METHODS)}")
-    for r in edge_rules:
-        if r not in ("addt", "eddt"):
-            _edge_rule(r, design)
     if "t10" in methods:
         check_t10_settings(design.density, design.ranking)
-    rules = {"addt": ThresholdRule("addt", design.level),
-             "eddt": ThresholdRule("eddt", design.level)}
-    return {name: rule for name, rule in rules.items()
-            if name in methods or name in edge_rules}
+    ddt = [name for name in ("addt", "eddt")
+           if name in methods or name in edge_rules]
+    fixed = [name for name in edge_rules if name not in ddt]
+    return {name: _edge_rule(name, design) for name in ddt + fixed}
 
 
 def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
@@ -390,7 +389,7 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
                   edge_rules: tuple[str, ...],
                   rules: dict[str, ThresholdRule]) -> ReplicateOutcome:
     """Simulate one cohort and evaluate every requested method on it;
-    rules are the aDDT/eDDT rules the methods need, in output order."""
+    rules are experiment_rules' threshold rules."""
     rep_rng = substream(design.seed, 1, rep)
     sim = simulate_cohort(design, base,
                           replicate_seed=int(rep_rng.integers(2 ** 63)))
@@ -406,18 +405,22 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
     edge_detections: dict[str, np.ndarray] = {}
     errors: dict[str, str] = {}
 
-    if rules:
+    ddt_rules = {name: rule for name, rule in rules.items()
+                 if rule.kind in ("addt", "eddt")}
+    dn = None
+    if ddt_rules:
         try:
-            results = degree_tests(pmat, rules, design.null_networks,
+            results = degree_tests(pmat, ddt_rules, design.null_networks,
                                    design.alpha,
                                    seed=int(rep_rng.integers(2 ** 63)))
         except DdtError as err:
             # the stage's own message, without the PipelineError label
-            errors.update((name, str(err.__cause__ or err)) for name in rules)
+            errors.update((name, str(err.__cause__ or err)) for name in ddt_rules)
         else:
             for name, result in results.items():
                 edge_detections[name] = result.adjacency.selected
                 node_decisions[name] = result.nodes.significant
+                dn = result.difference
 
     for name, correction in (("binb", "bonferroni"), ("binf", "fdr")):
         if name in node_methods:
@@ -426,10 +429,11 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
     if "t10" in node_methods:
         node_decisions["t10"] = degree_ttest(
             cohort, design.density, design.alpha, design.ranking).significant
-    for name in edge_rules:
-        if name not in rules:
-            edge_detections[name] = baseline_threshold(
-                pmat, _edge_rule(name, design)).selected
+    fixed = {name: rule for name, rule in rules.items() if name not in ddt_rules}
+    if fixed and dn is None:    # degree_tests built none, or raised
+        dn = DifferenceNetwork.from_pvalues(pmat)
+    for name, rule in fixed.items():
+        edge_detections[name] = baseline_threshold(pmat, rule, dn).selected
 
     node_counts = {
         name: score(dec, truth_nodes, exclude=exclude)

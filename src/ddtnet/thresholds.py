@@ -99,15 +99,18 @@ def benjamini_hochberg(pvalues: np.ndarray, alpha: float) -> np.ndarray:
     return bh_adjust(pvalues) <= alpha
 
 
-def baseline_threshold(pmat: PValueMatrix, rule: ThresholdRule) -> AdjacencyMatrix:
+def baseline_threshold(pmat: PValueMatrix, rule: ThresholdRule,
+                       dn: DifferenceNetwork | None = None) -> AdjacencyMatrix:
     """Edges kept by a non-adaptive rule, as ddt_run selects them: hard keeps
     1 - p > level, bonferroni p < alpha / E, fdr the BH step-up at alpha.
-    The rule's select_gamma cut is applied to the difference network, so a
-    p-value that d = 1 - p cannot tell from the cut falls with it: one
-    beyond the P_MIN clamp, one whose 1 - p rounds onto 1 - cut, or (hard
-    level below 0.5) one whose logit(d) rounds onto logit(level)."""
-    return apply_threshold(DifferenceNetwork.from_pvalues(pmat),
-                           select_gamma(rule, pmat=pmat))
+    The rule's select_gamma cut is applied to the difference network (dn,
+    if built from pmat already), so a p-value that d = 1 - p cannot tell
+    from the cut falls with it: one beyond the P_MIN clamp, one whose 1 - p
+    rounds onto 1 - cut, or (hard level below 0.5) one whose logit(d)
+    rounds onto logit(level)."""
+    if dn is None:
+        dn = DifferenceNetwork.from_pvalues(pmat)
+    return apply_threshold(dn, select_gamma(rule, pmat=pmat))
 
 
 def select_gamma(rule: ThresholdRule,

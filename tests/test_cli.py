@@ -527,7 +527,9 @@ def test_null_bad_moments_is_one_json_line(tmp_path, capfd, case):
                                    {"alpha": 2.0}, {"alpha": -1},
                                    {"alpha": float("nan")}, {"seed": -1},
                                    {"seed": -1, "test": "permutation"},
-                                   {"test_config": {"seed": -1}}])
+                                   {"test_config": {"seed": -1}},
+                                   {"test": "ttest"},
+                                   {"threshold": {"kind": "addt", "level": 1.5}}])
 def test_run_rejects_settings_before_reading_the_cohort(tmp_path, capfd, field):
     # the subject files do not exist: only a check made before load_cohort
     # can report the setting instead of the missing file
@@ -592,6 +594,14 @@ BAD_MANIFEST_VALUES = {
     "labels-number": ({"labels": 5}, "labels must be a file name"),
     "covariates-list": ({"covariates": ["cov.csv"]},
                         "covariates must be a file name"),
+    # a misspelled key fails instead of leaving its setting at the default
+    "unknown-key": ({"nul_networks": 5}, "nul_networks"),
+    "unknown-threshold-key": ({"threshold": {"kind": "addt", "lvel": 0.9}},
+                              "lvel"),
+    "unknown-test-config-key": ({"test_config": {"tset": "wilcoxon"}},
+                                "tset"),
+    "unknown-cohort-key": ({"cohort": {"group1": [], "group2": [],
+                                       "label": "names.txt"}}, "label"),
 }
 
 

@@ -13,7 +13,7 @@ from ddtnet.io import (
     load_cohort,
     load_design,
     load_partition,
-    parse_threshold_rule,
+    load_run_manifest,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -204,22 +204,52 @@ def test_load_design_rejects_values_of_the_wrong_type(tmp_path, field):
 
 
 def test_load_design_checks_every_field_type():
-    # a SimDesign field whose annotation load_design cannot check would
-    # crash the load instead of rejecting a bad value
+    # a config field whose annotation the loaders cannot check would crash
+    # the load instead of rejecting a bad value
     from dataclasses import fields
 
-    from ddtnet.io import _DESIGN_TYPES
+    from ddtnet.edgetests import EdgeTestConfig
+    from ddtnet.io import _JSON_TYPES, RunManifest
     from ddtnet.simulate import SimDesign
-    assert {f.type for f in fields(SimDesign)} <= set(_DESIGN_TYPES)
+    for cls in (SimDesign, ThresholdRule, EdgeTestConfig):
+        assert {f.type for f in fields(cls)} <= set(_JSON_TYPES), cls
+    # a RunManifest field read from the manifest's top level has a checked
+    # annotation; the others are built from their own blocks or the path
+    unchecked = {f.name for f in fields(RunManifest)
+                 if f.type not in _JSON_TYPES}
+    assert unchecked == {"threshold", "test_config", "base_dir"}
 
 
-def test_parse_threshold_rule_reads_kind_and_level_only():
-    rule = parse_threshold_rule({"kind": "addt", "level": 0.9,
-                                 "resolution": "many", "seed": "x"})
-    assert rule == ThresholdRule("addt", 0.9)
+def test_run_manifest_threshold_reads_kind_and_level_only(tmp_path):
+    def threshold(block):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 1, "threshold": block}))
+        return load_run_manifest(path).threshold
+
+    assert threshold({"kind": "addt", "level": 0.9, "resolution": "many",
+                      "seed": "x"}) == ThresholdRule("addt", 0.9)
     for block in ({"level": "high"}, {"level": None}, {"level": [0.9]}, 0.95):
         with pytest.raises(ManifestError, match="level|threshold"):
-            parse_threshold_rule(block)
+            threshold(block)
+
+
+def test_run_manifest_applies_the_command_line_overrides(tmp_path):
+    from ddtnet.edgetests import EdgeTestConfig
+    path = tmp_path / "run.json"
+    groups = {"group1": ["a.csv"], "group2": ["b.csv"]}
+    path.write_text(json.dumps({"seed": 4, "baselines": ["t10"],
+                                "test": "wilcoxon", **groups}))
+    run = load_run_manifest(path)
+    assert run.seed == 4 and run.baselines == ("t10",)
+    assert run.test_config == EdgeTestConfig("wilcoxon", seed=4)
+    assert run.cohort == groups and run.base_dir == tmp_path
+    # --seed also seeds the edge test; --baselines is a comma list
+    run = load_run_manifest(path, seed=9, baselines="binb, binf,")
+    assert run.seed == 9 and run.test_config == EdgeTestConfig("wilcoxon", seed=9)
+    assert run.baselines == ("binb", "binf")
+    # a cohort block reads as the same cohort
+    path.write_text(json.dumps({"seed": 4, "cohort": groups}))
+    assert load_run_manifest(path).cohort == groups
 
 
 def test_load_json_needs_an_object(tmp_path):

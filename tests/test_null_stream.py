@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddtnet import hqs
 from ddtnet.core import (
@@ -30,7 +31,8 @@ from ddtnet.hqs import (
     mixture_cdf,
     null_exceedances,
 )
-from ddtnet.simulate import SimDesign, base_network_for, run_replicate
+from ddtnet.simulate import (SimDesign, base_network_for, experiment_rules,
+                             run_replicate)
 from ddtnet.thresholds import ThresholdRule
 
 MOMENTS = MomentSummary.from_moments(1.0, 0.5, m=2)
@@ -245,6 +247,37 @@ def test_second_order_statistic_at_the_last_index(monkeypatch, z):
     _assert_matches_mask(null, entries, 3)
 
 
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_order_quantile_equals_np_quantile(data):
+    # ties (values on a coarse grid), a single entry, levels near 0 and 1,
+    # and pooled values of which only a middle run is held
+    total = data.draw(st.integers(1, 80), label="total")
+    grid = data.draw(st.sampled_from([0.0, 0.5, 1e-3]), label="grid")
+    pooled = np.array(data.draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=total,
+        max_size=total), label="pooled"))
+    if grid:
+        pooled = np.round(pooled / grid) * grid
+    level = data.draw(st.sampled_from([5e-324, 1e-12, 1e-3, 0.5, 0.95,
+                                       1 - 1e-3, 1 - 1e-12, 1 - 2 ** -53])
+                      | st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True), label="level")
+    below = data.draw(st.integers(0, total), label="below")
+    above = data.draw(st.integers(0, total - below), label="above")
+    held = np.sort(pooled)[below:total - above]
+    held = held[np.random.default_rng(total).permutation(len(held))]
+    expected = float(np.quantile(pooled, level))
+    got = hqs._order_quantile(held, level, total, below)
+    k = math.floor((total - 1) * level)
+    if below <= k and min(k + 1, total - 1) < total - above:
+        assert got == expected
+    else:
+        assert got is None
+    if below == above == 0:
+        assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # the explicit-entry eDDT tests of test_thresholds.py, on the streamed pass
 
@@ -363,9 +396,10 @@ def test_fixed_thresholds_generate_no_null_network(monkeypatch):
 
     design = SimDesign(q=6, targets=(1,), n_nodes=16, n1=10, n2=10, seed=4,
                        null_networks=1000)
-    out = run_replicate(design, base_network_for(design), 0,
-                        ("addt", "binb"), ("addt", "fdr"),
-                        {"addt": ThresholdRule("addt", design.level)})
+    methods, edge_rules = ("addt", "binb"), ("addt", "fdr")
+    out = run_replicate(design, base_network_for(design), 0, methods,
+                        edge_rules,
+                        experiment_rules(design, methods, edge_rules))
     assert not out.errors
     assert set(out.node_counts) == {"addt", "binb"}
     assert set(out.edge_counts) == {"addt", "fdr"}
