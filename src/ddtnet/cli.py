@@ -10,6 +10,7 @@ entropy, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -151,19 +152,15 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
     threads = _threads(args)
-    design, methods, edge_rules = load_design(args.design)
+    design = load_design(args.design)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(design, methods=methods, edge_rules=edge_rules,
-                            threads=threads)
+    result = run_experiment(design, threads=threads)
     write_metrics_csv(out_dir / "metrics.csv", result)
     write_replicates_csv(out_dir / "replicates.csv.gz", result)
-    echo = {k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in design.__dict__.items()}
-    echo["methods"] = list(methods)
-    echo["edge_rules"] = list(edge_rules)
-    echo["elapsed_seconds"] = round(time.perf_counter() - t_start, 3)
-    write_json(out_dir / "design.json", echo)
+    write_json(out_dir / "design.json", {
+        **dataclasses.asdict(design),
+        "elapsed_seconds": round(time.perf_counter() - t_start, 3)})
     if not args.quiet:
         for row in result.metrics:
             print(f"{row.method:12s} {row.scope:4s} TPR={row.tpr:.3f} "

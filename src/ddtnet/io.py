@@ -31,7 +31,7 @@ from .degree_test import DdtResult, check_run_settings
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
 from .hqs import MomentSummary, NullEnsemble, NullStream
-from .simulate import NODE_METHODS, ExperimentResult, SimDesign, experiment_rules
+from .simulate import ExperimentResult, SimDesign, experiment_rules
 from .thresholds import ThresholdRule
 
 
@@ -110,11 +110,13 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
 
     Expected keys: group1 and group2 (lists of matrix CSV paths), optional
     covariates (CSV, one row per subject ordered group1 then group2) and
-    labels (one node label per line). Relative paths resolve against the
-    manifest's directory. Each file fills one row of its group's array, in
-    manifest order; the cohort is validated here, before any output exists.
+    labels (one node label per line); any other key is a ManifestError.
+    Relative paths resolve against the manifest's directory. Each file
+    fills one row of its group's array, in manifest order; the cohort is
+    validated here, before any output exists.
     """
     _json_value("cohort", manifest, "dict")
+    _reject_unknown(manifest, _COHORT_KEYS, "cohort keys")
     for key in ("group1", "group2"):
         if key not in manifest:
             raise ManifestError(f"cohort manifest needs a {key!r} file list")
@@ -259,10 +261,11 @@ def load_run_manifest(path, seed: int | None = None,
     """Run manifest file -> RunManifest, with --seed and the --baselines
     comma list, when given, in place of the manifest's.
 
-    An unknown key, or a value without the annotated type of its config
-    field, is a ManifestError; a value out of range is a ValidationError
-    (RunManifest, ThresholdRule and EdgeTestConfig check their own). Either
-    comes before any subject file is read.
+    An unknown key, a setting given both at the top level and in its block
+    (test_config or cohort), or a value without the annotated type of its
+    config field, is a ManifestError; a value out of range is a
+    ValidationError (RunManifest, ThresholdRule and EdgeTestConfig check
+    their own). Either comes before any subject file is read.
     """
     path = Path(path)
     raw = load_json(path)
@@ -271,6 +274,11 @@ def load_run_manifest(path, seed: int | None = None,
     _reject_unknown(raw, {*flat, *_TEST_KEYS, *_COHORT_KEYS, "threshold",
                           "test_config"}, "run manifest keys")
     values = _json_fields(raw, RunManifest, flat)
+    for block, keys in (("test_config", _TEST_KEYS), ("cohort", _COHORT_KEYS)):
+        twice = [key for key in keys if key in raw]
+        if block in raw and twice:
+            raise ManifestError(f"{', '.join(twice)} given both at the top "
+                                f"level and in the {block} block")
     if seed is not None:
         values["seed"] = seed
     if "seed" not in values:
@@ -279,9 +287,7 @@ def load_run_manifest(path, seed: int | None = None,
     if baselines:
         values["baselines"] = tuple(b.strip() for b in baselines.split(",")
                                     if b.strip())
-    if "cohort" in values:
-        _reject_unknown(values["cohort"], _COHORT_KEYS, "cohort keys")
-    else:
+    if "cohort" not in values:
         values["cohort"] = {k: raw[k] for k in _COHORT_KEYS if k in raw}
     # the run's own checks come first, so a bad seed is reported as the
     # run's, not as that of the edge test that inherits it
@@ -310,29 +316,25 @@ def load_moments(path) -> MomentSummary:
         **_json_fields(raw, MomentSummary, ("ebar", "vbar", "m")))
 
 
-def load_design(path) -> tuple[SimDesign, tuple[str, ...], tuple[str, ...]]:
-    """Design file -> (SimDesign, node methods, edge rules).
+def load_design(path) -> SimDesign:
+    """Design file -> SimDesign, its methods and edge rules included.
 
-    Every SimDesign value must have its field's annotated type (an int is
-    also a float), and methods and edge_rules must be lists of strings;
-    anything else, and a value SimDesign rejects, is a ManifestError.
+    Every value must have its SimDesign field's annotated type (an int is
+    also a float; methods and edge_rules are lists of strings); anything
+    else, an unknown key, and a value SimDesign rejects, is a ManifestError.
     experiment_rules then checks the methods and edge rules
     (ValidationError), so a bad design fails before any output exists.
     """
     raw = load_json(path)
     raw.pop("resolution", None)    # the former Monte Carlo aDDT sample count
-    methods = _json_value("methods", raw.pop("methods", list(NODE_METHODS)),
-                          "tuple[str, ...]")
-    edge_rules = _json_value("edge_rules", raw.pop("edge_rules", []),
-                             "tuple[str, ...]")
     names = [f.name for f in dataclasses.fields(SimDesign)]
     _reject_unknown(raw, names, "design fields")
     try:
         design = SimDesign(**_json_fields(raw, SimDesign, names, "design field "))
     except ValidationError as err:
         raise ManifestError(f"design file: {err}") from err
-    experiment_rules(design, methods, edge_rules)
-    return design, methods, edge_rules
+    experiment_rules(design)
+    return design
 
 
 def load_partition(path) -> ModulePartition:

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -43,16 +44,19 @@ from .thresholds import (  # noqa: F401
 
 STRUCTURES = ("random", "smallworld", "hybrid")
 NODE_METHODS = ("addt", "eddt", "binb", "binf", "t10")
-EDGE_RULES = ("addt", "eddt", "hard_0.95", "hard_0.99", "bonferroni", "fdr")
 
 
 @dataclass(frozen=True)
 class SimDesign:
-    """One benchmark configuration.
+    """One benchmark configuration: the cohorts, the base network's
+    structure, and the node methods and edge rules scored on them.
 
     targets are 1-based node indices (the differentially connected nodes);
     q is the number of injected edges per target. null_networks is the eDDT
-    null ensemble size per replicate.
+    null ensemble size per replicate. methods are NODE_METHODS names and
+    edge_rules are threshold rules (addt, eddt, hard_<level>, bonferroni,
+    fdr) scored at edge level; experiment_rules checks both names. The
+    other fields are range-checked here.
     """
 
     structure: str = "random"
@@ -80,6 +84,8 @@ class SimDesign:
     sw_signed: bool = False
     n_modules: int = 4
     between_density: float = 0.1
+    methods: tuple[str, ...] = NODE_METHODS
+    edge_rules: tuple[str, ...] = ()
 
     def __post_init__(self):
         for f in fields(self):
@@ -90,8 +96,16 @@ class SimDesign:
             raise ValidationError(
                 f"unknown structure {self.structure!r}; expected one of "
                 f"{', '.join(STRUCTURES)}")
-        if self.n_nodes < 4:
-            raise ValidationError("need at least 4 nodes")
+        for name, low in (("n_nodes", 4), ("n1", 2), ("n2", 2),
+                          ("replicates", 1), ("sw_neighbors", 1),
+                          ("n_modules", 1), ("sw_weight_sd", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("sw_rewire", "between_density"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValidationError(
+                    f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not 1 <= self.q <= self.n_nodes - 1:
             raise ValidationError(f"q must be in [1, n_nodes-1], got {self.q}")
         bad = [t for t in self.targets if not 1 <= t <= self.n_nodes]
@@ -103,10 +117,10 @@ class SimDesign:
         for name in ("subject_noise_sd", "base_edge_sd"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.replicates < 1:
-            raise ValidationError("need at least one replicate")
         check_run_settings(self.seed, self.alpha, self.null_networks)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "edge_rules", tuple(self.edge_rules))
 
 
 @dataclass(frozen=True)
@@ -148,61 +162,45 @@ def _watts_strogatz_edges(n: int, k: int, rewire: float,
     return edges
 
 
-def base_network(structure: str, n_nodes: int, base_edge_sd: float,
-                 seed: int, *, sw_neighbors: int = 4, sw_rewire: float = 0.1,
-                 sw_weight_mean: float = 0.2, sw_weight_sd: float = 0.04,
-                 sw_signed: bool = False, n_modules: int = 4,
-                 between_density: float = 0.1) -> SymmetricMatrix:
-    """Base correlation-like network with unit diagonal.
+def base_network(design: SimDesign) -> SymmetricMatrix:
+    """The design's base correlation-like network, unit diagonal, drawn from
+    its seed.
 
-    random: dense iid N(0, base_edge_sd^2) weights. smallworld: Watts-
-    Strogatz lattice (k neighbors, given rewiring probability) whose edges
-    carry N(sw_weight_mean, sw_weight_sd^2) weights, unsigned by default.
-    hybrid: small-world blocks joined by sparse random between-block edges.
+    random: dense iid N(0, base_edge_sd^2) weights. smallworld: a Watts-
+    Strogatz lattice (sw_neighbors neighbors, each edge rewired with
+    probability sw_rewire) whose edges carry N(sw_weight_mean,
+    sw_weight_sd^2) weights, unsigned unless sw_signed. hybrid: n_modules
+    small-world blocks joined by between-block edges, each present with
+    probability between_density and weighted N(0, base_edge_sd^2).
     Off-diagonal entries are clamped to [-0.9, 0.9].
     """
-    if structure not in STRUCTURES:
-        raise ValidationError(f"unknown structure {structure!r}")
-    rng = np.random.default_rng(seed)
-    dense = np.zeros((n_nodes, n_nodes))
-    if structure == "random":
-        iu, ju = triu_index_pairs(n_nodes)
-        dense[iu, ju] = rng.normal(0.0, base_edge_sd, size=len(iu))
-    elif structure == "smallworld":
-        for i, j in sorted(_watts_strogatz_edges(n_nodes, sw_neighbors,
-                                                 sw_rewire, rng)):
-            w = rng.normal(sw_weight_mean, sw_weight_sd)
-            dense[i, j] = w if sw_signed else abs(w)
+    n = design.n_nodes
+    rng = np.random.default_rng(design.seed)
+    iu, ju = triu_index_pairs(n)
+    dense = np.zeros((n, n))
+    if design.structure == "random":
+        dense[iu, ju] = rng.normal(0.0, design.base_edge_sd, size=len(iu))
     else:
-        bounds = np.linspace(0, n_nodes, n_modules + 1).astype(int)
-        for b in range(n_modules):
-            lo, hi = bounds[b], bounds[b + 1]
-            size = hi - lo
-            if size < 2:
+        # smallworld is hybrid with one block: no pair crosses blocks, so
+        # the between-block draws add no edge
+        blocks = design.n_modules if design.structure == "hybrid" else 1
+        bounds = np.linspace(0, n, blocks + 1).astype(int)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo < 2:
                 continue
-            for i, j in sorted(_watts_strogatz_edges(size, sw_neighbors,
-                                                     sw_rewire, rng)):
-                w = rng.normal(sw_weight_mean, sw_weight_sd)
-                dense[lo + i, lo + j] = w if sw_signed else abs(w)
-        iu, ju = triu_index_pairs(n_nodes)
-        module_of = np.searchsorted(bounds, np.arange(n_nodes), side="right")
+            for i, j in sorted(_watts_strogatz_edges(
+                    hi - lo, design.sw_neighbors, design.sw_rewire, rng)):
+                w = rng.normal(design.sw_weight_mean, design.sw_weight_sd)
+                dense[lo + i, lo + j] = w if design.sw_signed else abs(w)
+        module_of = np.searchsorted(bounds, np.arange(n), side="right")
         cross = module_of[iu] != module_of[ju]
-        present = cross & (rng.random(len(iu)) < between_density)
+        present = cross & (rng.random(len(iu)) < design.between_density)
         dense[iu[present], ju[present]] = rng.normal(
-            0.0, base_edge_sd, size=int(present.sum()))
+            0.0, design.base_edge_sd, size=int(present.sum()))
     dense = dense + dense.T
     dense = np.clip(dense, -0.9, 0.9)
     np.fill_diagonal(dense, 1.0)
     return SymmetricMatrix.from_dense(dense)
-
-
-def base_network_for(design: SimDesign) -> SymmetricMatrix:
-    return base_network(
-        design.structure, design.n_nodes, design.base_edge_sd, design.seed,
-        sw_neighbors=design.sw_neighbors, sw_rewire=design.sw_rewire,
-        sw_weight_mean=design.sw_weight_mean, sw_weight_sd=design.sw_weight_sd,
-        sw_signed=design.sw_signed, n_modules=design.n_modules,
-        between_density=design.between_density)
 
 
 def simulate_cohort(design: SimDesign, base: SymmetricMatrix,
@@ -360,15 +358,15 @@ def _edge_rule(name: str, design: SimDesign) -> ThresholdRule:
     raise ValidationError(f"unknown edge rule {name!r}")
 
 
-def experiment_rules(design: SimDesign, methods: tuple[str, ...],
-                     edge_rules: tuple[str, ...]) -> dict[str, ThresholdRule]:
-    """Check the requested node methods and edge rules against the design,
-    and return the threshold rule of each: the aDDT/eDDT rules the methods
-    and edge rules need, then the fixed edge rules, in output order.
+def experiment_rules(design: SimDesign) -> dict[str, ThresholdRule]:
+    """Check the design's node methods and edge rules against the rest of
+    it, and return the threshold rule of each: the aDDT/eDDT rules the
+    methods and edge rules need, then the fixed edge rules, in output order.
 
     Unknown or repeated names, a bad hard level and bad t10 settings raise
     ValidationError, so a bad request fails before any replicate runs.
     """
+    methods, edge_rules = design.methods, design.edge_rules
     for kind, names in (("method", methods), ("edge rule", edge_rules)):
         if len(set(names)) != len(names):
             raise ValidationError(f"repeated {kind} in {list(names)}")
@@ -385,11 +383,10 @@ def experiment_rules(design: SimDesign, methods: tuple[str, ...],
 
 
 def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
-                  node_methods: tuple[str, ...],
-                  edge_rules: tuple[str, ...],
                   rules: dict[str, ThresholdRule]) -> ReplicateOutcome:
-    """Simulate one cohort and evaluate every requested method on it;
-    rules are experiment_rules' threshold rules."""
+    """Simulate replicate rep's cohort on base (base_network(design)) and
+    score the design's methods and edge rules on it; rules are
+    experiment_rules(design)."""
     rep_rng = substream(design.seed, 1, rep)
     sim = simulate_cohort(design, base,
                           replicate_seed=int(rep_rng.integers(2 ** 63)))
@@ -423,10 +420,10 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
                 dn = result.difference
 
     for name, correction in (("binb", "bonferroni"), ("binf", "fdr")):
-        if name in node_methods:
+        if name in design.methods:
             node_decisions[name] = binomial_corrected(
                 pmat, correction, design.alpha).significant
-    if "t10" in node_methods:
+    if "t10" in design.methods:
         node_decisions["t10"] = degree_ttest(
             cohort, design.density, design.alpha, design.ranking).significant
     fixed = {name: rule for name, rule in rules.items() if name not in ddt_rules}
@@ -437,44 +434,39 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
 
     node_counts = {
         name: score(dec, truth_nodes, exclude=exclude)
-        for name, dec in node_decisions.items() if name in node_methods
+        for name, dec in node_decisions.items() if name in design.methods
     }
     edge_counts = {
         name: score(det, sim.dwe_edges)
-        for name, det in edge_detections.items() if name in edge_rules
+        for name, det in edge_detections.items() if name in design.edge_rules
     }
     return ReplicateOutcome(replicate=rep, node_counts=node_counts,
                             edge_counts=edge_counts, errors=errors)
 
 
-def _jackknife_mcc(counts: list[ConfusionCounts]) -> float:
-    total = ConfusionCounts()
-    for c in counts:
-        total = total + c
+def _jackknife_mcc(counts: list[ConfusionCounts],
+                   total: ConfusionCounts) -> float:
+    """Jackknife standard error of the pooled MCC; total is counts' sum."""
     r = len(counts)
     if r < 2:
         return 0.0
-    vals = []
-    for c in counts:
-        rest = ConfusionCounts(total.tp - c.tp, total.tn - c.tn,
-                               total.fp - c.fp, total.fn - c.fn)
-        vals.append(rest.mcc)
-    vals = np.array(vals)
+    vals = np.array([
+        ConfusionCounts(total.tp - c.tp, total.tn - c.tn,
+                        total.fp - c.fp, total.fn - c.fn).mcc
+        for c in counts])
     return float(np.sqrt((r - 1) / r * ((vals - vals.mean()) ** 2).sum()))
 
 
 def _aggregate(method: str, scope: str, counts: list[ConfusionCounts],
                n_errors: int) -> MetricRow:
-    total = ConfusionCounts()
-    for c in counts:
-        total = total + c
+    total = sum(counts, ConfusionCounts())
     tprs = np.array([c.tpr for c in counts if (c.tp + c.fn) > 0])
     fprs = np.array([c.fpr for c in counts if (c.fp + c.tn) > 0])
     def se(x):
         return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
     return MetricRow(method=method, scope=scope, tpr=total.tpr, fpr=total.fpr,
                      mcc=total.mcc, tpr_se=se(tprs), fpr_se=se(fprs),
-                     mcc_se=_jackknife_mcc(counts),
+                     mcc_se=_jackknife_mcc(counts, total),
                      replicates_used=len(counts), errors=n_errors, counts=total)
 
 
@@ -486,11 +478,9 @@ def pool_size(threads: int, replicates: int) -> int:
     return max(1, min(threads, replicates, os.cpu_count() or 1))
 
 
-def run_experiment(design: SimDesign,
-                   methods: tuple[str, ...] = NODE_METHODS,
-                   edge_rules: tuple[str, ...] = (),
-                   threads: int = 1) -> ExperimentResult:
-    """Run the full benchmark: replicate loop, method execution, scoring.
+def run_experiment(design: SimDesign, threads: int = 1) -> ExperimentResult:
+    """Run the full benchmark: replicate loop, method execution, scoring of
+    the design's methods (node level) and edge rules (edge level).
 
     Per-replicate method failures (e.g. a nonpositive logit-scale mean under
     weak signal) are recorded and the affected method simply contributes no
@@ -500,30 +490,26 @@ def run_experiment(design: SimDesign,
     pool_size(threads, replicates) processes; the results are the same for
     any count.
     """
-    rules = experiment_rules(design, methods, edge_rules)
+    rules = experiment_rules(design)
     workers = pool_size(threads, design.replicates)
-    base = base_network_for(design)
+    base = base_network(design)
     reps = range(design.replicates)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(
-                run_replicate, [design] * design.replicates,
-                [base] * design.replicates, reps,
-                [tuple(methods)] * design.replicates,
-                [tuple(edge_rules)] * design.replicates,
-                [rules] * design.replicates,
+                run_replicate, repeat(design), repeat(base), reps,
+                repeat(rules),
                 chunksize=max(1, design.replicates // (8 * workers))))
     else:
-        outcomes = [run_replicate(design, base, rep, tuple(methods),
-                                  tuple(edge_rules), rules) for rep in reps]
+        outcomes = [run_replicate(design, base, rep, rules) for rep in reps]
 
     rows = []
-    for method in methods:
+    for method in design.methods:
         counts = [o.node_counts[method] for o in outcomes
                   if method in o.node_counts]
         n_err = sum(1 for o in outcomes if method in o.errors)
         rows.append(_aggregate(method, "node", counts, n_err))
-    for rule in edge_rules:
+    for rule in design.edge_rules:
         counts = [o.edge_counts[rule] for o in outcomes if rule in o.edge_counts]
         n_err = sum(1 for o in outcomes if rule in o.errors)
         rows.append(_aggregate(rule, "edge", counts, n_err))

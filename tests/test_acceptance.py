@@ -35,10 +35,11 @@ def _report(label: str, checks: list[tuple[str, bool]]):
 # shared experiments
 
 
-def _benchmark_design(q: int, targets=(1,), seed=20260801) -> SimDesign:
+def _benchmark_design(q: int, targets=(1,), seed=20260801,
+                      **rules) -> SimDesign:
     return SimDesign(structure="random", n_nodes=35, n1=20, n2=20, q=q,
                      targets=targets, replicates=500, seed=seed,
-                     null_networks=100)
+                     null_networks=100, **rules)
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +54,9 @@ def benchmark_q4():
 
 @pytest.fixture(scope="module")
 def three_targets_q7():
-    design = _benchmark_design(q=7, targets=(1, 2, 3), seed=20260803)
-    return run_experiment(
-        design, edge_rules=("addt", "eddt", "bonferroni", "fdr"),
-        threads=THREADS)
+    design = _benchmark_design(q=7, targets=(1, 2, 3), seed=20260803,
+                               edge_rules=("addt", "eddt", "bonferroni", "fdr"))
+    return run_experiment(design, threads=THREADS)
 
 
 @pytest.fixture(scope="module")
@@ -169,12 +169,10 @@ def test_criterion_07_edge_mcc_ordering(three_targets_q7):
     checks = []
     for q, result in ((2, None), (3, None), (7, three_targets_q7)):
         if result is None:
-            design = _benchmark_design(q=q, targets=(1, 2, 3),
-                                    seed=20260810 + q)
-            result = run_experiment(
-                design, methods=(),
-                edge_rules=("addt", "eddt", "bonferroni", "fdr"),
-                threads=THREADS)
+            design = _benchmark_design(
+                q=q, targets=(1, 2, 3), seed=20260810 + q, methods=(),
+                edge_rules=("addt", "eddt", "bonferroni", "fdr"))
+            result = run_experiment(design, threads=THREADS)
         mcc = {r_: result.metric(r_, scope="edge").mcc
                for r_ in ("addt", "eddt", "bonferroni", "fdr")}
         for adaptive in ("addt", "eddt"):

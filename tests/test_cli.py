@@ -41,6 +41,8 @@ def _manifest(tmp_path, **extra):
         "null_networks": 60,
         "threshold": {"kind": "addt", "level": 0.95, "resolution": 50_000},
     }
+    if "cohort" in extra:    # a cohort block replaces the top-level groups
+        del manifest["group1"], manifest["group2"]
     manifest.update(extra)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(manifest))
@@ -600,8 +602,16 @@ BAD_MANIFEST_VALUES = {
                               "lvel"),
     "unknown-test-config-key": ({"test_config": {"tset": "wilcoxon"}},
                                 "tset"),
-    "unknown-cohort-key": ({"cohort": {"group1": [], "group2": [],
-                                       "label": "names.txt"}}, "label"),
+    "unknown-cohort-key": ({"cohort": {
+        "group1": [f"group1_{s}.csv" for s in range(3)],
+        "group2": [f"group2_{s}.csv" for s in range(3)],
+        "label": "names.txt"}}, "label"),
+    # each setting has one spelling: at the top level or in its block
+    "test-given-twice": ({"test": "welch_t",
+                          "test_config": {"test": "wilcoxon"}}, "test"),
+    "labels-given-twice": ({"labels": "labels.txt", "cohort": {
+        "group1": [f"group1_{s}.csv" for s in range(3)],
+        "group2": [f"group2_{s}.csv" for s in range(3)]}}, "labels"),
 }
 
 
@@ -677,7 +687,12 @@ def test_simulate_non_numeric_design_value_is_one_json_line(tmp_path, capfd,
     assert not (tmp_path / "bench").exists()
 
 
-@pytest.mark.parametrize("field", [{"seed": -1}, {"alpha": 2.0}])
+@pytest.mark.parametrize("field", [
+    {"seed": -1}, {"alpha": 2.0}, {"n1": 1}, {"n2": 0},
+    {"sw_weight_sd": -0.1, "structure": "smallworld"},
+    {"sw_weight_sd": -0.1}, {"sw_rewire": 2.0}, {"sw_rewire": -0.5},
+    {"between_density": -1}, {"between_density": 1.5, "structure": "hybrid"},
+    {"n_modules": 0}, {"sw_neighbors": 0}])
 def test_simulate_out_of_range_design_value_is_one_json_line(tmp_path, capfd,
                                                              field):
     code = main(["--threads", "1", "simulate", "--design",

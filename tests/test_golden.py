@@ -1,7 +1,7 @@
 """Golden-output guard: SHA-256 digests of three small end-to-end runs.
 
 The digests pin the exact bytes of `ddt simulate` (every node method and
-edge rule) and of `ddt run` (welch_t on Fisher-Z values with the t10, binb
+edge rule; its design echo is pinned by value) and of `ddt run` (welch_t on Fisher-Z values with the t10, binb
 and binf baselines), once with the eDDT and once with the aDDT threshold.
 A refactor that claims byte-identical outputs must keep them. Any intended
 output change must update the pins here and say so, with the reason, in
@@ -21,6 +21,21 @@ SIMULATE_DIGESTS = {
         "0d26145ebe65d96d2c19d607f053d8f482a32fc978a9337e6164052a03d58373",
     "replicates.csv.gz":
         "87edde082415ab7667c8aa622ec94c2ff0749090a000a8d3ca28d0503731b564",
+}
+# the simulate run's design echo without its elapsed_seconds: every
+# SimDesign field, the methods and edge rules included
+SIMULATE_ECHO = {
+    "alpha": 0.05, "base_edge_sd": 0.2, "between_density": 0.1,
+    "density": 0.1, "dwe_mean": 0.1,
+    "edge_rules": ["addt", "eddt", "hard_0.95", "hard_0.99", "bonferroni",
+                   "fdr"],
+    "edge_test": "welch_t", "level": 0.95,
+    "methods": ["addt", "eddt", "binb", "binf", "t10"],
+    "n1": 6, "n2": 7, "n_modules": 4, "n_nodes": 12, "null_networks": 30,
+    "q": 3, "ranking": "signed", "replicates": 4, "seed": 23,
+    "structure": "random", "subject_noise_sd": 0.1414213562373095,
+    "sw_neighbors": 4, "sw_rewire": 0.1, "sw_signed": False,
+    "sw_weight_mean": 0.2, "sw_weight_sd": 0.04, "targets": [2, 5],
 }
 RUN_DIGESTS = {
     "nodes.csv":
@@ -55,6 +70,9 @@ def test_simulate_outputs_match_the_pinned_digests(tmp_path):
     assert main(["--quiet", "--threads", "1", "simulate",
                  "--design", str(design), "--out", str(tmp_path / "sim")]) == 0
     assert _digests(tmp_path / "sim", SIMULATE_DIGESTS) == SIMULATE_DIGESTS
+    echo = json.loads((tmp_path / "sim" / "design.json").read_text())
+    assert isinstance(echo.pop("elapsed_seconds"), float)
+    assert echo == SIMULATE_ECHO
 
 
 def _run(tmp_path, threshold):

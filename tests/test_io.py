@@ -17,6 +17,7 @@ from ddtnet.io import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from ddtnet.simulate import NODE_METHODS
 from ddtnet.thresholds import ThresholdRule
 
 
@@ -145,6 +146,14 @@ def test_load_cohort_missing_file_names_path(tmp_path):
         load_cohort(manifest, tmp_path)
 
 
+def test_load_cohort_rejects_an_unknown_key(tmp_path):
+    # the check is load_cohort's own, so library callers get it too; it
+    # comes before any subject file is read
+    manifest = {"group1": ["a.csv"], "group2": ["b.csv"], "group3": ["c.csv"]}
+    with pytest.raises(ManifestError, match="group3"):
+        load_cohort(manifest, tmp_path)
+
+
 def test_load_partition_variants(tmp_path):
     p = tmp_path / "modules.csv"
     p.write_text("0,1,Visual\n1,1\n2,2,Default\n3,2\n")
@@ -168,9 +177,14 @@ def test_load_design(tmp_path):
         "targets": [1], "replicates": 2, "seed": 7,
         "methods": ["addt", "t10"], "edge_rules": ["bonferroni"],
     }))
-    design, methods, edge_rules = load_design(path)
+    design = load_design(path)
     assert design.n_nodes == 16 and design.targets == (1,)
-    assert methods == ("addt", "t10") and edge_rules == ("bonferroni",)
+    assert design.methods == ("addt", "t10")
+    assert design.edge_rules == ("bonferroni",)
+    # the methods and edge rules default to every node method and none
+    path.write_text(json.dumps({"replicates": 2}))
+    assert load_design(path).methods == NODE_METHODS
+    assert load_design(path).edge_rules == ()
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"structure": "ring"}))
     with pytest.raises(ManifestError, match="random, smallworld, hybrid"):

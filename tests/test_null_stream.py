@@ -31,7 +31,7 @@ from ddtnet.hqs import (
     mixture_cdf,
     null_exceedances,
 )
-from ddtnet.simulate import (SimDesign, base_network_for, experiment_rules,
+from ddtnet.simulate import (SimDesign, base_network, experiment_rules,
                              run_replicate)
 from ddtnet.thresholds import ThresholdRule
 
@@ -395,11 +395,10 @@ def test_fixed_thresholds_generate_no_null_network(monkeypatch):
         degree_tests(pmat, {"eddt": ThresholdRule("eddt")}, 10, 0.05, seed=4)
 
     design = SimDesign(q=6, targets=(1,), n_nodes=16, n1=10, n2=10, seed=4,
-                       null_networks=1000)
-    methods, edge_rules = ("addt", "binb"), ("addt", "fdr")
-    out = run_replicate(design, base_network_for(design), 0, methods,
-                        edge_rules,
-                        experiment_rules(design, methods, edge_rules))
+                       null_networks=1000, methods=("addt", "binb"),
+                       edge_rules=("addt", "fdr"))
+    out = run_replicate(design, base_network(design), 0,
+                        experiment_rules(design))
     assert not out.errors
     assert set(out.node_counts) == {"addt", "binb"}
     assert set(out.edge_counts) == {"addt", "fdr"}

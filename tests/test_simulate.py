@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ddtnet.simulate import (
     ConfusionCounts,
     SimDesign,
     base_network,
-    base_network_for,
     matthews_corrcoef,
     pool_size,
     run_experiment,
@@ -21,7 +21,7 @@ from ddtnet.simulate import (
 
 
 def test_base_network_random_properties():
-    b = base_network("random", 35, math.sqrt(0.04), seed=1)
+    b = base_network(SimDesign(base_edge_sd=math.sqrt(0.04), seed=1))
     dense = b.to_dense()
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 1.0)
@@ -32,25 +32,27 @@ def test_base_network_random_properties():
 
 
 def test_base_network_deterministic():
-    b1 = base_network("random", 20, 0.2, seed=7)
-    b2 = base_network("random", 20, 0.2, seed=7)
+    b1 = base_network(SimDesign(n_nodes=20, base_edge_sd=0.2, seed=7))
+    b2 = base_network(SimDesign(n_nodes=20, base_edge_sd=0.2, seed=7))
     assert np.array_equal(b1.values, b2.values)
-    b3 = base_network("random", 20, 0.2, seed=8)
+    b3 = base_network(SimDesign(n_nodes=20, base_edge_sd=0.2, seed=8))
     assert not np.array_equal(b1.values, b3.values)
 
 
 def test_base_network_smallworld_sparse_clustered():
-    b = base_network("smallworld", 35, 0.2, seed=3)
+    design = SimDesign(structure="smallworld", base_edge_sd=0.2, seed=3)
+    b = base_network(design)
     present = b.values != 0.0
     assert present.sum() == 35 * 4 // 2       # lattice keeps n*k/2 edges
     assert np.all(b.values[present] > 0)      # unsigned weights by default
-    signed = base_network("smallworld", 35, 0.2, seed=3, sw_signed=True,
-                          sw_weight_mean=0.0, sw_weight_sd=0.2)
+    signed = base_network(replace(design, sw_signed=True, sw_weight_mean=0.0,
+                                  sw_weight_sd=0.2))
     assert np.any(signed.values < 0)
 
 
 def test_base_network_hybrid_block_structure():
-    b = base_network("hybrid", 32, 0.2, seed=5, between_density=0.05)
+    b = base_network(SimDesign(structure="hybrid", n_nodes=32,
+                               base_edge_sd=0.2, seed=5, between_density=0.05))
     dense = b.to_dense()
     blocks = np.repeat([0, 1, 2, 3], 8)
     iu, ju = triu_index_pairs(32)
@@ -61,13 +63,14 @@ def test_base_network_hybrid_block_structure():
 
 
 def test_base_network_rejects_unknown_structure():
-    with pytest.raises(ValidationError):
-        base_network("lattice", 10, 0.2, seed=0)
+    # base_network reads a SimDesign, and no SimDesign has another structure
+    with pytest.raises(ValidationError, match="random, smallworld, hybrid"):
+        base_network(SimDesign(structure="lattice", n_nodes=10))
 
 
 def test_simulate_cohort_ground_truth():
     design = SimDesign(q=4, targets=(1,), n_nodes=10, n1=3, n2=3, seed=0)
-    base = base_network_for(design)
+    base = base_network(design)
     sim = simulate_cohort(design, base, replicate_seed=5)
     assert sim.dwe_edges.sum() == 4
     iu, ju = triu_index_pairs(10)
@@ -78,7 +81,7 @@ def test_simulate_cohort_ground_truth():
 
 def test_simulate_cohort_multi_target_no_overlap():
     design = SimDesign(q=7, targets=(1, 2, 3), n_nodes=35, n1=2, n2=2, seed=1)
-    base = base_network_for(design)
+    base = base_network(design)
     for rep in range(5):
         sim = simulate_cohort(design, base, replicate_seed=rep)
         assert sim.dwe_edges.sum() == 21          # exactly |I| * q edges
@@ -91,7 +94,7 @@ def test_simulate_cohort_multi_target_no_overlap():
 def test_simulate_cohort_injection_mean():
     design = SimDesign(q=11, targets=(1,), n_nodes=35, n1=20, n2=20,
                        seed=3, dwe_mean=0.1)
-    base = base_network_for(design)
+    base = base_network(design)
     diffs = []
     for rep in range(40):
         sim = simulate_cohort(design, base, replicate_seed=rep)
@@ -106,7 +109,7 @@ def test_simulate_cohort_null_design_exchangeable():
     # 1-based contract, so emulate a null by zero injected mean
     design = SimDesign(q=4, targets=(1,), n_nodes=12, n1=10, n2=10,
                        seed=9, dwe_mean=0.0)
-    base = base_network_for(design)
+    base = base_network(design)
     sim = simulate_cohort(design, base, replicate_seed=0)
     x1 = sim.cohort.x1
     x2 = sim.cohort.x2
@@ -151,7 +154,7 @@ def test_simulate_cohort_equals_per_subject_draws(structure, n_nodes, n1, n2,
                                                   targets, seed):
     design = SimDesign(structure=structure, n_nodes=n_nodes, n1=n1, n2=n2,
                        q=3, targets=targets, seed=seed)
-    base = base_network_for(design)
+    base = base_network(design)
     sim = simulate_cohort(design, base, replicate_seed=seed + 1)
     dwe, (x1, x2) = _per_subject_draws(design, base, seed + 1)
     assert np.array_equal(sim.dwe_edges, dwe)
@@ -166,7 +169,7 @@ def test_simulate_cohort_equals_per_subject_draws(structure, n_nodes, n1, n2,
 def test_simulate_cohort_q_capacity_error():
     # q = 34 needs 34 non-target partners but only 33 exist with two targets
     design = SimDesign(q=34, targets=(1, 2), n_nodes=35, n1=2, n2=2, seed=0)
-    base = base_network_for(design)
+    base = base_network(design)
     with pytest.raises(ValidationError, match="non-target partners"):
         simulate_cohort(design, base, replicate_seed=1)
 
@@ -187,6 +190,9 @@ def test_design_validation():
     for alpha in (0.0, 1.0, float("nan")):
         with pytest.raises(ValidationError, match="alpha"):
             SimDesign(alpha=alpha)
+    # lists of methods and edge rules are stored as tuples
+    design = SimDesign(methods=["addt"], edge_rules=["fdr"])
+    assert design.methods == ("addt",) and design.edge_rules == ("fdr",)
 
 
 def test_score_and_mcc_examples():
@@ -225,11 +231,12 @@ def test_run_replicate_records_method_error_on_null_signal():
     # a pure-noise design with a tiny network frequently yields a
     # nonpositive logit-scale mean; errors are recorded, not raised
     design = SimDesign(q=1, targets=(1,), n_nodes=10, n1=5, n2=5,
-                       dwe_mean=0.0, seed=2, null_networks=20)
-    base = base_network_for(design)
+                       dwe_mean=0.0, seed=2, null_networks=20,
+                       methods=("addt", "binb"))
+    base = base_network(design)
     seen_error = seen_ok = False
     for rep in range(12):
-        out = run_replicate(design, base, rep, ("addt", "binb"), (),
+        out = run_replicate(design, base, rep,
                             {"addt": ThresholdRule("addt", design.level)})
         if "addt" in out.errors:
             seen_error = True
@@ -242,11 +249,11 @@ def test_run_replicate_records_method_error_on_null_signal():
 
 def test_run_experiment_smoke_and_determinism():
     design = SimDesign(q=6, targets=(1,), n_nodes=16, n1=10, n2=10,
-                       replicates=8, seed=4, null_networks=30)
-    r1 = run_experiment(design, methods=("addt", "binb", "t10"),
-                        edge_rules=("addt", "bonferroni"))
-    r2 = run_experiment(design, methods=("addt", "binb", "t10"),
-                        edge_rules=("addt", "bonferroni"))
+                       replicates=8, seed=4, null_networks=30,
+                       methods=("addt", "binb", "t10"),
+                       edge_rules=("addt", "bonferroni"))
+    r1 = run_experiment(design)
+    r2 = run_experiment(design)
     assert [m.tpr for m in r1.metrics] == [m.tpr for m in r2.metrics]
     row = r1.metric("addt")
     assert row.replicates_used + row.errors == 8
@@ -257,17 +264,18 @@ def test_run_experiment_smoke_and_determinism():
 
 def test_run_experiment_parallel_matches_serial():
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
-                       replicates=6, seed=11, null_networks=25)
-    serial = run_experiment(design, methods=("addt", "t10"))
-    parallel = run_experiment(design, methods=("addt", "t10"), threads=2)
+                       replicates=6, seed=11, null_networks=25,
+                       methods=("addt", "t10"))
+    serial = run_experiment(design)
+    parallel = run_experiment(design, threads=2)
     for ms, mp in zip(serial.metrics, parallel.metrics):
         assert ms.tpr == mp.tpr and ms.fpr == mp.fpr and ms.mcc == mp.mcc
 
 
 def test_run_experiment_rejects_unknown_method():
-    design = SimDesign(replicates=1)
+    design = SimDesign(replicates=1, methods=("nbs",))
     with pytest.raises(ValidationError):
-        run_experiment(design, methods=("nbs",))
+        run_experiment(design)
 
 
 @pytest.mark.parametrize("settings", [{"level": 1.5}, {"level": 0.0},
@@ -277,9 +285,9 @@ def test_run_experiment_rejects_bad_rule_settings_before_replicates(
     def no_replicate(*args, **kwargs):
         raise AssertionError("a bad rule must fail before any replicate")
     monkeypatch.setattr(simulate, "run_replicate", no_replicate)
-    design = SimDesign(replicates=2, **settings)
+    design = SimDesign(replicates=2, methods=("addt", "eddt"), **settings)
     with pytest.raises(ValidationError):
-        run_experiment(design, methods=("addt", "eddt"))
+        run_experiment(design)
 
 
 def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
@@ -300,6 +308,7 @@ def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
-                       replicates=2, seed=11, null_networks=25)
-    result = run_experiment(design, methods=("addt",), threads=10 ** 9)
+                       replicates=2, seed=11, null_networks=25,
+                       methods=("addt",))
+    result = run_experiment(design, threads=10 ** 9)
     assert result.metric("addt").replicates_used == 2
