@@ -21,6 +21,7 @@ from .degree_test import binomial_upper_tail  # noqa: F401
 from .edgetests import PValueMatrix, _vector_welch
 from .thresholds import bh_adjust
 
+BASELINES = ("binb", "binf", "t10")
 RANKINGS = ("signed", "absolute")
 CORRECTIONS = ("bonferroni", "fdr")
 
@@ -35,6 +36,18 @@ def check_t10_settings(density: float, ranking: str) -> None:
         raise ValidationError(f"density must be in (0, 1), got {density}")
     if ranking not in RANKINGS:
         raise ValidationError(f"ranking must be one of {RANKINGS}")
+
+
+def check_baselines(names, density: float, ranking: str) -> None:
+    """Reject repeated or unknown baseline names, and bad t10 settings."""
+    if len(set(names)) != len(names):
+        raise ValidationError(f"repeated baselines in {list(names)}")
+    unknown = [name for name in names if name not in BASELINES]
+    if unknown:
+        raise ValidationError(f"unknown baselines {unknown}; expected one of "
+                              f"{', '.join(BASELINES)}")
+    if "t10" in names:
+        check_t10_settings(density, ranking)
 
 
 def degree_at_density(g: SymmetricMatrix, density: float = 0.10,

@@ -176,6 +176,9 @@ def cmd_null(args) -> int:
     elif args.difference:
         dense = read_matrix_csv(args.difference, header=args.header)
         sym = SymmetricMatrix.from_dense(dense)
+        if not np.all((sym.values >= 0.0) & (sym.values <= 1.0)):
+            raise ValidationError(f"{args.difference}: difference-network "
+                                  "entries must be finite and in [0, 1]")
         dn = DifferenceNetwork(n=sym.n,
                                d=np.clip(sym.values, P_MIN, 1.0 - P_MIN))
         moments = observed_moments(dn, m=args.inner_dim)
@@ -203,7 +206,7 @@ def cmd_null(args) -> int:
 
 def cmd_enrich(args) -> int:
     dense = read_matrix_csv(args.adjacency)
-    adjacency = AdjacencyMatrix.from_dense(dense.astype(int))
+    adjacency = AdjacencyMatrix.from_dense(dense)
     partition = load_partition(args.modules)
     results = enrichment_test(adjacency, partition, alpha=args.alpha)
     write_enrichment_csv(args.out, results, partition)

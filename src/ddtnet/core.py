@@ -139,7 +139,8 @@ def upper_triangle(dense: np.ndarray, *, tol: float = SYMMETRY_TOL) -> np.ndarra
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {dense.shape}")
     n = dense.shape[0]
-    asym = np.nanmax(np.abs(dense - dense.T)) if n else 0.0
+    with np.errstate(invalid="ignore"):    # inf - inf: nan, skipped below
+        asym = np.nanmax(np.abs(dense - dense.T)) if n else 0.0
     if asym > tol:
         raise ValidationError(
             f"matrix is asymmetric beyond tolerance ({asym:.3g} > {tol:.3g})")
@@ -230,8 +231,7 @@ class AdjacencyMatrix(_FrozenArrays):
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {dense.shape}")
-        uniq = np.unique(dense[~np.isnan(dense.astype(float))])
-        if not np.all(np.isin(uniq, (0, 1))):
+        if not np.all(np.isin(dense, (0, 1))):
             raise ValidationError("adjacency entries must be 0 or 1")
         if np.any(dense != dense.T):
             raise ValidationError("adjacency matrix must be symmetric")

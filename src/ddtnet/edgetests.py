@@ -22,11 +22,10 @@ from .core import (
     ValidationError,
     fisher_z_clamped,
     substream,
-    triu_index_pairs,
 )
 
 EDGE_TEST_METHODS = ("welch_t", "wilcoxon", "permutation", "regression")
-# edge columns per block in the vectorised Welch test
+# columns (edges, or relabellings of one edge) per vectorised Welch block
 _WELCH_BLOCK = 4096
 
 
@@ -81,20 +80,9 @@ class PValueMatrix(SymmetricMatrix):
             raise ValidationError("p-values must lie in (0, 1]")
 
 
-def _finite_p(p: float) -> float:
-    """Map degenerate test output into (0, 1]."""
-    if not np.isfinite(p):
-        return 1.0
-    return float(min(max(p, P_MIN), 1.0))
-
-
-def _welch_stat(x: np.ndarray, y: np.ndarray) -> float:
-    n1, n2 = len(x), len(y)
-    num = x.mean() - y.mean()
-    den = np.sqrt(x.var(ddof=1) / n1 + y.var(ddof=1) / n2)
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf * np.sign(num)
-    return num / den
+def _finite_p(p):
+    """Map degenerate test output into (0, 1]: nan or inf to 1."""
+    return np.where(np.isfinite(p), np.clip(p, P_MIN, 1.0), 1.0)
 
 
 def welch_t_edge(x, y) -> float:
@@ -127,16 +115,17 @@ def wilcoxon_edge(x, y) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = stats.mannwhitneyu(x, y, alternative="two-sided", method=method)
-    return _finite_p(res.pvalue)
+    return float(_finite_p(res.pvalue))
 
 
 def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
                      rng: np.random.Generator | None = None) -> float:
     """Label-permutation p-value for the Welch t statistic.
 
-    p = (1 + #{b : |T_b| >= |T_obs|}) / (B + 1); the +1 keeps p away from
-    exact zero so the logit stays finite.
-    """
+    p = (1 + #{b : |T_b| >= |T_obs| (1 - 100 eps)}) / (B + 1): the +1 keeps
+    the logit finite, and scipy.stats.permutation_test's tolerance counts a
+    |T_b| equal to |T_obs| but for rounding, or to an infinite |T_obs|. The
+    B relabellings are the draws of B successive rng.permutation calls."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_sizes(x, y)
@@ -146,12 +135,16 @@ def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
         rng = np.random.default_rng(seed)
     pooled = np.concatenate([x, y])
     n1 = len(x)
-    t_obs = abs(_welch_stat(x, y))
+    t_obs, _ = _welch_t(x[:, None], y[:, None])
+    cut = np.abs(t_obs) * (1.0 - 100 * np.finfo(float).eps)
     hits = 0
-    for _ in range(permutations):
-        perm = rng.permutation(pooled)
-        if abs(_welch_stat(perm[:n1], perm[n1:])) >= t_obs:
-            hits += 1
+    # blocks bound the memory, not the draws; a constant pooled sample makes
+    # every |T| and the cut nan, and ~(nan < nan) counts each draw as a tie
+    for start in range(0, permutations, _WELCH_BLOCK):
+        rows = min(_WELCH_BLOCK, permutations - start)
+        cols = rng.permuted(np.tile(pooled, (rows, 1)), axis=1).T
+        t, _ = _welch_t(cols[:n1], cols[n1:])
+        hits += np.count_nonzero(~(np.abs(t) < cut))
     return (1 + hits) / (permutations + 1)
 
 
@@ -164,32 +157,7 @@ def regression_edge(values, group, covariates=None) -> float:
     g = np.asarray(group, dtype=float)
     if y.shape != g.shape or y.ndim != 1:
         raise ValidationError("values and group labels must be 1-d and aligned")
-    cols = [np.ones_like(y), g]
-    if covariates is not None:
-        cov = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if cov.shape[0] != len(y):
-            cov = cov.T
-        if cov.shape[0] != len(y):
-            raise ValidationError("covariates must have one row per subject")
-        cols.extend(cov.T)
-    X = np.column_stack(cols)
-    n, k = X.shape
-    if np.linalg.matrix_rank(X) < k:
-        raise RankDeficientError(
-            "design matrix [1, group, covariates] is rank deficient")
-    df = n - k
-    if df < 1:
-        raise EdgeTestError(f"insufficient residual degrees of freedom (df={df})")
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    sigma2 = resid @ resid / df
-    xtx_inv = np.linalg.inv(X.T @ X)
-    se = np.sqrt(sigma2 * xtx_inv[1, 1])
-    if se == 0.0:
-        return 1.0 if beta[1] == 0.0 else P_MIN
-    t = beta[1] / se
-    from scipy import stats  # deferred: a Welch-only run never loads it
-    return _finite_p(2.0 * stats.t.sf(abs(t), df))
+    return float(_vector_regression(y[:, None], g, covariates)[0])
 
 
 def edgewise_pvalues(cohort: ConnectivityCohort,
@@ -219,15 +187,7 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
         ])
     else:
         g = np.concatenate([np.zeros(x.shape[0]), np.ones(y.shape[0])])
-        stacked = np.vstack([x, y])
-        p = np.empty(n_edges)
-        for e in range(n_edges):
-            try:
-                p[e] = regression_edge(stacked[:, e], g, cohort.covariates)
-            except EdgeTestError as err:
-                iu, ju = triu_index_pairs(cohort.n)
-                raise EdgeTestError(
-                    f"edge ({int(iu[e])}, {int(ju[e])}): {err}") from err
+        p = _vector_regression(np.vstack([x, y]), g, cohort.covariates)
     return PValueMatrix(n=cohort.n, values=p, diagonal=np.ones(cohort.n),
                         fisher_z_clamped=n_clamped)
 
@@ -247,6 +207,24 @@ def _welch_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Column-wise two-sided Welch p-values. The arithmetic repeats
     scipy.stats.ttest_ind(equal_var=False) of scipy 1.17 step for step, so
     each p-value is the same double; the tests keep ttest_ind as the oracle."""
+    t, df = _welch_t(x, y)
+    # nan df means zero variance in both groups; any df then serves
+    df = np.where(np.isnan(df), 1.0, df)
+    p = 2 * special.stdtr(df, -np.abs(t))
+    # nan marks zero variance in both groups: p = 1 when means agree
+    bad = ~np.isfinite(p)
+    if bad.any():
+        equal = np.isclose(x.mean(axis=0), y.mean(axis=0))
+        p[bad & equal] = 1.0
+        p[bad & ~equal] = P_MIN
+    return np.clip(p, P_MIN, 1.0)
+
+
+def _welch_t(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Welch's t and its Welch-Satterthwaite df for every column of x
+    against the same column of y, formed as scipy.stats.ttest_ind forms
+    them. Zero variance in both groups gives df = nan and t = +/-inf, or
+    nan when the means agree."""
     n1, n2 = len(x), len(y)
     m1, m2 = x.mean(axis=0), y.mean(axis=0)
     # ddof=1 variance over n, as scipy.stats._var forms it
@@ -254,17 +232,40 @@ def _welch_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     vn2 = np.mean((y - m2) ** 2, axis=0) * (n2 / (n2 - 1)) / n2
     with np.errstate(divide="ignore", invalid="ignore"):
         df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
-        # nan df means zero variance in both groups; any df then serves
-        df = np.where(np.isnan(df), 1.0, df)
         t = (m1 - m2) / np.sqrt(vn1 + vn2)
-    p = 2 * special.stdtr(df, -np.abs(t))
-    # nan marks zero variance in both groups: p = 1 when means agree
-    bad = ~np.isfinite(p)
-    if bad.any():
-        equal = np.isclose(m1, m2)
-        p[bad & equal] = 1.0
-        p[bad & ~equal] = P_MIN
-    return np.clip(p, P_MIN, 1.0)
+    return t, df
+
+
+def _vector_regression(values: np.ndarray, group: np.ndarray,
+                       covariates=None) -> np.ndarray:
+    """regression_edge of every column of values (subjects x edges): the
+    design is built, checked and inverted once, and each column gets its own
+    lstsq, so every p-value is the double a one-column fit gives."""
+    cols = [np.ones(len(group)), group]
+    if covariates is not None:
+        cov = np.atleast_2d(np.asarray(covariates, dtype=float))
+        if cov.shape[0] != len(group):
+            cov = cov.T
+        if cov.shape[0] != len(group):
+            raise ValidationError("covariates must have one row per subject")
+        cols.extend(cov.T)
+    X = np.column_stack(cols)
+    n, k = X.shape
+    if np.linalg.matrix_rank(X) < k:
+        raise RankDeficientError(
+            "design matrix [1, group, covariates] is rank deficient")
+    df = n - k
+    if df < 1:
+        raise EdgeTestError(f"insufficient residual degrees of freedom (df={df})")
+    beta1, sigma2 = np.empty((2, values.shape[1]))
+    for e, y in enumerate(values.T):
+        beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        resid = y - X @ beta
+        beta1[e], sigma2[e] = beta[1], resid @ resid / df
+    se = np.sqrt(sigma2 * np.linalg.inv(X.T @ X)[1, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = _finite_p(2.0 * special.stdtr(df, -np.abs(beta1 / se)))
+    return np.where(se == 0.0, np.where(beta1 == 0.0, 1.0, P_MIN), p)
 
 
 def _check_sizes(x: np.ndarray, y: np.ndarray) -> None:

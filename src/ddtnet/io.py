@@ -26,7 +26,7 @@ from .core import (
     inv_logit,
     upper_triangle,
 )
-from .baselines import check_t10_settings
+from .baselines import check_baselines
 from .degree_test import DdtResult, check_run_settings
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
@@ -217,9 +217,6 @@ def _block_config(cls, raw: dict, name: str, keys, ignored=(), **defaults):
         raise ValidationError(f"{name}: {err}") from err
 
 
-BASELINE_NAMES = ("t10", "binb", "binf")
-
-
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
     """A ddt run manifest, type- and range-checked by load_run_manifest; the
@@ -241,12 +238,7 @@ class RunManifest:
 
     def __post_init__(self):
         check_run_settings(self.seed, self.alpha, self.null_networks)
-        unknown = [b for b in self.baselines if b not in BASELINE_NAMES]
-        if unknown:
-            raise ManifestError(
-                f"unknown baselines {unknown}; valid: {BASELINE_NAMES}")
-        if "t10" in self.baselines:
-            check_t10_settings(self.density, self.ranking)
+        check_baselines(self.baselines, self.density, self.ranking)
 
 
 # the edge test and the cohort, each given at the top level of a run

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .baselines import binomial_corrected, check_t10_settings, degree_ttest
+from .baselines import BASELINES, binomial_corrected, check_baselines, degree_ttest
 from .core import (
     ConnectivityCohort,
     DdtError,
@@ -43,7 +43,7 @@ from .thresholds import (  # noqa: F401
 )
 
 STRUCTURES = ("random", "smallworld", "hybrid")
-NODE_METHODS = ("addt", "eddt", "binb", "binf", "t10")
+NODE_METHODS = ("addt", "eddt", *BASELINES)
 
 
 @dataclass(frozen=True)
@@ -370,12 +370,8 @@ def experiment_rules(design: SimDesign) -> dict[str, ThresholdRule]:
     for kind, names in (("method", methods), ("edge rule", edge_rules)):
         if len(set(names)) != len(names):
             raise ValidationError(f"repeated {kind} in {list(names)}")
-    for m in methods:
-        if m not in NODE_METHODS:
-            raise ValidationError(
-                f"unknown method {m!r}; expected one of {', '.join(NODE_METHODS)}")
-    if "t10" in methods:
-        check_t10_settings(design.density, design.ranking)
+    check_baselines([m for m in methods if m not in ("addt", "eddt")],
+                    design.density, design.ranking)
     ddt = [name for name in ("addt", "eddt")
            if name in methods or name in edge_rules]
     fixed = [name for name in edge_rules if name not in ddt]

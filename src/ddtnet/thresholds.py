@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdjacencyMatrix, DdtError, DifferenceNetwork, ValidationError, logit
+from .core import AdjacencyMatrix, DifferenceNetwork, ValidationError, logit
 from .edgetests import PValueMatrix
 from .hqs import MomentSummary, NullEnsemble, mixture_quantile
 # perfbench/spans.py counts thresholds.mc_samples through this binding
 from .hqs import mixture_sample  # noqa: F401
 
 THRESHOLD_KINDS = ("addt", "eddt", "hard", "bonferroni", "fdr")
-
-
-class EmptyEnsembleError(DdtError):
-    """Empirical threshold requested from an ensemble with no networks."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +63,6 @@ def eddt_threshold(ensemble: NullEnsemble, q: float = 0.95) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValidationError(f"quantile must be in (0, 1), got {q}")
-    if ensemble.size < 1:
-        raise EmptyEnsembleError("ensemble contains no networks")
     return float(np.quantile(ensemble.pooled_logit_values(), q))
 
 

@@ -236,6 +236,7 @@ def test_run_t10_density_out_of_range_exit_2(tmp_path, capsys):
                                    {"level": 1.5, "methods": ["addt"]},
                                    {"methods": ["nbs"]},
                                    {"methods": ["addt", "addt"]},
+                                   {"methods": ["binf", "binf"]},
                                    {"edge_rules": ["hard_abc"]},
                                    {"edge_rules": ["hard_1.5"]}])
 def test_simulate_invalid_method_settings_exit_2(tmp_path, capsys, field):
@@ -274,6 +275,75 @@ def test_enrich_roundtrip_and_empty(tmp_path, capsys):
                  "--out", str(tmp_path / "e2.csv")])
     assert code == 3
     assert json.loads(capsys.readouterr().err.strip())["error"] == "no-selected-edges"
+
+
+@pytest.mark.parametrize("flag", ["t11", "binb,binb"])
+def test_run_baselines_flag_is_checked_like_the_manifest(tmp_path, capfd, flag):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        "group1": ["a.csv", "b.csv"], "group2": ["c.csv", "d.csv"], "seed": 3}))
+    code = main(["run", "--manifest", str(manifest), "--baselines", flag,
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation" and "baselines" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("entry", [0.7, float("nan")], ids=["fraction", "nan"])
+def test_enrich_rejects_a_non_binary_entry(tmp_path, capfd, entry):
+    n = 6
+    adj = np.zeros((n, n))
+    adj[0, 1] = adj[1, 0] = 1.0
+    adj[0, 2] = adj[2, 0] = entry
+    write_matrix_csv(tmp_path / "adjacency.csv", adj)
+    (tmp_path / "modules.csv").write_text("0,1\n1,1\n2,1\n3,2\n4,2\n5,2\n")
+    code = main(["enrich", "--adjacency", str(tmp_path / "adjacency.csv"),
+                 "--modules", str(tmp_path / "modules.csv"),
+                 "--out", str(tmp_path / "enrichment.csv")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert "must be 0 or 1" in payload["message"]
+    assert not (tmp_path / "enrichment.csv").exists()
+
+
+def _difference_csv(tmp_path, entries: dict):
+    n = 8
+    rng = np.random.default_rng(2)
+    d = rng.uniform(0.6, 0.99, size=(n, n))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    for (i, j), value in entries.items():
+        d[i, j] = d[j, i] = value
+    path = tmp_path / "diff.csv"
+    write_matrix_csv(path, d)
+    return path
+
+
+@pytest.mark.parametrize("entry", [1.7, -0.4, float("nan"), float("inf")])
+def test_null_rejects_a_difference_entry_outside_0_1(tmp_path, capfd, entry):
+    path = _difference_csv(tmp_path, {(0, 3): entry})
+    code = main(["null", "--difference", str(path),
+                 "--moments-out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert str(path) in payload["message"] and "[0, 1]" in payload["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_null_clamps_exact_0_and_1_difference_entries(tmp_path):
+    path = _difference_csv(tmp_path, {(0, 3): 1.0, (1, 2): 0.0})
+    assert main(["--quiet", "null", "--difference", str(path),
+                 "--moments-out", str(tmp_path / "m.json")]) == 0
+    assert json.loads((tmp_path / "m.json").read_text())["ebar"] > 0
 
 
 def test_version_and_help_exit_zero(capsys):
@@ -452,19 +522,26 @@ def test_run_bad_subject_file_is_one_json_line(tmp_path, capfd, case):
     assert not (tmp_path / "results").exists()
 
 
-def _nan_subject(tmp_path):
-    dense = np.loadtxt(tmp_path / "group2_1.csv", delimiter=",")
-    dense[0, 2] = dense[2, 0] = np.nan
-    return dense
+def _non_finite_subject(value):
+    def make(tmp_path):
+        dense = np.loadtxt(tmp_path / "group2_1.csv", delimiter=",")
+        dense[0, 2] = dense[2, 0] = value
+        return dense
+    return make
 
 
 BAD_COHORTS = {
-    "nan": (_nan_subject, "invalid value in group 2 subject 1 at edge (0, 2)"),
+    "nan": (_non_finite_subject(np.nan),
+            "invalid value in group 2 subject 1 at edge (0, 2)"),
+    "inf": (_non_finite_subject(np.inf),
+            "invalid value in group 2 subject 1 at edge (0, 2)"),
     "dimension": (lambda tmp_path: np.eye(5),
                   "dimension mismatch: group 2 subject 1 has n=5, expected n=6"),
 }
 
 
+# a numpy warning would print a second stderr line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(BAD_COHORTS))
 def test_run_bad_cohort_fails_before_any_output(tmp_path, capfd, case):
     make, expected = BAD_COHORTS[case]
@@ -531,7 +608,9 @@ def test_null_bad_moments_is_one_json_line(tmp_path, capfd, case):
                                    {"seed": -1, "test": "permutation"},
                                    {"test_config": {"seed": -1}},
                                    {"test": "ttest"},
-                                   {"threshold": {"kind": "addt", "level": 1.5}}])
+                                   {"threshold": {"kind": "addt", "level": 1.5}},
+                                   {"baselines": ["t11"]},
+                                   {"baselines": ["binb", "binb"]}])
 def test_run_rejects_settings_before_reading_the_cohort(tmp_path, capfd, field):
     # the subject files do not exist: only a check made before load_cohort
     # can report the setting instead of the missing file

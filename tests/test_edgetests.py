@@ -1,9 +1,11 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from ddtnet.core import P_MIN, ConnectivityCohort, ValidationError
@@ -51,27 +53,75 @@ def ranksum_p_by_enumeration(x, y) -> float:
     return min(1.0, 2 * min(lo, hi))
 
 
+def _welch_t2_exact(a, b) -> Fraction:
+    """Welch's t squared in rational arithmetic; +inf for constant groups
+    whose means differ, 0 for constant groups whose means agree."""
+    a, b = [Fraction(float(v)) for v in a], [Fraction(float(v)) for v in b]
+    ma, mb = sum(a) / len(a), sum(b) / len(b)
+    se2 = (sum((v - ma) ** 2 for v in a) / (len(a) - 1) / len(a)
+           + sum((v - mb) ** 2 for v in b) / (len(b) - 1) / len(b))
+    if se2 == 0:
+        return Fraction(0) if ma == mb else math.inf
+    return (ma - mb) ** 2 / se2
+
+
 def permutation_p_exact(x, y):
-    """Exact permutation p over all label assignments of the pooled sample."""
+    """Exact permutation p over all label assignments of the pooled sample,
+    with |T| compared in exact arithmetic, so equal statistics tie."""
     pooled = np.concatenate([x, y])
     n1 = len(x)
-
-    def welch_t(a, b):
-        num = a.mean() - b.mean()
-        den = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
-        if den == 0:
-            return 0.0 if num == 0 else math.inf
-        return num / den
-
-    t_obs = abs(welch_t(np.asarray(x, float), np.asarray(y, float)))
+    t2_obs = _welch_t2_exact(x, y)
     hits = total = 0
     for idx in itertools.combinations(range(len(pooled)), n1):
         sel = np.zeros(len(pooled), dtype=bool)
         sel[list(idx)] = True
-        if abs(welch_t(pooled[sel], pooled[~sel])) >= t_obs:
+        if _welch_t2_exact(pooled[sel], pooled[~sel]) >= t2_obs:
             hits += 1
         total += 1
     return hits / total
+
+
+def permutation_p_by_loop(x, y, permutations: int, seed: int) -> float:
+    """permutation_edge one relabelling at a time: B successive
+    rng.permutation draws, each scored by a scalar Welch t, counted with
+    scipy.stats.permutation_test's relative tie tolerance of 100 eps."""
+    def abs_t(a, b):
+        num = a.mean() - b.mean()
+        den = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+        if den == 0.0:
+            return 0.0 if num == 0.0 else math.inf
+        return abs(num / den)
+
+    rng = np.random.default_rng(seed)
+    pooled = np.concatenate([x, y])
+    n1 = len(x)
+    cut = abs_t(x, y) * (1.0 - 100 * np.finfo(float).eps)
+    hits = 0
+    for _ in range(permutations):
+        perm = rng.permutation(pooled)
+        hits += abs_t(perm[:n1], perm[n1:]) >= cut
+    return (1 + hits) / (permutations + 1)
+
+
+def regression_p_per_edge(values, group, covariates=None) -> float:
+    """One edge's OLS group p-value as a per-edge fit: rank check, lstsq,
+    inv(X'X) and the scipy.stats t tail, with the same degenerate rules."""
+    y = np.asarray(values, dtype=float)
+    cols = [np.ones_like(y), np.asarray(group, dtype=float)]
+    if covariates is not None:
+        cols.extend(np.asarray(covariates, dtype=float).T)
+    X = np.column_stack(cols)
+    n, k = X.shape
+    assert np.linalg.matrix_rank(X) == k
+    df = n - k
+    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ beta
+    sigma2 = resid @ resid / df
+    se = np.sqrt(sigma2 * np.linalg.inv(X.T @ X)[1, 1])
+    if se == 0.0:
+        return 1.0 if beta[1] == 0.0 else P_MIN
+    p = 2.0 * stats.t.sf(abs(beta[1] / se), df)
+    return 1.0 if not np.isfinite(p) else float(min(max(p, P_MIN), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +231,55 @@ def test_permutation_seed_stability():
     assert abs(p1 - p2) <= 3 * se + 2 / 3001
 
 
+def _permutation_columns(kind: str, n1: int, n2: int, rng):
+    x = rng.normal(size=n1)
+    y = rng.normal(0.5, 1.0, size=n2)
+    if kind == "tied":
+        x, y = np.round(x), np.round(y)
+    elif kind == "clipped":
+        x, y = np.clip(x, -0.3, 0.3), np.clip(y, -0.3, 0.3)
+    elif kind == "constant-equal":
+        x, y = np.full(n1, 0.1), np.full(n2, 0.1)
+    elif kind == "constant-unequal":
+        x, y = np.full(n1, 0.1), np.full(n2, 0.7)
+    elif kind == "one-constant":
+        x = np.full(n1, 0.1)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "tied", "clipped", "constant-equal",
+                             "constant-unequal", "one-constant"]),
+       n1=st.integers(2, 12), n2=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_permutation_edge_equals_the_one_draw_at_a_time_loop(kind, n1, n2, seed):
+    x, y = _permutation_columns(kind, n1, n2, np.random.default_rng(seed))
+    assert permutation_edge(x, y, permutations=100, seed=seed) == \
+        permutation_p_by_loop(x, y, 100, seed)
+
+
+def test_permutation_edge_blocks_keep_the_draws():
+    from ddtnet.edgetests import _WELCH_BLOCK
+    rng = np.random.default_rng(41)
+    x, y = np.round(rng.normal(size=4), 1), np.round(rng.normal(size=5), 1)
+    b = _WELCH_BLOCK + 7
+    assert permutation_edge(x, y, permutations=b, seed=3) == \
+        permutation_p_by_loop(x, y, b, 3)
+
+
+def test_permutation_3_3_is_unbiased_against_full_enumeration():
+    # of the 20 relabellings of a 3+3 edge, the observed one and its swap
+    # always tie with T_obs; a test that lost them to rounding sat ~0.013
+    # below the enumeration on average
+    rng = np.random.default_rng(33)
+    gaps = []
+    for e in range(200):
+        x, y = rng.normal(size=3), rng.normal(0.5, 1.0, size=3)
+        gaps.append(permutation_edge(x, y, permutations=1000, seed=e)
+                    - permutation_p_exact(x, y))
+    assert abs(np.mean(gaps)) < 0.004
+
+
 # ---------------------------------------------------------------------------
 # regression
 
@@ -214,6 +313,35 @@ def test_regression_group_null_uniform_under_covariate_signal():
         pvals.append(regression_edge(y, groups, covariates=cov))
     ks = stats.kstest(pvals, "uniform").statistic
     assert ks < 0.05
+
+
+@pytest.mark.parametrize("with_covariates", [False, True])
+def test_edgewise_regression_is_bit_identical_to_per_edge_fits(with_covariates):
+    rng = np.random.default_rng(19 + with_covariates)
+    x = rng.normal(size=(9, 66))
+    y = rng.normal(0.3, 2.0, size=(7, 66))
+    x[:, 0], y[:, 0] = 1.5, 1.5                  # constant, equal
+    x[:, 1], y[:, 1] = 0.0, 2.0                  # constant, unequal
+    x[:, 2], y[:, 2] = 0.0, 0.0
+    x[:, 3:20], y[:, 3:20] = np.round(x[:, 3:20]), np.round(y[:, 3:20])
+    cov = rng.normal(size=(16, 2)) if with_covariates else None
+    got = edgewise_pvalues(ConnectivityCohort(x, y, covariates=cov),
+                           EdgeTestConfig(method="regression")).values
+    groups = np.repeat([0.0, 1.0], [9, 7])
+    stacked = np.vstack([x, y])
+    oracle = np.array([regression_p_per_edge(stacked[:, e], groups, cov)
+                       for e in range(66)])
+    assert np.array_equal(got.view(np.int64), oracle.view(np.int64))
+
+
+def test_edgewise_regression_design_error_names_no_edge():
+    from ddtnet.edgetests import RankDeficientError
+    rng = np.random.default_rng(23)
+    cohort = ConnectivityCohort(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)),
+                                covariates=np.repeat([[0.0], [1.0]], 4, axis=0))
+    with pytest.raises(RankDeficientError) as err:
+        edgewise_pvalues(cohort, EdgeTestConfig(method="regression"))
+    assert str(err.value) == "design matrix [1, group, covariates] is rank deficient"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""scipy.stats costs about a second to import; only the wilcoxon and
-regression edge tests and module enrichment use it. These checks run the
-command line in a fresh interpreter and fail if a Welch run, a simulation
-or --version loads it anyway."""
+"""scipy.stats costs about a second to import; only the wilcoxon edge test
+and module enrichment use it. These checks run the command line in a fresh
+interpreter and fail if a Welch or regression run, a simulation or
+--version loads it anyway."""
 
 import json
 import os
@@ -40,7 +40,7 @@ def test_version_does_not_load_scipy_stats():
     assert _probe("--version") == {"code": 0, "stats": False}
 
 
-def test_welch_run_does_not_load_scipy_stats(tmp_path):
+def _run_manifest(tmp_path, **settings) -> Path:
     rng = np.random.default_rng(5)
     n = 8
     files = {"group1": [], "group2": []}
@@ -52,10 +52,23 @@ def test_welch_run_does_not_load_scipy_stats(tmp_path):
             write_matrix_csv(tmp_path / f"{group}_{s}.csv", d)
             files[group].append(f"{group}_{s}.csv")
     manifest = tmp_path / "run.json"
-    manifest.write_text(json.dumps({
-        **files, "seed": 3, "null_networks": 40, "test": "welch_t",
-        "threshold": {"kind": "eddt", "level": 0.95},
-        "baselines": ["t10", "binb", "binf"]}))
+    manifest.write_text(json.dumps({**files, "seed": 3, "null_networks": 40,
+                                    **settings}))
+    return manifest
+
+
+def test_welch_run_does_not_load_scipy_stats(tmp_path):
+    manifest = _run_manifest(tmp_path, test="welch_t",
+                             threshold={"kind": "eddt", "level": 0.95},
+                             baselines=["t10", "binb", "binf"])
+    got = _probe("--quiet", "run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out"))
+    assert got == {"code": 0, "stats": False}
+
+
+def test_regression_run_does_not_load_scipy_stats(tmp_path):
+    manifest = _run_manifest(tmp_path, test="regression",
+                             threshold={"kind": "addt", "level": 0.95})
     got = _probe("--quiet", "run", "--manifest", str(manifest),
                  "--out", str(tmp_path / "out"))
     assert got == {"code": 0, "stats": False}
@@ -74,10 +87,10 @@ def test_simulate_does_not_load_scipy_stats(tmp_path):
     assert got == {"code": 0, "stats": False}
 
 
-def test_regression_edge_loads_scipy_stats():
+def test_wilcoxon_edge_loads_scipy_stats():
     # the probe can see scipy.stats: a path that needs it does load it
-    code = ("import sys, numpy as np; from ddtnet.edgetests import regression_edge;"
-            "regression_edge(np.arange(6.0), np.array([0, 0, 0, 1, 1, 1.0]));"
+    code = ("import sys; from ddtnet.edgetests import wilcoxon_edge;"
+            "wilcoxon_edge([0.0, 1.0, 2.0], [3.0, 4.0, 5.0]);"
             "print('scipy.stats' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=SRC),
