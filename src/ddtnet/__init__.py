@@ -40,16 +40,15 @@ from .thresholds import (
     bh_adjust,
     eddt_threshold,
 )
+from .baselines import (NodeTests, binomial_corrected, binomial_tails,
+                        binomial_upper_tail, degree_ttest)
 from .degree_test import (
     DdtResult,
-    NodeTests,
-    binomial_tails,
-    binomial_upper_tail,
+    RunResult,
     ddt_run,
     degree_tests,
     null_probability_from_counts,
 )
-from .baselines import binomial_corrected, degree_at_density, degree_ttest
 from .enrichment import ModulePartition, block_counts, enrichment_test, expected_counts
 from .simulate import (
     ConfusionCounts,

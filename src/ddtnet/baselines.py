@@ -1,29 +1,93 @@
-"""Competing node-level tests: degree t-test at fixed density and
-multiplicity-corrected binomial tests.
+"""Competing node-level tests, and the node-test primitives they share
+with the DDT: NodeTests, every node method's result, and the exact
+binomial upper tail that the DDT, binb and binf all read.
 
-The density baseline thresholds each subject's connectivity matrix to a
-fixed edge density, then compares nodal degrees between groups with a
-Welch t-test. The binomial baselines detect edges at the uncorrected level
-alpha, test each node's count of incident detections against an exact
-binomial null, and correct the N node tests for multiplicity (Bonferroni
-or BH across nodes).
+The density baseline (t10) thresholds each subject's connectivity matrix
+to a fixed edge density, then compares nodal degrees between groups with a
+Welch t-test. The binomial baselines (binb, binf) detect edges at the
+uncorrected level alpha, test each node's count of incident detections
+against an exact binomial null, and correct the N node tests for
+multiplicity (Bonferroni or BH across nodes).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
-from .core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
-                   ValidationError, node_sums, triu_index_pairs)
-from .degree_test import NodeTests, binomial_tails
-# perfbench/spans.py counts binomial calls through this binding too
-from .degree_test import binomial_upper_tail  # noqa: F401
+from .core import (AdjacencyMatrix, ConnectivityCohort, ValidationError,
+                   _frozen, _FrozenArrays, triu_index_pairs)
 from .edgetests import PValueMatrix, _vector_welch
 from .thresholds import bh_adjust
 
 BASELINES = ("binb", "binf", "t10")
 RANKINGS = ("signed", "absolute")
 CORRECTIONS = ("bonferroni", "fdr")
+
+
+@dataclass(frozen=True)
+class NodeTests(_FrozenArrays):
+    """Per-node test outcome as read-only arrays, entry i for node i.
+
+    Every node method fills pvalue and significant. The binomial tests
+    (DDT, binb, binf) also fill degree, p_null and degenerate; the degree
+    t-test (t10) leaves them None.
+    """
+
+    pvalue: np.ndarray
+    significant: np.ndarray
+    degree: np.ndarray | None = None
+    p_null: np.ndarray | None = None
+    degenerate: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None:
+                object.__setattr__(self, name, _frozen(np.asarray(value)))
+
+
+@lru_cache(maxsize=64)
+def _log_binomial_row(n: int) -> tuple[float, ...]:
+    """log C(n, i) for i = 0..n, by the lgamma expression of every tail."""
+    return tuple(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                 for i in range(n + 1))
+
+
+@lru_cache(maxsize=8192)
+def binomial_upper_tail(k: int, n: int, p: float) -> float:
+    """Exact P(X >= k) for X ~ Binomial(n, p), by log-space pmf summation.
+    Cached: binb and binf, and nodes of one degree, ask for the same tail."""
+    if not 0 <= k <= n:
+        raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"success probability must be in [0, 1], got {p}")
+    if k == 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    log_c = _log_binomial_row(n)
+    terms = [log_c[i] + i * log_p + (n - i) * log_q for i in range(k, n + 1)]
+    m = max(terms)
+    total = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return float(min(1.0, math.exp(total)))
+
+
+def binomial_tails(degrees: np.ndarray, trials: int, p) -> np.ndarray:
+    """P(X >= k) for X ~ Binomial(trials, p) at each degree k, with p one
+    probability or one per degree. binomial_upper_tail runs once per
+    distinct (k, p) pair, found as the distinct values of k + i p."""
+    keys = np.asarray(degrees) + 1j * np.asarray(p, dtype=float)
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    tails = np.array([binomial_upper_tail(int(pair.real), trials, pair.imag)
+                      for pair in pairs.tolist()])
+    return tails[inverse]
 
 
 def density_edge_count(n_edges: int, density: float) -> int:
@@ -50,30 +114,13 @@ def check_baselines(names, density: float, ranking: str) -> None:
         check_t10_settings(density, ranking)
 
 
-def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
-                      ranking: str = "signed") -> np.ndarray:
-    """Nodal degrees after keeping the top round(density * E) edges.
-
-    Edges are ranked descending (signed values or magnitudes); ties are
-    broken by the canonical (i, j) order, so exactly k edges survive.
-    """
-    if ranking not in RANKINGS:
-        raise ValidationError(f"ranking must be one of {RANKINGS}")
-    vals = g.values if ranking == "signed" else np.abs(g.values)
-    k = density_edge_count(g.n_edges, density)
-    selected = np.zeros(g.n_edges, dtype=bool)
-    if k > 0:
-        order = np.argsort(-vals, kind="stable")
-        selected[order[:k]] = True
-    return node_sums(g.n, selected).astype(np.int64)
-
-
 def stacked_degrees(values: np.ndarray, n: int, density: float,
                     ranking: str) -> np.ndarray:
-    """degree_at_density of every row of a (subjects x edges) array of an
-    n-node network. One row-wise partition finds each row's k-th largest
-    value; the edges above it are kept, and of those equal to it the
-    lowest edge indices fill the rest, as the stable sort does."""
+    """Nodal degrees of every row of a (subjects x edges) array of an
+    n-node network after keeping its top round(density * E) edges (signed
+    values or magnitudes). One row-wise partition finds each row's k-th
+    largest value; the edges above it are kept, and of those equal to it
+    the lowest edge indices fill the rest, as a stable sort would."""
     vals = np.abs(values) if ranking == "absolute" else values
     subjects, n_edges = vals.shape
     k = density_edge_count(n_edges, density)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import binomial_corrected, degree_ttest
+from .baselines import (  # noqa: F401  perfbench/spans.py wraps them here
+    binomial_corrected, degree_ttest)
 from .core import (
     AdjacencyMatrix,
     DdtError,
@@ -105,22 +106,20 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = ddt_run(cohort, test_cfg=run.test_config, rule=run.threshold,
-                     ensemble_size=run.null_networks, alpha=run.alpha,
-                     seed=run.seed, inner_dim=run.inner_dim,
-                     correct_nodes=run.correct_nodes)
-
-    baseline_results = {
-        name: degree_ttest(cohort, density=run.density, alpha=run.alpha,
-                           ranking=run.ranking)
-        if name == "t10" else binomial_corrected(
-            result.pvalues, "bonferroni" if name == "binb" else "fdr", run.alpha)
-        for name in run.baselines}
+    run_result = ddt_run(cohort, {run.threshold.kind: run.threshold},
+                         run.baselines, test_cfg=run.test_config,
+                         ensemble_size=run.null_networks, alpha=run.alpha,
+                         seed=run.seed, inner_dim=run.inner_dim,
+                         density=run.density, ranking=run.ranking,
+                         correct_nodes=run.correct_nodes)
+    if run_result.error is not None:
+        raise run_result.error
+    result = run_result.ddt[run.threshold.kind]
 
     write_nodes_csv(out_dir / "nodes.csv", result, labels=cohort.labels,
-                    baselines=baseline_results)
+                    baselines=run_result.baselines)
     write_matrix_csv(out_dir / "difference_network.csv",
-                     result.difference.to_symmetric().to_dense())
+                     run_result.difference.to_symmetric().to_dense())
     write_matrix_csv(out_dir / "adjacency.csv", result.adjacency.to_dense())
     write_gamma_json(out_dir / "gamma.json", run.threshold, result.gamma)
     write_moments_json(out_dir / "moments.json", result.moments)
@@ -205,8 +204,10 @@ def cmd_null(args) -> int:
 
 
 def cmd_enrich(args) -> int:
-    dense = read_matrix_csv(args.adjacency)
-    adjacency = AdjacencyMatrix.from_dense(dense)
+    try:
+        adjacency = AdjacencyMatrix.from_dense(read_matrix_csv(args.adjacency))
+    except ValidationError as err:
+        raise ValidationError(f"{args.adjacency}: {err}") from err
     partition = load_partition(args.modules)
     results = enrichment_test(adjacency, partition, alpha=args.alpha)
     write_enrichment_csv(args.out, results, partition)

@@ -235,6 +235,8 @@ class AdjacencyMatrix(_FrozenArrays):
             raise ValidationError("adjacency entries must be 0 or 1")
         if np.any(dense != dense.T):
             raise ValidationError("adjacency matrix must be symmetric")
+        if np.any(np.diag(dense) != 0):
+            raise ValidationError("adjacency diagonal must be zero (no self-loops)")
         iu, ju = triu_index_pairs(dense.shape[0])
         return cls(n=dense.shape[0], selected=dense[iu, ju].astype(bool))
 

@@ -1,9 +1,10 @@
-"""The differential degree test.
+"""The differential degree test, and ddt_run: the one pipeline that runs
+every node method on a cohort, for `ddt run` and `ddt simulate` alike.
 
-Pipeline: edge-wise p-values -> difference network (probability and logit
-scale) -> observed moments -> threshold gamma -> observed adjacency and
-differential degrees -> per-node null probability -> exact binomial
-upper-tail p-values.
+Pipeline: edge-wise p-values -> difference network -> baselines (t10,
+binb, binf) -> per threshold rule: observed moments -> gamma -> observed
+adjacency and differential degrees -> per-node null probability -> exact
+binomial upper-tail p-values -> optionally BH across nodes.
 
 Every null edge follows one law F (hqs.mixture_cdf), so a gamma known in
 advance (aDDT, baselines) gives each node the exact null probability
@@ -12,20 +13,19 @@ advance (aDDT, baselines) gives each node the exact null probability
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
+from .baselines import (  # noqa: F401  binomial_upper_tail: perfbench/spans.py wraps it here
+    NodeTests, binomial_corrected, binomial_tails, binomial_upper_tail,
+    check_baselines, degree_ttest)
 from .core import (
     AdjacencyMatrix,
     ConnectivityCohort,
     DdtError,
     DifferenceNetwork,
     ValidationError,
-    _frozen,
-    _FrozenArrays,
     node_sums,
     pvalue_clamp_count,
 )
@@ -51,34 +51,11 @@ class PipelineError(DdtError):
 
 
 @dataclass(frozen=True)
-class NodeTests(_FrozenArrays):
-    """Per-node test outcome as read-only arrays, entry i for node i.
-
-    Every node method fills pvalue and significant. The binomial tests
-    (DDT, binb, binf) also fill degree, p_null and degenerate; the degree
-    t-test (t10) leaves them None.
-    """
-
-    pvalue: np.ndarray
-    significant: np.ndarray
-    degree: np.ndarray | None = None
-    p_null: np.ndarray | None = None
-    degenerate: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value is not None:
-                object.__setattr__(self, name, _frozen(np.asarray(value)))
-
-
-@dataclass(frozen=True)
 class DdtResult:
-    """Everything a run produces: the node tests, one NodeTests entry per
-    node, plus the artifacts they came from."""
+    """One threshold rule's degree test: the node tests, one NodeTests
+    entry per node, plus the artifacts they came from."""
 
     nodes: NodeTests
-    pvalues: PValueMatrix
-    difference: DifferenceNetwork
     moments: MomentSummary
     gamma: float
     adjacency: AdjacencyMatrix
@@ -104,47 +81,6 @@ def null_probability_from_counts(counts: np.ndarray, size: int,
             f"expected {n * (n - 1) // 2} per-edge counts for n={n}, "
             f"got {len(counts)}")
     return node_sums(n, counts) / (size * (n - 1))
-
-
-@lru_cache(maxsize=64)
-def _log_binomial_row(n: int) -> tuple[float, ...]:
-    """log C(n, i) for i = 0..n, by the lgamma expression of every tail."""
-    return tuple(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                 for i in range(n + 1))
-
-
-@lru_cache(maxsize=8192)
-def binomial_upper_tail(k: int, n: int, p: float) -> float:
-    """Exact P(X >= k) for X ~ Binomial(n, p), by log-space pmf summation.
-    Cached: binb and binf, and nodes of one degree, ask for the same tail."""
-    if not 0 <= k <= n:
-        raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"success probability must be in [0, 1], got {p}")
-    if k == 0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    log_c = _log_binomial_row(n)
-    terms = [log_c[i] + i * log_p + (n - i) * log_q for i in range(k, n + 1)]
-    m = max(terms)
-    total = m + math.log(math.fsum(math.exp(t - m) for t in terms))
-    return float(min(1.0, math.exp(total)))
-
-
-def binomial_tails(degrees: np.ndarray, trials: int, p) -> np.ndarray:
-    """P(X >= k) for X ~ Binomial(trials, p) at each degree k, with p one
-    probability or one per degree. binomial_upper_tail runs once per
-    distinct (k, p) pair, found as the distinct values of k + i p."""
-    keys = np.asarray(degrees) + 1j * np.asarray(p, dtype=float)
-    pairs, inverse = np.unique(keys, return_inverse=True)
-    tails = np.array([binomial_upper_tail(int(pair.real), trials, pair.imag)
-                      for pair in pairs.tolist()])
-    return tails[inverse]
 
 
 def node_tests(degrees: np.ndarray, p_null: np.ndarray,
@@ -183,21 +119,22 @@ def _stage(label: str, fn, *args, **kwargs):
         raise PipelineError(f"{label}: {err}") from err
 
 
-def degree_tests(pmat: PValueMatrix, rules: dict[str, ThresholdRule],
-                 ensemble_size: int, alpha: float, seed: int,
+def degree_tests(pmat: PValueMatrix, dn: DifferenceNetwork,
+                 rules: dict[str, ThresholdRule], ensemble_size: int,
+                 alpha: float, seed: int,
                  inner_dim: int = 2) -> dict[str, DdtResult]:
     """The degree test after the edge tests, for several rules at once.
 
-    One difference network and one set of moments serve every rule; each
-    rule then gets its own adjacency, null probabilities and node tests.
-    A gamma known in advance gives p_null = max(0, 1 - F(gamma)) on the
-    null edge law F; the eDDT rules share one streamed pass over the null
-    ensemble from `seed`, made only for them. Results follow the order of
-    `rules`. A failing moment or threshold stage raises PipelineError
-    naming the stage, with the stage's error as __cause__.
+    dn is pmat's difference network (DifferenceNetwork.from_pvalues). One
+    set of moments serves every rule; each rule then gets its own
+    adjacency, null probabilities and node tests. A gamma known in advance
+    gives p_null = max(0, 1 - F(gamma)) on the null edge law F; the eDDT
+    rules share one streamed pass over the null ensemble from `seed`, made
+    only for them. Results follow the order of `rules`. A failing moment or
+    threshold stage raises PipelineError naming the stage, with the stage's
+    error as __cause__.
     """
     n = pmat.n
-    dn = DifferenceNetwork.from_pvalues(pmat)
     moments = _stage("moments", observed_moments, dn, m=inner_dim)
     if ensemble_size < 1:
         raise ValidationError(f"ensemble size must be >= 1, got {ensemble_size}")
@@ -229,35 +166,59 @@ def degree_tests(pmat: PValueMatrix, rules: dict[str, ThresholdRule],
             "pvalues_clamped": pvalues_clamped,
             "node_correction": "none",
         }
-        results[name] = DdtResult(
-            nodes=nodes, pvalues=pmat, difference=dn, moments=moments,
-            gamma=gamma, adjacency=adjacency, flags=flags)
+        results[name] = DdtResult(nodes=nodes, moments=moments, gamma=gamma,
+                                  adjacency=adjacency, flags=flags)
     return results
 
 
-def ddt_run(cohort: ConnectivityCohort,
-            test_cfg: EdgeTestConfig | None = None,
-            rule: ThresholdRule | None = None,
-            ensemble_size: int = 1000,
-            alpha: float = 0.05,
-            seed: int = 0,
-            inner_dim: int = 2,
-            correct_nodes: bool = False) -> DdtResult:
-    """Run the full differential degree test on a cohort.
+@dataclass(frozen=True)
+class RunResult:
+    """ddt_run's result: the edge tests' p-values and difference network,
+    one DdtResult per rule and one NodeTests per baseline, in the order
+    asked for. `error` is the degree-test stage's PipelineError; when it is
+    set, `ddt` is empty and the baselines are still there."""
 
-    Fully deterministic given the seed: aDDT takes gamma and p_null from
-    the null edge law and draws nothing; only eDDT streams `ensemble_size`
-    null networks, all drawn from one generator keyed by the seed (see
-    hqs.NullStream). `correct_nodes` applies BH
-    across the node p-values before declaring significance (off by default).
+    pvalues: PValueMatrix
+    difference: DifferenceNetwork
+    ddt: dict[str, DdtResult]
+    baselines: dict[str, NodeTests]
+    error: PipelineError | None = None
+
+
+def ddt_run(cohort: ConnectivityCohort, rules: dict[str, ThresholdRule],
+            baselines: tuple[str, ...] = (), *, test_cfg: EdgeTestConfig | None = None,
+            ensemble_size: int = 1000, alpha: float = 0.05, seed: int = 0,
+            inner_dim: int = 2, density: float = 0.10, ranking: str = "signed",
+            correct_nodes: bool = False) -> RunResult:
+    """Run every node method on a cohort: the edge tests (by default Welch,
+    seeded by `seed`); the baselines, t10 at `density` and `ranking` from
+    the cohort, binb and binf from the p-values; degree_tests for every
+    rule; and, when `correct_nodes` is set, BH across each rule's node
+    p-values before declaring significance.
+
+    Deterministic given the seeds: of the node methods only eDDT draws,
+    `ensemble_size` null networks from one generator keyed by `seed`
+    (hqs.NullStream).
+    A failing edge-test stage raises PipelineError; a failing degree-test
+    stage is returned as RunResult.error.
     """
+    check_baselines(baselines, density, ranking)
     test_cfg = test_cfg or EdgeTestConfig(seed=seed)
     pmat = _stage("edge tests", edgewise_pvalues, cohort, test_cfg)
-    result = degree_tests(pmat, {"gamma": rule or ThresholdRule()},
-                          ensemble_size, alpha, seed, inner_dim)["gamma"]
-    if not correct_nodes:
-        return result
-    nodes = replace(result.nodes,
-                    significant=benjamini_hochberg(result.nodes.pvalue, alpha))
-    return replace(result, nodes=nodes,
-                   flags={**result.flags, "node_correction": "bh"})
+    dn = DifferenceNetwork.from_pvalues(pmat)
+    tests = {name: degree_ttest(cohort, density, alpha, ranking)
+             if name == "t10" else binomial_corrected(
+                 pmat, "bonferroni" if name == "binb" else "fdr", alpha)
+             for name in baselines}
+    try:
+        ddt = degree_tests(pmat, dn, rules, ensemble_size, alpha, seed,
+                           inner_dim)
+    except PipelineError as err:
+        return RunResult(pmat, dn, {}, tests, error=err)
+    if correct_nodes:
+        for name, result in ddt.items():
+            nodes = replace(result.nodes, significant=benjamini_hochberg(
+                result.nodes.pvalue, alpha))
+            ddt[name] = replace(result, nodes=nodes,
+                                flags={**result.flags, "node_correction": "bh"})
+    return RunResult(pmat, dn, ddt, tests)

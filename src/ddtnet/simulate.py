@@ -19,21 +19,21 @@ from itertools import repeat
 
 import numpy as np
 
-from .baselines import BASELINES, binomial_corrected, check_baselines, degree_ttest
+# perfbench/spans.py wraps these names here, so they stay bound in this
+# module: binomial_corrected, degree_ttest, node_tests, edgewise_pvalues,
+# generate_null, observed_moments, addt_threshold and eddt_threshold
+from .baselines import (  # noqa: F401
+    BASELINES, binomial_corrected, check_baselines, degree_ttest)
 from .core import (
     ConnectivityCohort,
-    DdtError,
-    DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
     node_sums,
     substream,
     triu_index_pairs,
 )
-# perfbench/spans.py wraps node_tests, generate_null, observed_moments,
-# addt_threshold and eddt_threshold here, so they stay bound in this module
-from .degree_test import check_run_settings, degree_tests, node_tests  # noqa: F401
-from .edgetests import EdgeTestConfig, edgewise_pvalues
+from .degree_test import check_run_settings, ddt_run, node_tests  # noqa: F401
+from .edgetests import EdgeTestConfig, edgewise_pvalues  # noqa: F401
 from .hqs import generate_null, observed_moments  # noqa: F401
 from .thresholds import (  # noqa: F401
     ThresholdRule,
@@ -380,61 +380,39 @@ def experiment_rules(design: SimDesign) -> dict[str, ThresholdRule]:
 
 def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
                   rules: dict[str, ThresholdRule]) -> ReplicateOutcome:
-    """Simulate replicate rep's cohort on base (base_network(design)) and
-    score the design's methods and edge rules on it; rules are
-    experiment_rules(design)."""
+    """Simulate replicate rep's cohort on base (base_network(design)), run
+    the design's node methods on it through ddt_run, and score them and the
+    design's edge rules; rules are experiment_rules(design). The fixed edge
+    rules select from ddt_run's difference network."""
     rep_rng = substream(design.seed, 1, rep)
     sim = simulate_cohort(design, base,
                           replicate_seed=int(rep_rng.integers(2 ** 63)))
-    cohort = sim.cohort
-    truth_nodes = sim.target_nodes
-    exclude = sim.incident_nodes
-
     cfg = EdgeTestConfig(method=design.edge_test,
                          seed=int(rep_rng.integers(2 ** 63)))
-    pmat = edgewise_pvalues(cohort, cfg)
-
-    node_decisions: dict[str, np.ndarray] = {}
-    edge_detections: dict[str, np.ndarray] = {}
-    errors: dict[str, str] = {}
-
     ddt_rules = {name: rule for name, rule in rules.items()
                  if rule.kind in ("addt", "eddt")}
-    dn = None
-    if ddt_rules:
-        try:
-            results = degree_tests(pmat, ddt_rules, design.null_networks,
-                                   design.alpha,
-                                   seed=int(rep_rng.integers(2 ** 63)))
-        except DdtError as err:
-            # the stage's own message, without the PipelineError label
-            errors.update((name, str(err.__cause__ or err)) for name in ddt_rules)
-        else:
-            for name, result in results.items():
-                edge_detections[name] = result.adjacency.selected
-                node_decisions[name] = result.nodes.significant
-                dn = result.difference
+    result = ddt_run(sim.cohort, ddt_rules,
+                     tuple(name for name in BASELINES if name in design.methods),
+                     test_cfg=cfg, ensemble_size=design.null_networks,
+                     alpha=design.alpha, seed=int(rep_rng.integers(2 ** 63)),
+                     density=design.density, ranking=design.ranking)
 
-    for name, correction in (("binb", "bonferroni"), ("binf", "fdr")):
-        if name in design.methods:
-            node_decisions[name] = binomial_corrected(
-                pmat, correction, design.alpha).significant
-    if "t10" in design.methods:
-        node_decisions["t10"] = degree_ttest(
-            cohort, design.density, design.alpha, design.ranking).significant
-    fixed = {name: rule for name, rule in rules.items() if name not in ddt_rules}
-    if fixed and dn is None:    # degree_tests built none, or raised
-        dn = DifferenceNetwork.from_pvalues(pmat)
-    for name, rule in fixed.items():
-        edge_detections[name] = baseline_threshold(pmat, rule, dn).selected
+    # the stage's own message, without the PipelineError label
+    errors = (dict.fromkeys(ddt_rules, str(result.error.__cause__))
+              if result.error else {})
+    nodes = {name: r.nodes for name, r in result.ddt.items()} | result.baselines
+    edges = {name: r.adjacency for name, r in result.ddt.items()}
+    edges.update((name, baseline_threshold(result.pvalues, rule, result.difference))
+                 for name, rule in rules.items() if name not in ddt_rules)
 
+    exclude = sim.incident_nodes
     node_counts = {
-        name: score(dec, truth_nodes, exclude=exclude)
-        for name, dec in node_decisions.items() if name in design.methods
+        name: score(tests.significant, sim.target_nodes, exclude=exclude)
+        for name, tests in nodes.items() if name in design.methods
     }
     edge_counts = {
-        name: score(det, sim.dwe_edges)
-        for name, det in edge_detections.items() if name in design.edge_rules
+        name: score(adjacency.selected, sim.dwe_edges)
+        for name, adjacency in edges.items() if name in design.edge_rules
     }
     return ReplicateOutcome(replicate=rep, node_counts=node_counts,
                             edge_counts=edge_counts, errors=errors)

@@ -3,15 +3,32 @@ import pytest
 
 from ddtnet.baselines import (
     binomial_corrected,
-    degree_at_density,
+    binomial_upper_tail,
     degree_ttest,
     density_edge_count,
     stacked_degrees,
 )
-from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix, ValidationError
-from ddtnet.degree_test import binomial_upper_tail
+from ddtnet.core import (AdjacencyMatrix, ConnectivityCohort, SymmetricMatrix,
+                         ValidationError, node_sums)
 from ddtnet.edgetests import PValueMatrix
 from ddtnet.thresholds import bh_adjust
+
+
+def degree_at_density(g: SymmetricMatrix, density: float = 0.10,
+                      ranking: str = "signed") -> np.ndarray:
+    """One subject's nodal degrees after keeping the top round(density * E)
+    edges: the per-subject oracle of stacked_degrees.
+
+    Edges are ranked descending (signed values or magnitudes); ties are
+    broken by the canonical (i, j) order, so exactly k edges survive.
+    """
+    vals = g.values if ranking == "signed" else np.abs(g.values)
+    k = density_edge_count(g.n_edges, density)
+    selected = np.zeros(g.n_edges, dtype=bool)
+    if k > 0:
+        order = np.argsort(-vals, kind="stable")
+        selected[order[:k]] = True
+    return node_sums(g.n, selected).astype(np.int64)
 
 
 def test_density_edge_count_rounding():

@@ -1,10 +1,16 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddtnet.cli import main
-from ddtnet.io import write_matrix_csv
+from ddtnet.core import ConnectivityCohort
+from ddtnet.degree_test import ddt_run
+from ddtnet.io import load_run_manifest, write_matrix_csv
 
 RUN_OUTPUTS = ("nodes.csv", "difference_network.csv", "adjacency.csv",
                "gamma.json", "moments.json", "run_summary.json")
@@ -79,6 +85,57 @@ def test_run_with_baselines_adds_columns(tmp_path):
     header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
     for col in ("t10_pvalue", "binb_degree", "binf_significant"):
         assert col in header
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(5, 8), n1=st.integers(3, 6), n2=st.integers(3, 6),
+       kind=st.sampled_from(["addt", "eddt"]), shift=st.floats(0.0, 0.8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_writes_the_node_tests_of_ddt_run(n, n1, n2, kind, shift, seed):
+    # node 0's edges are shifted in group 2; a weak shift can leave the
+    # logit-scale mean nonpositive, and then both paths fail the same way
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    x1 = rng.uniform(-0.5, 0.5, size=(n1, len(iu)))
+    x2 = rng.uniform(-0.5, 0.5, size=(n2, len(iu))) + np.where(iu == 0, shift, 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        groups = {}
+        for key, x in (("group1", x1), ("group2", x2)):
+            groups[key] = []
+            for s, row in enumerate(x):
+                dense = np.eye(n)
+                dense[iu, ju] = dense[ju, iu] = row
+                write_matrix_csv(tmp / f"{key}_{s}.csv", dense)
+                groups[key].append(f"{key}_{s}.csv")
+        manifest = tmp / "run.json"
+        manifest.write_text(json.dumps({
+            **groups, "seed": seed, "null_networks": 40,
+            "threshold": {"kind": kind, "level": 0.95},
+            "baselines": ["t10", "binb", "binf"]}))
+        code = main(["--quiet", "run", "--manifest", str(manifest),
+                     "--out", str(tmp / "out")])
+        run = load_run_manifest(manifest)
+        result = ddt_run(
+            ConnectivityCohort(x1, x2), {kind: run.threshold}, run.baselines,
+            test_cfg=run.test_config, ensemble_size=run.null_networks,
+            alpha=run.alpha, seed=run.seed, inner_dim=run.inner_dim,
+            density=run.density, ranking=run.ranking,
+            correct_nodes=run.correct_nodes)
+        if result.error is not None:
+            assert code == 3
+            assert not (tmp / "out" / "nodes.csv").exists()
+            return
+        assert code == 0
+        with open(tmp / "out" / "nodes.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    for prefix, tests in (("", result.ddt[kind].nodes),
+                          *((f"{name}_", tests)
+                            for name, tests in result.baselines.items())):
+        assert [r[prefix + "pvalue"] for r in rows] == list(
+            map(repr, tests.pvalue.tolist()))
+        assert [r[prefix + "significant"] == "true" for r in rows] == (
+            tests.significant.tolist())
 
 
 def test_run_missing_matrix_file_exit_2(tmp_path, capsys):
@@ -309,6 +366,25 @@ def test_enrich_rejects_a_non_binary_entry(tmp_path, capfd, entry):
     payload = json.loads(err)
     assert payload["error"] == "validation"
     assert "must be 0 or 1" in payload["message"]
+    assert not (tmp_path / "enrichment.csv").exists()
+
+
+def test_enrich_rejects_a_self_loop(tmp_path, capfd):
+    adj = np.zeros((6, 6), dtype=int)
+    adj[0, 1] = adj[1, 0] = 1
+    adj[3, 3] = 1
+    write_matrix_csv(tmp_path / "adjacency.csv", adj)
+    (tmp_path / "modules.csv").write_text("0,1\n1,1\n2,1\n3,2\n4,2\n5,2\n")
+    code = main(["enrich", "--adjacency", str(tmp_path / "adjacency.csv"),
+                 "--modules", str(tmp_path / "modules.csv"),
+                 "--out", str(tmp_path / "enrichment.csv")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert str(tmp_path / "adjacency.csv") in payload["message"]
+    assert "diagonal" in payload["message"]
     assert not (tmp_path / "enrichment.csv").exists()
 
 

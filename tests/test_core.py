@@ -109,6 +109,13 @@ def test_adjacency_matrix_dense_roundtrip_property(n, data):
     assert np.array_equal(back.to_dense(), dense)
 
 
+def test_adjacency_matrix_rejects_a_nonzero_diagonal():
+    dense = AdjacencyMatrix(n=4, selected=np.ones(6, dtype=bool)).to_dense()
+    dense[2, 2] = 1
+    with pytest.raises(ValidationError, match="diagonal"):
+        AdjacencyMatrix.from_dense(dense)
+
+
 def test_symmetric_matrix_rejects_asymmetry_and_size():
     bad = np.array([[1.0, 0.2], [0.4, 1.0]])
     with pytest.raises(ValidationError):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ddtnet.core import AdjacencyMatrix, ConnectivityCohort, ValidationError
-from ddtnet import degree_test
+from ddtnet.core import (AdjacencyMatrix, ConnectivityCohort,
+                         DifferenceNetwork, ValidationError)
+from ddtnet import baselines
+from ddtnet.baselines import binomial_tails, binomial_upper_tail
 from ddtnet.degree_test import (
     DEGENERATE_P_FLOOR,
     PipelineError,
-    binomial_tails,
-    binomial_upper_tail,
     ddt_run,
     degree_tests,
     node_tests,
@@ -178,7 +178,7 @@ def test_node_tests_equal_a_per_node_binomial_loop(data, n, alpha):
         return binomial_upper_tail(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(degree_test, "binomial_upper_tail", counted)
+        mp.setattr(baselines, "binomial_upper_tail", counted)
         res = node_tests(degrees, p_null, alpha)
     pairs = set(zip(degrees.tolist(), p_null.tolist()))
     assert len(calls) == len(pairs)
@@ -218,10 +218,10 @@ def _random_cohort(n_nodes, n1, n2, seed, shift_edges=(), shift=0.0):
 
 def test_ddt_run_deterministic_end_to_end():
     cohort = _random_cohort(12, 8, 8, seed=3, shift_edges=range(11), shift=0.4)
-    kwargs = dict(test_cfg=EdgeTestConfig(), rule=ThresholdRule(),
-                  ensemble_size=50, alpha=0.05, seed=99)
-    r1 = ddt_run(cohort, **kwargs)
-    r2 = ddt_run(cohort, **kwargs)
+    kwargs = dict(test_cfg=EdgeTestConfig(), ensemble_size=50, alpha=0.05,
+                  seed=99)
+    r1 = ddt_run(cohort, {"addt": ThresholdRule()}, **kwargs).ddt["addt"]
+    r2 = ddt_run(cohort, {"addt": ThresholdRule()}, **kwargs).ddt["addt"]
     assert r1.gamma == r2.gamma
     assert np.array_equal(r1.adjacency.selected, r2.adjacency.selected)
     assert r1.nodes.pvalue.tolist() == r2.nodes.pvalue.tolist()
@@ -231,8 +231,8 @@ def test_ddt_run_detects_planted_node():
     # edges 0..10 in canonical order are exactly node 0's incident edges
     # for n = 12
     cohort = _random_cohort(12, 14, 14, seed=8, shift_edges=range(11), shift=0.5)
-    result = ddt_run(cohort, rule=ThresholdRule(),
-                     ensemble_size=200, seed=7)
+    result = ddt_run(cohort, {"addt": ThresholdRule()},
+                     ensemble_size=200, seed=7).ddt["addt"]
     assert result.nodes.significant[0]
     assert result.nodes.degree[0] >= 5
     assert not any(result.nodes.significant[1:])
@@ -240,8 +240,8 @@ def test_ddt_run_detects_planted_node():
 
 def test_ddt_run_eddt_matches_contract():
     cohort = _random_cohort(12, 10, 10, seed=4, shift_edges=range(11), shift=0.5)
-    result = ddt_run(cohort, rule=ThresholdRule(kind="eddt"),
-                     ensemble_size=100, seed=11)
+    result = ddt_run(cohort, {"eddt": ThresholdRule(kind="eddt")},
+                     ensemble_size=100, seed=11).ddt["eddt"]
     assert result.gamma == pytest.approx(
         np.quantile(
             __import__("ddtnet.hqs", fromlist=["generate_null"]).generate_null(
@@ -254,16 +254,19 @@ def test_ddt_run_degenerate_cohort_surfaces_moment_error():
     edges = 6 * 5 // 2
     vals = rng.normal(size=(4, edges))
     cohort = ConnectivityCohort(vals, vals)
-    with pytest.raises(PipelineError, match="moments"):
-        ddt_run(cohort, seed=0)
+    result = ddt_run(cohort, {"addt": ThresholdRule()}, ("binb", "t10"), seed=0)
+    assert isinstance(result.error, PipelineError)
+    assert str(result.error).startswith("moments")
+    # the degree-test stage failed; the baselines still ran
+    assert result.ddt == {} and list(result.baselines) == ["binb", "t10"]
 
 
 def test_ddt_run_bh_across_nodes_flag():
     cohort = _random_cohort(12, 12, 12, seed=13, shift_edges=range(11), shift=0.45)
-    plain = ddt_run(cohort, rule=ThresholdRule(),
-                    ensemble_size=100, seed=5)
-    corrected = ddt_run(cohort, rule=ThresholdRule(),
-                        ensemble_size=100, seed=5, correct_nodes=True)
+    rules = {"addt": ThresholdRule()}
+    plain = ddt_run(cohort, rules, ensemble_size=100, seed=5).ddt["addt"]
+    corrected = ddt_run(cohort, rules, ensemble_size=100, seed=5,
+                        correct_nodes=True).ddt["addt"]
     sig_plain = set(np.flatnonzero(plain.nodes.significant).tolist())
     sig_corr = set(np.flatnonzero(corrected.nodes.significant).tolist())
     assert sig_corr <= sig_plain
@@ -289,7 +292,8 @@ FIXED_RULES = {"addt": ThresholdRule("addt", 0.95),
 def test_fixed_threshold_p_null_is_exact(strong):
     n = 15
     pmat = _pvalue_matrix(n, seed=strong, low=0.001, high=0.45, strong=strong)
-    results = degree_tests(pmat, FIXED_RULES, 1, 0.05, seed=0)
+    results = degree_tests(pmat, DifferenceNetwork.from_pvalues(pmat),
+                           FIXED_RULES, 1, 0.05, seed=0)
     for name, result in results.items():
         p = max(0.0, 1.0 - mixture_cdf(result.moments, result.gamma))
         assert result.nodes.p_null.tolist() == [p] * n, name

@@ -355,7 +355,8 @@ def test_ddt_run_null_stage_matches_the_materialized_ensemble(monkeypatch, kind)
     _rows_per_block(monkeypatch, n, 6)
     cohort = _planted_cohort(n, 8, seed=2)
     rule = ThresholdRule(kind=kind)
-    result = ddt_run(cohort, rule=rule, ensemble_size=size, seed=seed)
+    result = ddt_run(cohort, {kind: rule}, ensemble_size=size,
+                     seed=seed).ddt[kind]
     entries = generate_null(result.moments, n, size, seed).logit_entries
     p_null = result.nodes.p_null
     if kind == "eddt":
@@ -379,20 +380,21 @@ def _no_null_network(self):
 def test_fixed_thresholds_generate_no_null_network(monkeypatch):
     monkeypatch.setattr(NullStream, "blocks", _no_null_network)
     cohort = _planted_cohort(16, 8, seed=2)
-    result = ddt_run(cohort, rule=ThresholdRule(kind="addt"),
-                     ensemble_size=1000, seed=4)
-    assert result.flags["null_edge_fraction"] > 0.0
-    pmat = result.pvalues
+    run = ddt_run(cohort, {"addt": ThresholdRule(kind="addt")},
+                  ensemble_size=1000, seed=4)
+    assert run.ddt["addt"].flags["null_edge_fraction"] > 0.0
+    pmat, dn = run.pvalues, run.difference
     rules = {"addt": ThresholdRule("addt"), "hard": ThresholdRule("hard"),
              "bonferroni": ThresholdRule("bonferroni", 0.05),
              "fdr": ThresholdRule("fdr", 0.05)}
-    assert list(degree_tests(pmat, rules, 1000, 0.05, seed=4)) == list(rules)
+    assert list(degree_tests(pmat, dn, rules, 1000, 0.05, seed=4)) == list(rules)
     # the check on the ensemble size holds for every rule
     with pytest.raises(ValidationError, match="ensemble size"):
-        degree_tests(pmat, rules, 0, 0.05, seed=4)
+        degree_tests(pmat, dn, rules, 0, 0.05, seed=4)
     # and an eDDT rule does stream the ensemble
     with pytest.raises(AssertionError, match="null network"):
-        degree_tests(pmat, {"eddt": ThresholdRule("eddt")}, 10, 0.05, seed=4)
+        degree_tests(pmat, dn, {"eddt": ThresholdRule("eddt")}, 10, 0.05,
+                     seed=4)
 
     design = SimDesign(q=6, targets=(1,), n_nodes=16, n1=10, n2=10, seed=4,
                        null_networks=1000, methods=("addt", "binb"),
@@ -410,7 +412,7 @@ def test_eddt_run_memory_does_not_grow_with_the_ensemble():
     cohort = _planted_cohort(n, 10, seed=4)
     tracemalloc.start()
     try:
-        ddt_run(cohort, rule=ThresholdRule(kind="eddt"), ensemble_size=size,
+        ddt_run(cohort, {"eddt": ThresholdRule(kind="eddt")}, ensemble_size=size,
                 seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

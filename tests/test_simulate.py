@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from ddtnet import simulate
-from ddtnet.core import ValidationError, triu_index_pairs
-from ddtnet.thresholds import ThresholdRule
+from ddtnet.core import ValidationError, substream, triu_index_pairs
+from ddtnet.degree_test import ddt_run
+from ddtnet.edgetests import EdgeTestConfig
+from ddtnet.thresholds import baseline_threshold
 from ddtnet.simulate import (
     ConfusionCounts,
     SimDesign,
     base_network,
+    experiment_rules,
     matthews_corrcoef,
     pool_size,
     run_experiment,
@@ -229,22 +232,61 @@ def test_confusion_counts_addition():
 
 def test_run_replicate_records_method_error_on_null_signal():
     # a pure-noise design with a tiny network frequently yields a
-    # nonpositive logit-scale mean; errors are recorded, not raised
+    # nonpositive logit-scale mean; errors are recorded, not raised, and
+    # every other method and edge rule is still scored
     design = SimDesign(q=1, targets=(1,), n_nodes=10, n1=5, n2=5,
                        dwe_mean=0.0, seed=2, null_networks=20,
-                       methods=("addt", "binb"))
+                       methods=("addt", "eddt", "binb", "binf", "t10"),
+                       edge_rules=("bonferroni",))
     base = base_network(design)
+    rules = experiment_rules(design)
     seen_error = seen_ok = False
     for rep in range(12):
-        out = run_replicate(design, base, rep,
-                            {"addt": ThresholdRule("addt", design.level)})
+        out = run_replicate(design, base, rep, rules)
         if "addt" in out.errors:
             seen_error = True
-            assert "addt" not in out.node_counts
+            assert set(out.errors) == {"addt", "eddt"}
+            assert set(out.node_counts) == {"binb", "binf", "t10"}
         else:
             seen_ok = True
-        assert "binb" in out.node_counts
+            assert not out.errors
+            assert set(out.node_counts) == set(design.methods)
+        assert set(out.edge_counts) == {"bonferroni"}
     assert seen_error and seen_ok
+
+
+def test_run_replicate_scores_the_decisions_of_ddt_run():
+    design = SimDesign(q=5, targets=(1, 7), n_nodes=14, n1=6, n2=6, seed=9,
+                       null_networks=30, dwe_mean=0.3,
+                       edge_rules=("addt", "eddt", "hard_0.95", "bonferroni",
+                                   "fdr"))
+    base = base_network(design)
+    rules = experiment_rules(design)
+    ddt_rules = {name: rules[name] for name in ("addt", "eddt")}
+    for rep in range(3):
+        out = run_replicate(design, base, rep, rules)
+        rep_rng = substream(design.seed, 1, rep)
+        sim_seed, edge_seed, null_seed = (int(rep_rng.integers(2 ** 63))
+                                          for _ in range(3))
+        sim = simulate_cohort(design, base, sim_seed)
+        result = ddt_run(
+            sim.cohort, ddt_rules, ("binb", "binf", "t10"),
+            test_cfg=EdgeTestConfig(method=design.edge_test, seed=edge_seed),
+            ensemble_size=design.null_networks, alpha=design.alpha,
+            seed=null_seed, density=design.density, ranking=design.ranking)
+        assert result.error is None
+        decisions = {name: r.nodes.significant for name, r in result.ddt.items()}
+        decisions.update((name, tests.significant)
+                         for name, tests in result.baselines.items())
+        edges = {name: r.adjacency.selected for name, r in result.ddt.items()}
+        edges.update((name, baseline_threshold(result.pvalues, rules[name]).selected)
+                     for name in ("hard_0.95", "bonferroni", "fdr"))
+        assert list(out.node_counts.items()) == [
+            (name, score(dec, sim.target_nodes, exclude=sim.incident_nodes))
+            for name, dec in decisions.items()]
+        assert list(out.edge_counts.items()) == [
+            (name, score(det, sim.dwe_edges)) for name, det in edges.items()]
+        assert not out.errors
 
 
 def test_run_experiment_smoke_and_determinism():
