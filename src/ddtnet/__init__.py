@@ -41,7 +41,7 @@ from .thresholds import (
     eddt_threshold,
 )
 from .baselines import (NodeTests, binomial_corrected, binomial_tails,
-                        binomial_upper_tail, degree_ttest)
+                        degree_ttest)
 from .degree_test import (
     DdtResult,
     RunResult,

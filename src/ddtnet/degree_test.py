@@ -4,7 +4,8 @@ every node method on a cohort, for `ddt run` and `ddt simulate` alike.
 Pipeline: edge-wise p-values -> difference network -> baselines (t10,
 binb, binf) -> per threshold rule: observed moments -> gamma -> observed
 adjacency and differential degrees -> per-node null probability -> exact
-binomial upper-tail p-values -> optionally BH across nodes.
+binomial upper-tail p-values (one scipy.special.bdtrc call,
+baselines.binomial_tails) -> optionally BH across nodes.
 
 Every null edge follows one law F (hqs.mixture_cdf), so a gamma known in
 advance (aDDT, baselines) gives each node the exact null probability

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .core import AdjacencyMatrix, DdtError, ValidationError
 from .thresholds import bh_adjust
@@ -122,9 +123,10 @@ def enrichment_test(adjacency: AdjacencyMatrix, partition: ModulePartition,
 
     Upper-tail p-values are BH-corrected across the G(G+1)/2 blocks; a
     block is flagged only when Q > E (enrichment, not depletion) and the
-    corrected p-value is below alpha.
+    corrected p-value is below alpha, with 0 < alpha < 1.
     """
-    from scipy import stats  # deferred: only enrichment needs scipy.stats
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     total = adjacency.n_edges_selected
     if total == 0:
         raise NoSelectedEdgesError(
@@ -138,7 +140,7 @@ def enrichment_test(adjacency: AdjacencyMatrix, partition: ModulePartition,
     for b in blocks:
         if e[b] > 0.0:
             x2 = (q[b] - e[b]) ** 2 / e[b]
-            pv = float(stats.chi2.sf(x2, df=1))
+            pv = float(special.chdtrc(1, x2))
         else:
             # empty block (singleton module within-block); skipped
             x2, pv = 0.0, 1.0

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ddtnet.baselines import binomial_tails
 from ddtnet.cli import main as cli_main
-from ddtnet.degree_test import binomial_upper_tail
 from ddtnet.hqs import MomentSummary, generate_null, mixture_sample
 from ddtnet.io import write_matrix_csv
 from ddtnet.simulate import SimDesign, matthews_corrcoef, run_experiment
@@ -195,7 +195,7 @@ def test_criterion_08_exact_test_oracles():
                             * ((1 - p) ** (n - bin(o).count("1")))
                             for o in range(2 ** n)
                             if bin(o).count("1") >= k)
-                worst = max(worst, abs(binomial_upper_tail(k, n, p) - exact))
+                worst = max(worst, abs(binomial_tails(k, n, p) - exact))
     checks.append((f"binomial vs enumeration, worst |diff| = {worst:.2e} <= 1e-12",
                    worst <= 1e-12))
 

@@ -3,7 +3,7 @@ import pytest
 
 from ddtnet.baselines import (
     binomial_corrected,
-    binomial_upper_tail,
+    binomial_tails,
     degree_ttest,
     density_edge_count,
     stacked_degrees,
@@ -116,8 +116,8 @@ def test_binomial_corrected_bonferroni_cutoff():
 
     # node cut: Bonferroni across the N node tests, raw p < alpha / N
     k_star = next(k for k in range(n)
-                  if binomial_upper_tail(k, n - 1, alpha) < alpha / n)
-    assert binomial_upper_tail(k_star - 1, n - 1, alpha) >= alpha / n
+                  if binomial_tails(k, n - 1, alpha) < alpha / n)
+    assert binomial_tails(k_star - 1, n - 1, alpha) >= alpha / n
     p = np.full((n, n), 0.5)
     p[0, 1:k_star + 1] = p[1:k_star + 1, 0] = 0.01              # node 0: k*
     p[34, 20:20 + k_star - 1] = p[20:20 + k_star - 1, 34] = 0.01  # node 34: k* - 1
@@ -127,7 +127,7 @@ def test_binomial_corrected_bonferroni_cutoff():
     for degree, pvalue, p_null, significant in zip(
             nodes.degree.tolist(), nodes.pvalue.tolist(),
             nodes.p_null.tolist(), nodes.significant.tolist()):
-        raw = binomial_upper_tail(degree, n - 1, alpha)
+        raw = float(binomial_tails(degree, n - 1, alpha))
         assert pvalue == min(1.0, n * raw)
         assert p_null == alpha
         assert significant == (pvalue < alpha)
@@ -209,7 +209,7 @@ def test_binomial_corrected_equals_per_node_loop(correction):
     pmat = PValueMatrix(n=n, values=rng.uniform(size=n * (n - 1) // 2) ** 3,
                         diagonal=np.ones(n))
     degrees = AdjacencyMatrix(n, pmat.values < alpha).degrees()
-    raw = np.array([binomial_upper_tail(int(k), n - 1, alpha) for k in degrees])
+    raw = np.array([binomial_tails(int(k), n - 1, alpha) for k in degrees])
     adjusted = np.minimum(1.0, n * raw) if correction == "bonferroni" else bh_adjust(raw)
     nodes = binomial_corrected(pmat, correction, alpha)
     assert len(set(degrees.tolist())) < n          # repeated degrees share a tail

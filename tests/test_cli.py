@@ -388,6 +388,24 @@ def test_enrich_rejects_a_self_loop(tmp_path, capfd):
     assert not (tmp_path / "enrichment.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", ["2", "-1", "nan", "0", "1"])
+def test_enrich_rejects_an_alpha_outside_the_unit_interval(tmp_path, capfd,
+                                                           alpha):
+    adj = np.zeros((4, 4), dtype=int)
+    adj[0, 1] = adj[1, 0] = 1
+    write_matrix_csv(tmp_path / "adjacency.csv", adj)
+    (tmp_path / "modules.csv").write_text("0,1\n1,1\n2,2\n3,2\n")
+    code = main(["enrich", "--adjacency", str(tmp_path / "adjacency.csv"),
+                 "--modules", str(tmp_path / "modules.csv"),
+                 f"--alpha={alpha}", "--out", str(tmp_path / "enrichment.csv")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation" and "alpha" in payload["message"]
+    assert not (tmp_path / "enrichment.csv").exists()
+
+
 def _difference_csv(tmp_path, entries: dict):
     n = 8
     rng = np.random.default_rng(2)

@@ -39,13 +39,13 @@ SIMULATE_ECHO = {
 }
 RUN_DIGESTS = {
     "nodes.csv":
-        "62988715948e426bd391d480bdae3d99ed35ada1aadd4e2efe6f4fe5679a7f15",
+        "e9eaf45bffbc8a066401fd87a915993e04a16ada198b560fb5a3f899804aefb3",
     "adjacency.csv":
         "1ed08461bc138e20f3fa180fcba32d036b45abfa1699454d2f0317d4fb37c1d3",
 }
 ADDT_RUN_DIGESTS = {
     "nodes.csv":
-        "f7af844c093b3a5b6d7134f8e0e127a5fcdc6f96e9bdcd450275fc5bd6827223",
+        "77a46a9f4f91c27e278ca07fff8891c9e8d3dc195cbf109cfe6c4ec31f3801fd",
     "adjacency.csv":
         "256be9dbec7978a99548ca9da6eac935fe798c289ebc0b2866130c91ad62c53a",
     "gamma.json":

@@ -1,7 +1,7 @@
 """scipy.stats costs about a second to import; only the wilcoxon edge test
-and module enrichment use it. These checks run the command line in a fresh
-interpreter and fail if a Welch or regression run, a simulation or
---version loads it anyway."""
+uses it. These checks run the command line in a fresh interpreter and fail
+if a Welch or regression run, a simulation, module enrichment or --version
+loads it anyway."""
 
 import json
 import os
@@ -86,6 +86,18 @@ def test_simulate_does_not_load_scipy_stats(tmp_path):
                  str(design), "--out", str(tmp_path / "bench"))
     assert got == {"code": 0, "stats": False}
 
+
+
+def test_enrich_does_not_load_scipy_stats(tmp_path):
+    adj = np.zeros((6, 6), dtype=int)
+    adj[0, 1] = adj[1, 0] = adj[0, 2] = adj[2, 0] = 1
+    write_matrix_csv(tmp_path / "adjacency.csv", adj)
+    (tmp_path / "modules.csv").write_text("0,1\n1,1\n2,1\n3,2\n4,2\n5,2\n")
+    got = _probe("--quiet", "enrich", "--adjacency",
+                 str(tmp_path / "adjacency.csv"), "--modules",
+                 str(tmp_path / "modules.csv"), "--out",
+                 str(tmp_path / "enrichment.csv"))
+    assert got == {"code": 0, "stats": False}
 
 def test_wilcoxon_edge_loads_scipy_stats():
     # the probe can see scipy.stats: a path that needs it does load it
