@@ -53,8 +53,8 @@ class PipelineError(DdtError):
 
 @dataclass(frozen=True)
 class DdtResult:
-    """One threshold rule's degree test: the node tests, one NodeTests
-    entry per node, plus the artifacts they came from."""
+    """One threshold rule's degree test: the node tests, one NodeTests of
+    per-node arrays, plus the artifacts they came from."""
 
     nodes: NodeTests
     moments: MomentSummary
@@ -129,33 +129,28 @@ def degree_tests(pmat: PValueMatrix, dn: DifferenceNetwork,
     dn is pmat's difference network (DifferenceNetwork.from_pvalues). One
     set of moments serves every rule; each rule then gets its own
     adjacency, null probabilities and node tests. A gamma known in advance
-    gives p_null = max(0, 1 - F(gamma)) on the null edge law F; the eDDT
-    rules share one streamed pass over the null ensemble from `seed`, made
-    only for them. Results follow the order of `rules`. A failing moment or
-    threshold stage raises PipelineError naming the stage, with the stage's
-    error as __cause__.
+    gives p_null = max(0, 1 - F(gamma)) on the null edge law F; each eDDT
+    rule makes its own streamed pass over the null ensemble from `seed`
+    (hqs.null_exceedances), and no other rule streams. Results follow the
+    order of `rules`. A failing moment or threshold stage raises
+    PipelineError naming the stage, with the stage's error as __cause__.
     """
     n = pmat.n
     moments = _stage("moments", observed_moments, dn, m=inner_dim)
     if ensemble_size < 1:
         raise ValidationError(f"ensemble size must be >= 1, got {ensemble_size}")
-    gammas = {name: _stage("threshold", select_gamma, rule, moments=moments,
-                           pmat=pmat)
-              for name, rule in rules.items() if rule.kind != "eddt"}
-    levels = {name: rule.level for name, rule in rules.items()
-              if rule.kind == "eddt"}
-    nulls = (null_exceedances(NullStream(moments, n, ensemble_size, seed=seed),
-                              levels) if levels else {})
     pvalues_clamped = pvalue_clamp_count(pmat.values)
 
     results = {}
-    for name in rules:
-        if name in nulls:
-            null = nulls[name]
+    for name, rule in rules.items():
+        if rule.kind == "eddt":
+            null = null_exceedances(
+                NullStream(moments, n, ensemble_size, seed=seed), rule.level)
             gamma, fraction = null.gamma, null.edge_fraction
             p_null = null_probability_from_counts(null.counts, null.size, n)
         else:
-            gamma = gammas[name]
+            gamma = _stage("threshold", select_gamma, rule, moments=moments,
+                           pmat=pmat)
             fraction = max(0.0, 1.0 - mixture_cdf(moments, gamma))
             p_null = np.full(n, fraction)
         adjacency = apply_threshold(dn, gamma)

@@ -23,7 +23,7 @@ exceeded by each null edge with probability 1 - mixture_cdf, and needs no
 ensemble. Only the pooled quantile of the eDDT threshold does, and the
 pipeline never holds its M x E entries: a NullStream draws the replicates
 from one generator in row blocks of at most 4 MB, and null_exceedances
-selects each quantile and its per-edge exceedance counts from one pass over
+selects the quantile and its per-edge exceedance counts from one pass over
 them, keeping only the entries in a narrow bracket around the law's quantile.
 """
 
@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 from scipy import special
@@ -293,124 +293,73 @@ def _order_quantile(values: np.ndarray, level: float, total: int,
     return _lerp(a, b, virtual - k)
 
 
-class _PooledQuantile:
-    """Exact pooled quantile of the ensemble from one pass over its blocks.
-
-    Entries below the bracket [lo, hi] are only counted, entries above it
-    are counted per edge, and the entries inside it are kept with their
-    edge. If the order statistics the quantile needs fall inside, they are
-    selected from the kept entries; otherwise result() returns None and a
-    wider bracket needs another pass. The bracket sits at F^-1(level -/+
-    margin) on the null edge law F of `moments`, which every entry of a
-    generated ensemble follows; a margin of at least 1 keeps every entry.
-    """
-
-    def __init__(self, level: float, size: int, n_edges: int, margin: float,
-                 moments: MomentSummary):
-        self.level, self.size, self.n_edges = level, size, n_edges
-        self.margin, self.moments = margin, moments
-        self.lo = (mixture_quantile(moments, level - margin)
-                   if level - margin > 0.0 else -math.inf)
-        self.hi = (mixture_quantile(moments, level + margin)
-                   if level + margin < 1.0 else math.inf)
-        self.below = 0
-        self.above = np.zeros(n_edges, dtype=np.int64)
-        self.values: list[np.ndarray] = []
-        self.edges: list[np.ndarray] = []
-
-    @classmethod
-    def from_law(cls, block: np.ndarray, level: float, size: int, n: int,
-                 moments: MomentSummary) -> "_PooledQuantile":
-        """Bracket the quantile on the null edge law.
-
-        The pooled share of entries below x is the mean of the M
-        per-network shares, each with mean F(x), so on the probability
-        scale the pooled quantile sits within margin = _BRACKET_Z spread /
-        sqrt(M) of level, bar a _BRACKET_Z-sigma deviation. The entries of
-        one network share its n Gaussian factor rows, so its share varies
-        like a sample of about n values, not E: spread is the standard
-        deviation of the first block's per-network exceedance rates,
-        floored at sqrt(level (1 - level) / n).
-        """
-        spread = math.sqrt(level * (1.0 - level) / n)
-        if len(block) > 1:
-            rates = (block > mixture_quantile(moments, level)).mean(axis=1)
-            spread = max(spread, float(rates.std(ddof=1)))
-        return cls(level, size, block.shape[1],
-                   _BRACKET_Z * spread / math.sqrt(size), moments)
-
-    def widened(self) -> "_PooledQuantile":
-        """A fresh bracket on the law with at least twice the margin; it
-        keeps every entry within eight widenings."""
-        return _PooledQuantile(self.level, self.size, self.n_edges,
-                               max(2.0 * self.margin, 0.01), self.moments)
-
-    def add(self, block: np.ndarray) -> None:
-        below = block < self.lo
-        above = block > self.hi
-        self.below += int(np.count_nonzero(below))
-        self.above += above.sum(axis=0)
-        outside = np.logical_or(below, above, out=below)
-        keep = np.flatnonzero(np.logical_not(outside, out=outside))
-        self.values.append(block.ravel()[keep])
-        self.edges.append((keep % self.n_edges).astype(np.int32))
-
-    def result(self) -> NullExceedance | None:
-        values = np.concatenate(self.values)
-        self.values = [values]
-        gamma = _order_quantile(values, self.level, self.size * self.n_edges,
-                                self.below)
-        if gamma is None:
-            return None
-        edges = np.concatenate(self.edges)
-        self.edges = [edges]
-        counts = self.above + np.bincount(edges[values > gamma],
-                                          minlength=self.n_edges)
-        return NullExceedance(gamma=gamma, counts=counts, size=self.size)
-
-
 def null_exceedances(source: NullStream | NullEnsemble,
-                     levels: Mapping[str, float]) -> dict[str, NullExceedance]:
-    """Pooled quantiles and their per-edge exceedance counts from one pass.
+                     level: float) -> NullExceedance:
+    """The pooled level-quantile of the null entries (eDDT) and, per edge,
+    how many replicates exceed it.
 
-    levels are pooled quantile levels (eDDT): each gamma is the q-quantile
-    of all M x E null entries, exactly np.quantile(pooled, q). When the
-    ensemble is one block it is selected from all of it; otherwise each
-    quantile is bracketed on the null edge law of source.moments and
-    selected from the entries that fall inside, and a bracket that misses
-    costs another pass with a wider one, never an approximation. Returns
-    one NullExceedance per name.
+    gamma is the quantile of all M x E null entries, exactly
+    np.quantile(pooled, level). An ensemble of one block is selected from
+    whole. Otherwise the quantile is bracketed at [lo, hi] = F^-1(level -/+
+    margin) on the null edge law F of source.moments, which every entry of
+    a generated ensemble follows, and one pass counts per edge the entries
+    above hi and keeps those in the bracket with their edge; the rest lie
+    below lo. If the order statistics the quantile needs are kept, they are
+    selected from them. Otherwise another pass takes twice the margin, at
+    least 0.01: a miss costs a pass, never an approximation, and within
+    eight widenings the margin passes 1, which keeps every entry.
+
+    The pooled share of entries below x is the mean of the M per-network
+    shares, each with mean F(x), so on the probability scale the pooled
+    quantile sits within margin = _BRACKET_Z spread / sqrt(M) of level, bar
+    a _BRACKET_Z-sigma deviation. The entries of one network share its n
+    Gaussian factor rows, so its share varies like a sample of about n
+    values, not E: spread is the standard deviation of the first block's
+    per-network exceedance rates, floored at sqrt(level (1 - level) / n).
     """
-    for level in levels.values():
-        if not 0.0 < level < 1.0:
-            raise ValidationError(f"quantile must be in (0, 1), got {level}")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"quantile must be in (0, 1), got {level}")
     blocks = source.blocks()
     first = next(blocks)
-    if len(first) == source.size:
-        gammas = {name: _order_quantile(first.ravel(), level, first.size)
-                  for name, level in levels.items()}
-        return {name: NullExceedance(gamma=gamma,
-                                     counts=(first > gamma).sum(axis=0),
-                                     size=source.size)
-                for name, gamma in gammas.items()}
+    size, n_edges = source.size, first.shape[1]
+    total = size * n_edges
+    if len(first) == size:
+        gamma = _order_quantile(first.ravel(), level, total)
+        return NullExceedance(gamma=gamma, counts=(first > gamma).sum(axis=0),
+                              size=size)
 
-    quantiles = {name: _PooledQuantile.from_law(first, level, source.size,
-                                                source.n, source.moments)
-                 for name, level in levels.items()}
-    for block in itertools.chain([first], blocks):
-        for quantile in quantiles.values():
-            quantile.add(block)
-    del first, block    # frees the block buffer before the selection
-
-    out = {}
-    for name, quantile in quantiles.items():
-        while (found := quantile.result()) is None:
-            quantile = quantile.widened()
-            for block in source.blocks():
-                quantile.add(block)
-            del block
-        out[name] = found
-    return out
+    spread = math.sqrt(level * (1.0 - level) / source.n)
+    if len(first) > 1:
+        rates = (first > mixture_quantile(source.moments, level)).mean(axis=1)
+        spread = max(spread, float(rates.std(ddof=1)))
+    margin = _BRACKET_Z * spread / math.sqrt(size)
+    blocks = itertools.chain([first], blocks)
+    del first
+    while True:
+        lo = (mixture_quantile(source.moments, level - margin)
+              if level - margin > 0.0 else -math.inf)
+        hi = (mixture_quantile(source.moments, level + margin)
+              if level + margin < 1.0 else math.inf)
+        above = np.zeros(n_edges, dtype=np.int64)
+        values, edges = [], []
+        for block in blocks:
+            over = block > hi
+            above += over.sum(axis=0)
+            inside = block >= lo
+            inside &= np.logical_not(over, out=over)
+            keep = np.flatnonzero(inside)
+            values.append(block.ravel()[keep])
+            edges.append((keep % n_edges).astype(np.int32))
+        del block, over, inside    # frees the block buffer and its masks
+        values = np.concatenate(values)
+        gamma = _order_quantile(values, level, total,
+                                total - int(above.sum()) - len(values))
+        if gamma is not None:
+            counts = above + np.bincount(
+                np.concatenate(edges)[values > gamma], minlength=n_edges)
+            return NullExceedance(gamma=gamma, counts=counts, size=size)
+        margin = max(2.0 * margin, 0.01)
+        blocks = source.blocks()
 
 
 def mixture_sample(moments: MomentSummary, count: int, seed: int = 0,

@@ -347,9 +347,14 @@ def load_partition(path) -> ModulePartition:
             except (IndexError, ValueError) as err:
                 raise ManifestError(
                     f"{path}: line {idx + 1} is not node_index,module_id") from err
+            if node in assignment:
+                raise ManifestError(f"{path}: line {idx + 1} repeats node {node}")
             assignment[node] = module
-            if len(row) > 2 and row[2].strip():
-                names[module] = row[2].strip()
+            name = row[2].strip() if len(row) > 2 else ""
+            if name and names.setdefault(module, name) != name:
+                raise ManifestError(
+                    f"{path}: line {idx + 1} names module {module} {name!r}, "
+                    f"already named {names[module]!r}")
     if not assignment:
         raise ManifestError(f"{path}: no module assignments")
     n = max(assignment) + 1

@@ -52,11 +52,12 @@ class SimDesign:
     structure, and the node methods and edge rules scored on them.
 
     targets are 1-based node indices (the differentially connected nodes);
-    q is the number of injected edges per target. null_networks is the eDDT
-    null ensemble size per replicate. methods are NODE_METHODS names and
-    edge_rules are threshold rules (addt, eddt, hard_<level>, bonferroni,
-    fdr) scored at edge level; experiment_rules checks both names. The
-    other fields are range-checked here.
+    q is the number of injected edges per target, each to a different
+    non-target node, so at most n_nodes - len(targets). null_networks is
+    the eDDT null ensemble size per replicate. methods are NODE_METHODS
+    names and edge_rules are threshold rules (addt, eddt, hard_<level>,
+    bonferroni, fdr) scored at edge level; experiment_rules checks both
+    names. The other fields are range-checked here.
     """
 
     structure: str = "random"
@@ -114,6 +115,10 @@ class SimDesign:
                 f"target nodes must be 1-based indices in 1..{self.n_nodes}, got {bad}")
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError("duplicate target nodes")
+        if self.q > self.n_nodes - len(self.targets):
+            raise ValidationError(
+                f"cannot place {self.q} non-overlapping edges per target; only "
+                f"{self.n_nodes - len(self.targets)} non-target partners exist")
         for name in ("subject_noise_sd", "base_edge_sd"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -223,10 +228,6 @@ def simulate_cohort(design: SimDesign, base: SymmetricMatrix,
     taken = np.zeros((n, n), dtype=bool)
     target_set = set(targets0.tolist())
     available = [j for j in range(n) if j not in target_set]
-    if len(available) < design.q:
-        raise ValidationError(
-            f"cannot place {design.q} non-overlapping edges per target; only "
-            f"{len(available)} non-target partners exist")
     for t in targets0:
         partners = rng.choice(available, size=design.q, replace=False)
         taken[t, partners] = True

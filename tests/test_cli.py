@@ -388,6 +388,27 @@ def test_enrich_rejects_a_self_loop(tmp_path, capfd):
     assert not (tmp_path / "enrichment.csv").exists()
 
 
+@pytest.mark.parametrize("modules, line", [
+    ("0,1\n1,1\n2,1\n1,2\n3,2\n", "line 4 repeats node 1"),
+    ("0,1,A\n1,1\n2,1,B\n3,2\n", "line 3 names module 1 'B'")])
+def test_enrich_rejects_conflicting_module_rows(tmp_path, capfd, modules,
+                                                line):
+    adj = np.zeros((4, 4), dtype=int)
+    adj[0, 1] = adj[1, 0] = 1
+    write_matrix_csv(tmp_path / "adjacency.csv", adj)
+    (tmp_path / "modules.csv").write_text(modules)
+    code = main(["enrich", "--adjacency", str(tmp_path / "adjacency.csv"),
+                 "--modules", str(tmp_path / "modules.csv"),
+                 "--out", str(tmp_path / "enrichment.csv")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert f"{tmp_path / 'modules.csv'}: {line}" in payload["message"]
+    assert not (tmp_path / "enrichment.csv").exists()
+
+
 @pytest.mark.parametrize("alpha", ["2", "-1", "nan", "0", "1"])
 def test_enrich_rejects_an_alpha_outside_the_unit_interval(tmp_path, capfd,
                                                            alpha):
@@ -877,6 +898,19 @@ def test_simulate_out_of_range_design_value_is_one_json_line(tmp_path, capfd,
     payload = json.loads(err)
     assert payload["error"] == "manifest"
     assert next(iter(field)) in payload["message"]
+    assert not (tmp_path / "bench").exists()
+
+
+def test_simulate_rejects_q_above_the_non_target_partners(tmp_path, capfd):
+    design = _small_design(tmp_path, n_nodes=6, targets=[1, 2, 3], q=4)
+    code = main(["--threads", "1", "simulate", "--design", str(design),
+                 "--out", str(tmp_path / "bench")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert "only 3 non-target partners" in payload["message"]
     assert not (tmp_path / "bench").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -168,6 +169,21 @@ def test_load_partition_variants(tmp_path):
     p3.write_text("0,1\n2,1\n")
     with pytest.raises(ManifestError, match="cover"):
         load_partition(p3)
+    # a repeated node, and a module given two names, are errors naming the
+    # file and the line; a row without a name keeps the module's name
+    p4 = tmp_path / "m4.csv"
+    p4.write_text("0,1\n1,1\n1,2\n2,2\n")
+    with pytest.raises(ManifestError,
+                       match=re.escape(f"{p4}: line 3 repeats node 1")):
+        load_partition(p4)
+    p5 = tmp_path / "m5.csv"
+    p5.write_text("node_index,module_id,name\n0,1,A\n1,1,A\n2,2\n3,1,B\n")
+    with pytest.raises(ManifestError, match=re.escape(
+            f"{p5}: line 5 names module 1 'B', already named 'A'")):
+        load_partition(p5)
+    p6 = tmp_path / "m6.csv"
+    p6.write_text("0,1,A\n1,1\n2,2\n3,1,A\n")
+    assert load_partition(p6).name(1) == "A"
 
 
 def test_load_design(tmp_path):

@@ -155,7 +155,7 @@ def test_stream_validation():
     with pytest.raises(ValidationError, match="seed"):
         NullStream(MOMENTS, n=5, size=2, seed=-1)
     with pytest.raises(ValidationError):
-        null_exceedances(NullStream(MOMENTS, n=5, size=2), levels={"e": 1.0})
+        null_exceedances(NullStream(MOMENTS, n=5, size=2), 1.0)
 
 
 def test_null_networks_are_written_block_by_block(monkeypatch, tmp_path):
@@ -181,7 +181,7 @@ def test_streamed_quantile_equals_np_quantile(monkeypatch, level, rows):
     if rows is not None:
         _rows_per_block(monkeypatch, n, rows)
     source = _CountingSource(NullStream(MOMENTS, n, size, seed))
-    null = null_exceedances(source, levels={"eddt": level})["eddt"]
+    null = null_exceedances(source, level)
     entries = generate_null(MOMENTS, n, size, seed).logit_entries
     assert null.gamma == float(np.quantile(entries, level))
     assert source.passes == 1
@@ -199,7 +199,7 @@ def test_streams_from_the_law_make_one_pass(monkeypatch, n, level):
         for seed in (0, 1):
             stream = NullStream(moments, n, 40, seed)
             source = _CountingSource(stream)
-            null = null_exceedances(source, levels={"eddt": level})["eddt"]
+            null = null_exceedances(source, level)
             assert source.passes == 1
             entries = np.concatenate([b.copy() for b in stream.blocks()])
             assert null.gamma == float(np.quantile(entries, level))
@@ -211,7 +211,7 @@ def test_bracket_miss_falls_back_to_an_exact_pass(monkeypatch, level):
     _rows_per_block(monkeypatch, n, 4)
     monkeypatch.setattr(hqs, "_BRACKET_Z", 0.0)   # a zero-width bracket
     source = _CountingSource(NullStream(MOMENTS, n, size, seed))
-    null = null_exceedances(source, levels={"eddt": level})["eddt"]
+    null = null_exceedances(source, level)
     entries = generate_null(MOMENTS, n, size, seed).logit_entries
     assert source.passes > 1
     assert null.gamma == float(np.quantile(entries, level))
@@ -227,7 +227,7 @@ def test_unrepresentative_first_block_still_gives_the_exact_quantile(
     entries[:10] += shift
     ens = NullEnsemble(moments=MOMENTS, n=n, seed=6, logit_entries=entries)
     source = _CountingSource(ens)
-    null = null_exceedances(source, levels={"eddt": 0.5})["eddt"]
+    null = null_exceedances(source, 0.5)
     assert source.passes > 1
     assert null.gamma == float(np.quantile(entries, 0.5))
     _assert_matches_mask(null, entries, n)
@@ -241,7 +241,7 @@ def test_second_order_statistic_at_the_last_index(monkeypatch, z):
     ens = NullEnsemble(moments=MOMENTS, n=3, seed=0, logit_entries=entries)
     _rows_per_block(monkeypatch, 3, 2)
     monkeypatch.setattr(hqs, "_BRACKET_Z", z)
-    null = null_exceedances(ens, levels={"eddt": 0.99})["eddt"]
+    null = null_exceedances(ens, 0.99)
     assert null.gamma == float(np.quantile(entries, 0.99))
     assert entries.max() > null.gamma > np.sort(entries.ravel())[-2]
     _assert_matches_mask(null, entries, 3)
@@ -289,7 +289,7 @@ def test_streamed_degenerate_ensemble(monkeypatch, rows):
     ens = NullEnsemble(moments=MOMENTS, n=4, seed=0,
                        logit_entries=np.full((3, 6), 2.5))
     for q in (0.1, 0.5, 0.95):
-        null = null_exceedances(ens, levels={"eddt": q})["eddt"]
+        null = null_exceedances(ens, q)
         assert null.gamma == 2.5
         assert not null.counts.any()
 
@@ -301,35 +301,19 @@ def test_streamed_pooling_is_order_free(monkeypatch, rows):
     ens = generate_null(MOMENTS, n=12, size=8, seed=5)
     permuted = NullEnsemble(moments=MOMENTS, n=12, seed=0,
                             logit_entries=ens.logit_entries[::-1].copy())
-    forward = null_exceedances(ens, levels={"eddt": 0.95})["eddt"]
-    backward = null_exceedances(permuted, levels={"eddt": 0.95})["eddt"]
+    forward = null_exceedances(ens, 0.95)
+    backward = null_exceedances(permuted, 0.95)
     assert forward.gamma == backward.gamma
     assert np.array_equal(forward.counts, backward.counts)
 
 
 def test_streamed_empty_ensemble_error():
     with pytest.raises(ValidationError):
-        null_exceedances(NullStream(MOMENTS, n=4, size=0), levels={"eddt": 0.95})
+        null_exceedances(NullStream(MOMENTS, n=4, size=0), 0.95)
 
 
 # ---------------------------------------------------------------------------
-# several quantiles in one pass, and the pipeline
-
-
-@pytest.mark.parametrize("rows", [None, 5])
-def test_one_pass_serves_two_quantile_levels(monkeypatch, rows):
-    n, size, seed = 11, 23, 9
-    if rows is not None:
-        _rows_per_block(monkeypatch, n, rows)
-    source = _CountingSource(NullStream(MOMENTS, n, size, seed))
-    levels = {"median": 0.5, "eddt": 0.95}
-    nulls = null_exceedances(source, levels)
-    assert list(nulls) == ["median", "eddt"]
-    assert source.passes == 1
-    entries = generate_null(MOMENTS, n, size, seed).logit_entries
-    for name, level in levels.items():
-        assert nulls[name].gamma == float(np.quantile(entries, level))
-        _assert_matches_mask(nulls[name], entries, n)
+# the pipeline
 
 
 def _planted_cohort(n, subjects, seed):
@@ -342,6 +326,26 @@ def _planted_cohort(n, subjects, seed):
         return np.vstack([rng.normal(size=len(iu)) + delta
                           for _ in range(subjects)])
     return ConnectivityCohort(group(0.0), group(shift))
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_each_eddt_rule_selects_its_own_quantile(monkeypatch, rows):
+    n, size, seed = 11, 23, 9
+    if rows is not None:
+        _rows_per_block(monkeypatch, n, rows)
+    run = ddt_run(_planted_cohort(n, 8, seed=2), {})
+    rules = {"median": ThresholdRule("eddt", 0.5),
+             "eddt": ThresholdRule("eddt", 0.95)}
+    results = degree_tests(run.pvalues, run.difference, rules, size, 0.05,
+                           seed)
+    assert list(results) == list(rules)
+    for name, rule in rules.items():
+        result = results[name]
+        entries = generate_null(result.moments, n, size, seed).logit_entries
+        assert result.gamma == float(np.quantile(entries, rule.level))
+        _, p_null, fraction = _mask_oracle(entries, result.gamma, n)
+        assert np.array_equal(result.nodes.p_null, p_null)
+        assert result.flags["null_edge_fraction"] == fraction
 
 
 @pytest.mark.parametrize("kind", ["eddt", "addt"])

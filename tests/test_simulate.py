@@ -171,10 +171,11 @@ def test_simulate_cohort_equals_per_subject_draws(structure, n_nodes, n1, n2,
 
 def test_simulate_cohort_q_capacity_error():
     # q = 34 needs 34 non-target partners but only 33 exist with two targets
-    design = SimDesign(q=34, targets=(1, 2), n_nodes=35, n1=2, n2=2, seed=0)
-    base = base_network(design)
-    with pytest.raises(ValidationError, match="non-target partners"):
-        simulate_cohort(design, base, replicate_seed=1)
+    with pytest.raises(ValidationError, match="only 33 non-target partners"):
+        SimDesign(q=34, targets=(1, 2), n_nodes=35, n1=2, n2=2, seed=0)
+    design = SimDesign(q=33, targets=(1, 2), n_nodes=35, n1=2, n2=2, seed=0)
+    sim = simulate_cohort(design, base_network(design), replicate_seed=1)
+    assert sim.dwe_edges.sum() == 66
 
 
 def test_design_validation():
