@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -101,12 +102,18 @@ def cmd_run(args) -> int:
     _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
     run = load_run_manifest(args.manifest, seed=args.seed,
                             baselines=args.baselines)
-    cohort = load_cohort(run.cohort, run.base_dir, header=run.header)
+    # ddt_run gets the only reference to the cohort, so it can free the
+    # (S x E) subject arrays before the eDDT null pass; this frame keeps
+    # only what it writes. CPython >= 3.11 hands the popped argument over
+    # to the callee; 3.10 keeps it on this frame's stack until the return.
+    held = [load_cohort(run.cohort, run.base_dir, header=run.header)]
+    labels, n_nodes = held[0].labels, held[0].n
+    n_subjects = [held[0].n1, held[0].n2]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    run_result = ddt_run(cohort, {run.threshold.kind: run.threshold},
+    run_result = ddt_run(held.pop(), {run.threshold.kind: run.threshold},
                          run.baselines, test_cfg=run.test_config,
                          ensemble_size=run.null_networks, alpha=run.alpha,
                          seed=run.seed, inner_dim=run.inner_dim,
@@ -116,7 +123,7 @@ def cmd_run(args) -> int:
         raise run_result.error
     result = run_result.ddt[run.threshold.kind]
 
-    write_nodes_csv(out_dir / "nodes.csv", result, labels=cohort.labels,
+    write_nodes_csv(out_dir / "nodes.csv", result, labels=labels,
                     baselines=run_result.baselines)
     write_matrix_csv(out_dir / "difference_network.csv",
                      run_result.difference.to_symmetric().to_dense())
@@ -133,12 +140,15 @@ def cmd_run(args) -> int:
                         "seed": test_cfg.seed},
         "threshold": {"kind": run.threshold.kind, "level": run.threshold.level},
         "baselines": list(run.baselines),
-        "n_nodes": cohort.n,
-        "n_subjects": [cohort.n1, cohort.n2],
+        "n_nodes": n_nodes,
+        "n_subjects": n_subjects,
         "gamma": result.gamma,
         "flags": result.flags,
         "significant_nodes": result.significant_nodes.tolist(),
         "elapsed_seconds": round(time.perf_counter() - t_start, 3),
+        # the process's own peak so far, KiB on Linux -> MB
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
+                             .ru_maxrss * 1024 / 1e6, 1),
     }
     write_json(out_dir / "run_summary.json", summary)
     if not args.quiet:

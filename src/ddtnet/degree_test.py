@@ -195,6 +195,10 @@ def ddt_run(cohort: ConnectivityCohort, rules: dict[str, ThresholdRule],
     Deterministic given the seeds: of the node methods only eDDT draws,
     `ensemble_size` null networks from one generator keyed by `seed`
     (hqs.NullStream).
+    The cohort is read only by the edge tests and t10: ddt_run drops its
+    reference before degree_tests, so when the caller holds none (as
+    `ddt run` does) the (S x E) subject arrays are freed before the eDDT
+    null pass. A caller that keeps its cohort keeps it intact.
     A failing edge-test stage raises PipelineError; a failing degree-test
     stage is returned as RunResult.error.
     """
@@ -206,6 +210,7 @@ def ddt_run(cohort: ConnectivityCohort, rules: dict[str, ThresholdRule],
              if name == "t10" else binomial_corrected(
                  pmat, "bonferroni" if name == "binb" else "fdr", alpha)
              for name in baselines}
+    del cohort    # the subject arrays' last reader has run
     try:
         ddt = degree_tests(pmat, dn, rules, ensemble_size, alpha, seed,
                            inner_dim)

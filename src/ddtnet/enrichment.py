@@ -42,7 +42,7 @@ class ModulePartition:
         # every module in 1..G nonempty
         expected = np.arange(1, ids.max() + 1)
         if not np.array_equal(ids, expected):
-            missing = sorted(set(expected) - set(ids))
+            missing = sorted(set(expected.tolist()) - set(ids.tolist()))
             raise ValidationError(f"empty module id(s): {missing}")
         if self.module_names is not None and len(self.module_names) != len(ids):
             raise ValidationError("one module name per module id required")

@@ -1,16 +1,19 @@
 import csv
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddtnet import cli, degree_test
 from ddtnet.cli import main
 from ddtnet.core import ConnectivityCohort
 from ddtnet.degree_test import ddt_run
 from ddtnet.io import load_run_manifest, write_matrix_csv
+from ddtnet.thresholds import ThresholdRule
 
 RUN_OUTPUTS = ("nodes.csv", "difference_network.csv", "adjacency.csv",
                "gamma.json", "moments.json", "run_summary.json")
@@ -85,6 +88,77 @@ def test_run_with_baselines_adds_columns(tmp_path):
     header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
     for col in ("t10_pvalue", "binb_degree", "binf_significant"):
         assert col in header
+
+
+
+def test_run_frees_the_cohort_before_the_eddt_null_pass(tmp_path, monkeypatch):
+    manifest = _manifest(tmp_path, baselines=["t10", "binb"],
+                         threshold={"kind": "eddt", "level": 0.95})
+    refs, passes = [], []
+    real_load, real_pass = cli.load_cohort, degree_test.null_exceedances
+
+    def load_cohort(*args, **kwargs):
+        cohort = real_load(*args, **kwargs)
+        refs.append(weakref.ref(cohort))
+        return cohort
+
+    def null_exceedances(source, level):
+        assert refs and refs[0]() is None, "the cohort outlived its readers"
+        passes.append(level)
+        return real_pass(source, level)
+
+    monkeypatch.setattr(cli, "load_cohort", load_cohort)
+    monkeypatch.setattr(degree_test, "null_exceedances", null_exceedances)
+    assert main(["--quiet", "run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")]) == 0
+    assert passes == [0.95]
+    header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
+    assert header.startswith("node,label,degree,p_null,pvalue,significant")
+
+
+def test_ddt_run_leaves_a_held_cohort_intact(monkeypatch):
+    # run_replicate keeps its cohort across the ddt_run call
+    rng = np.random.default_rng(4)
+    x1 = rng.uniform(-0.5, 0.5, size=(4, 15))
+    x2 = rng.uniform(-0.5, 0.5, size=(5, 15)) + np.r_[np.full(5, 0.6), np.zeros(10)]
+    cohort = ConnectivityCohort(x1, x2)
+    ref = weakref.ref(cohort)
+    real_pass = degree_test.null_exceedances
+
+    def null_exceedances(source, level):
+        assert ref() is cohort
+        return real_pass(source, level)
+
+    monkeypatch.setattr(degree_test, "null_exceedances", null_exceedances)
+    rules = {"eddt": ThresholdRule("eddt", 0.95)}
+    first = ddt_run(cohort, rules, ("t10",), ensemble_size=30, seed=9)
+    second = ddt_run(cohort, rules, ("t10",), ensemble_size=30, seed=9)
+    assert first.error is None
+    np.testing.assert_array_equal(cohort.x1, x1)
+    np.testing.assert_array_equal(cohort.x2, x2)
+    for a, b in ((first.ddt["eddt"].nodes, second.ddt["eddt"].nodes),
+                 (first.baselines["t10"], second.baselines["t10"])):
+        np.testing.assert_array_equal(a.pvalue, b.pvalue)
+
+
+def test_run_summary_reports_peak_rss_outside_the_csvs(tmp_path):
+    manifest = _manifest(tmp_path, baselines=["t10"],
+                         threshold={"kind": "eddt", "level": 0.95})
+    for out in ("a", "b"):
+        assert main(["--quiet", "run", "--manifest", str(manifest),
+                     "--out", str(tmp_path / out)]) == 0
+    summaries = []
+    for out in ("a", "b"):
+        summary = json.loads((tmp_path / out / "run_summary.json").read_text())
+        peak = summary.pop("peak_rss_mb")
+        assert isinstance(peak, float) and peak > 0
+        summary.pop("elapsed_seconds")
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    for name in RUN_OUTPUTS[:-1]:
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
+        assert b"peak_rss" not in a, name
 
 
 @settings(max_examples=15, deadline=None)
@@ -408,6 +482,21 @@ def test_enrich_rejects_conflicting_module_rows(tmp_path, capfd, modules,
     assert f"{tmp_path / 'modules.csv'}: {line}" in payload["message"]
     assert not (tmp_path / "enrichment.csv").exists()
 
+
+def test_enrich_names_empty_module_ids_as_plain_ints(tmp_path, capfd):
+    adj = np.zeros((4, 4), dtype=int)
+    adj[0, 1] = adj[1, 0] = 1
+    write_matrix_csv(tmp_path / "adjacency.csv", adj)
+    (tmp_path / "modules.csv").write_text("0,1\n1,1\n2,3\n3,3\n")
+    code = main(["enrich", "--adjacency", str(tmp_path / "adjacency.csv"),
+                 "--modules", str(tmp_path / "modules.csv"),
+                 "--out", str(tmp_path / "enrichment.csv")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["message"].endswith("empty module id(s): [2]")
+    assert not (tmp_path / "enrichment.csv").exists()
 
 @pytest.mark.parametrize("alpha", ["2", "-1", "nan", "0", "1"])
 def test_enrich_rejects_an_alpha_outside_the_unit_interval(tmp_path, capfd,
