@@ -20,12 +20,16 @@ from scipy import special
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, ValidationError,
                    _frozen, _FrozenArrays, triu_index_pairs)
-from .edgetests import PValueMatrix, _vector_welch
+from .edgetests import (PValueMatrix, WelchMoments, welch_moments,
+                        welch_pvalues)
 from .thresholds import bh_adjust
 
 BASELINES = ("binb", "binf", "t10")
 RANKINGS = ("signed", "absolute")
 CORRECTIONS = ("bonferroni", "fdr")
+# stacked_degrees ranks this many bytes of float64 values at a time (at
+# least one row), which bounds its temporaries whatever the group size
+_DEGREE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,14 +102,29 @@ def stacked_degrees(values: np.ndarray, n: int, density: float,
                     ranking: str) -> np.ndarray:
     """Nodal degrees of every row of a (subjects x edges) array of an
     n-node network after keeping its top round(density * E) edges (signed
-    values or magnitudes). One row-wise partition finds each row's k-th
-    largest value; the edges above it are kept, and of those equal to it
-    the lowest edge indices fill the rest, as a stable sort would."""
+    values or magnitudes). Every step is row-wise, so the rows are ranked
+    in chunks of about _DEGREE_CHUNK_BYTES of values (_row_degrees) and
+    no temporary grows with the number of subjects."""
+    subjects, n_edges = values.shape
+    k = density_edge_count(n_edges, density)
+    degrees = np.zeros((subjects, n), dtype=np.int64)
+    if k == 0:
+        return degrees
+    rows = max(1, _DEGREE_CHUNK_BYTES // (8 * n_edges))
+    for start in range(0, subjects, rows):
+        chunk = slice(start, start + rows)
+        degrees[chunk] = _row_degrees(values[chunk], n, k, ranking)
+    return degrees
+
+
+def _row_degrees(values: np.ndarray, n: int, k: int,
+                 ranking: str) -> np.ndarray:
+    """stacked_degrees of the rows of values at k > 0 kept edges, in one
+    go. One row-wise partition finds each row's k-th largest value; the
+    edges above it are kept, and of those equal to it the lowest edge
+    indices fill the rest, as a stable sort would."""
     vals = np.abs(values) if ranking == "absolute" else values
     subjects, n_edges = vals.shape
-    k = density_edge_count(n_edges, density)
-    if k == 0:
-        return np.zeros((subjects, n), dtype=np.int64)
     kth = np.partition(vals, n_edges - k, axis=1)[:, n_edges - k, None]
     selected = vals > kth
     ties = vals == kth
@@ -117,22 +136,36 @@ def stacked_degrees(values: np.ndarray, n: int, density: float,
     offset = n * rows
     counts = (np.bincount(iu[edges] + offset, minlength=n * subjects)
               + np.bincount(ju[edges] + offset, minlength=n * subjects))
-    return counts.reshape(subjects, n).astype(np.int64)
+    return counts.reshape(subjects, n)
+
+
+def degree_moments(values: np.ndarray, n: int, density: float,
+                   ranking: str) -> WelchMoments:
+    """The Welch moments of one group's t10 nodal degrees (stacked_degrees
+    of its (subjects x edges) values): t10's half of the pipeline's
+    per-group reduction."""
+    return welch_moments(stacked_degrees(values, n, density, ranking)
+                         .astype(float))[0]
+
+
+def t10_tests(d1: WelchMoments, d2: WelchMoments,
+              alpha: float = 0.05) -> NodeTests:
+    """The t10 node tests from the two groups' degree moments
+    (degree_moments): per-node Welch p-values and their decisions (p <
+    alpha); degree, p_null and degenerate stay None, since the nodal
+    degrees differ by subject."""
+    p = welch_pvalues(d1, d2)
+    return NodeTests(pvalue=p, significant=p < alpha)
 
 
 def degree_ttest(cohort: ConnectivityCohort, density: float = 0.10,
                  alpha: float = 0.05, ranking: str = "signed") -> NodeTests:
-    """Welch two-sample t-test of density-thresholded nodal degrees.
-
-    Returns the per-node Welch p-values and their decisions (p < alpha) as
-    NodeTests; degree, p_null and degenerate stay None, since the nodal
-    degrees differ by subject.
-    """
+    """Welch two-sample t-test of density-thresholded nodal degrees: each
+    group's degree_moments, then t10_tests."""
     check_t10_settings(density, ranking)
-    d1 = stacked_degrees(cohort.x1, cohort.n, density, ranking)
-    d2 = stacked_degrees(cohort.x2, cohort.n, density, ranking)
-    p = _vector_welch(d1.astype(float), d2.astype(float))
-    return NodeTests(pvalue=p, significant=p < alpha)
+    return t10_tests(degree_moments(cohort.x1, cohort.n, density, ranking),
+                     degree_moments(cohort.x2, cohort.n, density, ranking),
+                     alpha)
 
 
 def binomial_corrected(pmat: PValueMatrix, correction: str = "bonferroni",

@@ -31,7 +31,7 @@ from .core import (
     SymmetricMatrix,
     ValidationError,
 )
-from .degree_test import PipelineError, ddt_run
+from .degree_test import PipelineError, Reduction, ddt_run
 from .enrichment import NoSelectedEdgesError, enrichment_test
 from .hqs import NonpositiveMeanError, NullStream, observed_moments
 from .io import (
@@ -102,11 +102,16 @@ def cmd_run(args) -> int:
     _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
     run = load_run_manifest(args.manifest, seed=args.seed,
                             baselines=args.baselines)
-    # ddt_run gets the only reference to the cohort, so it can free the
-    # (S x E) subject arrays before the eDDT null pass; this frame keeps
-    # only what it writes. CPython >= 3.11 hands the popped argument over
-    # to the callee; 3.10 keeps it on this frame's stack until the return.
-    held = [load_cohort(run.cohort, run.base_dir, header=run.header)]
+    # the load reduces each group as it reads it (Welch: per-edge moments).
+    # ddt_run gets the only reference to the reduced cohort, so it can free
+    # the joint tests' (S x E) subject arrays before the eDDT null pass;
+    # this frame keeps only what it writes. CPython >= 3.11 hands the popped
+    # argument over to the callee; 3.10 keeps it on this frame's stack
+    # until the return.
+    reduction = Reduction.of(run.test_config, run.baselines, run.density,
+                             run.ranking)
+    held = [load_cohort(run.cohort, run.base_dir, header=run.header,
+                        reduction=reduction)]
     labels, n_nodes = held[0].labels, held[0].n
     n_subjects = [held[0].n1, held[0].n2]
 

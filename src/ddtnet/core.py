@@ -276,6 +276,61 @@ class DifferenceNetwork(_FrozenArrays):
         return SymmetricMatrix.from_upper(self.n, self.d, diagonal=0.0)
 
 
+def nodes_for_edges(n_edges: int) -> int:
+    """Nodes: the largest n with n(n-1)/2 <= n_edges."""
+    return (1 + math.isqrt(1 + 8 * n_edges)) // 2
+
+
+def check_group(x: np.ndarray, g: int, sizes: tuple[int, int]) -> np.ndarray:
+    """Group g's (subjects x edges) subject values as a read-only float
+    array, after the checks every cohort group passes: at least 2 subjects
+    (the message names both groups' `sizes`), n(n-1)/2 edges for one
+    n >= 2, and finite values (the first bad one is named by subject and
+    edge). ConnectivityCohort and the one-group-at-a-time load of `ddt run`
+    (io.load_cohort) both check each group here."""
+    x = np.asarray(x, dtype=float)
+    if len(x) < 2:
+        raise ValidationError(
+            f"each group needs at least 2 subjects (got {sizes[0]} and "
+            f"{sizes[1]}); per-edge variance is not estimable")
+    n_edges = x.shape[1]
+    n = nodes_for_edges(n_edges)
+    if n * (n - 1) // 2 != n_edges or n < 2:
+        raise ValidationError(
+            f"dimension mismatch: group {g} has {n_edges} edges, not "
+            "n(n-1)/2 for any n >= 2")
+    # min and max propagate nan and reach any inf, with no mask
+    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+        s, k = np.argwhere(~np.isfinite(x))[0]
+        iu, ju = triu_index_pairs(n)
+        raise ValidationError(
+            f"invalid value in group {g} subject {s} at edge "
+            f"({int(iu[k])}, {int(ju[k])})")
+    return _frozen(x)
+
+
+def check_labels_and_covariates(n: int, subjects: int, labels=None,
+                                covariates=None) -> tuple:
+    """A cohort's node labels and covariates, checked against its n nodes
+    and its subjects (both groups): one label per node, and one finite
+    covariate row per subject. Returns them as a tuple of str and a
+    read-only float array, or None where none was given."""
+    if labels is not None:
+        labels = tuple(str(label) for label in labels)
+        if len(labels) != n:
+            raise ValidationError(f"{len(labels)} node labels for n={n} nodes")
+    if covariates is not None:
+        cov = np.asarray(covariates, dtype=float)
+        if cov.ndim != 2 or cov.shape[0] != subjects:
+            raise ValidationError(
+                f"covariates must be one row per subject ({subjects}), "
+                f"got shape {cov.shape}")
+        if not np.all(np.isfinite(cov)):
+            raise ValidationError("covariates contain non-finite values")
+        covariates = _frozen(cov)
+    return labels, covariates
+
+
 @dataclass(frozen=True)
 class ConnectivityCohort(_FrozenArrays):
     """Two groups of subject connectivity values plus optional covariates.
@@ -284,7 +339,9 @@ class ConnectivityCohort(_FrozenArrays):
     edge of an n-node network, E = n(n-1)/2 in canonical i<j order; subject
     diagonals are not kept. Covariates are one row per subject, group 1
     then group 2 (the on-disk manifest convention). Construction checks
-    every field and freezes the arrays, so a cohort that exists is valid.
+    every field (check_group on each group, then the groups' widths and
+    check_labels_and_covariates) and freezes the arrays, so a cohort that
+    exists is valid.
     """
 
     x1: np.ndarray
@@ -297,44 +354,23 @@ class ConnectivityCohort(_FrozenArrays):
         if x1.ndim != 2 or x2.ndim != 2:
             raise ValidationError("each group must be a (subjects x edges) "
                                   f"array, got shapes {x1.shape} and {x2.shape}")
-        if len(x1) < 2 or len(x2) < 2:
+        sizes = len(x1), len(x2)
+        x1, x2 = check_group(x1, 1, sizes), check_group(x2, 2, sizes)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        if x2.shape[1] != x1.shape[1]:
             raise ValidationError(
-                f"each group needs at least 2 subjects (got {len(x1)} and "
-                f"{len(x2)}); per-edge variance is not estimable")
-        object.__setattr__(self, "x1", _frozen(x1))
-        object.__setattr__(self, "x2", _frozen(x2))
-        n, n_edges = self.n, x1.shape[1]
-        if x2.shape[1] != n_edges or n * (n - 1) // 2 != n_edges or n < 2:
-            raise ValidationError(
-                f"dimension mismatch: groups of {n_edges} and {x2.shape[1]} "
-                "edges; both must be n(n-1)/2 for one n >= 2")
-        for g, x in ((1, x1), (2, x2)):
-            # min and max propagate nan and reach any inf, with no mask
-            if not (math.isfinite(x.min()) and math.isfinite(x.max())):
-                s, k = np.argwhere(~np.isfinite(x))[0]
-                iu, ju = triu_index_pairs(n)
-                raise ValidationError(
-                    f"invalid value in group {g} subject {s} at edge "
-                    f"({int(iu[k])}, {int(ju[k])})")
-        if self.labels is not None:
-            labels = tuple(str(label) for label in self.labels)
-            if len(labels) != n:
-                raise ValidationError(f"{len(labels)} node labels for n={n} nodes")
-            object.__setattr__(self, "labels", labels)
-        if self.covariates is not None:
-            cov = np.asarray(self.covariates, dtype=float)
-            if cov.ndim != 2 or cov.shape[0] != len(x1) + len(x2):
-                raise ValidationError(
-                    f"covariates must be one row per subject ({len(x1) + len(x2)}), "
-                    f"got shape {cov.shape}")
-            if not np.all(np.isfinite(cov)):
-                raise ValidationError("covariates contain non-finite values")
-            object.__setattr__(self, "covariates", _frozen(cov))
+                f"dimension mismatch: groups of {x1.shape[1]} and "
+                f"{x2.shape[1]} edges; both must be n(n-1)/2 for one n >= 2")
+        labels, covariates = check_labels_and_covariates(
+            self.n, len(x1) + len(x2), self.labels, self.covariates)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "covariates", covariates)
 
     @property
     def n(self) -> int:
         """Nodes: the largest n with n(n-1)/2 <= E."""
-        return (1 + math.isqrt(1 + 8 * self.x1.shape[1])) // 2
+        return nodes_for_edges(self.x1.shape[1])
 
     @property
     def n1(self) -> int:

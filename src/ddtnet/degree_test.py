@@ -1,11 +1,13 @@
 """The differential degree test, and ddt_run: the one pipeline that runs
 every node method on a cohort, for `ddt run` and `ddt simulate` alike.
 
-Pipeline: edge-wise p-values -> difference network -> baselines (t10,
-binb, binf) -> per threshold rule: observed moments -> gamma -> observed
-adjacency and differential degrees -> per-node null probability -> exact
-binomial upper-tail p-values (one scipy.special.bdtrc call,
-baselines.binomial_tails) -> optionally BH across nodes.
+Pipeline: each subject group reduced to what the edge test and t10 read
+of it (Reduction) -> edge-wise p-values -> difference network ->
+baselines (t10, binb, binf) -> per threshold rule: observed moments ->
+gamma -> observed adjacency and differential degrees -> per-node null
+probability -> exact binomial upper-tail p-values (one
+scipy.special.bdtrc call, baselines.binomial_tails) -> optionally BH
+across nodes.
 
 Every null edge follows one law F (hqs.mixture_cdf), so a gamma known in
 advance (aDDT, baselines) gives each node the exact null probability
@@ -20,17 +22,21 @@ import numpy as np
 
 from .baselines import (  # noqa: F401  binomial_upper_tail: perfbench/spans.py wraps it here
     NodeTests, binomial_corrected, binomial_tails, binomial_upper_tail,
-    check_baselines, degree_ttest)
+    check_baselines, degree_moments, t10_tests)
 from .core import (
     AdjacencyMatrix,
     ConnectivityCohort,
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    check_labels_and_covariates,
     node_sums,
+    nodes_for_edges,
     pvalue_clamp_count,
 )
-from .edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
+from .edgetests import (  # noqa: F401  edgewise_pvalues: perfbench/spans.py wraps it here
+    EdgeTestConfig, GroupSummary, PValueMatrix, edgewise_pvalues,
+    group_pvalues, summarize_group)
 from .hqs import (  # noqa: F401  generate_null: perfbench/spans.py wraps it here
     MomentSummary,
     NullStream,
@@ -168,6 +174,67 @@ def degree_tests(pmat: PValueMatrix, dn: DifferenceNetwork,
 
 
 @dataclass(frozen=True)
+class Reduction:
+    """What the pipeline keeps of each subject group, which follows from the
+    run's settings: the edge test's summary (edgetests.summarize_group:
+    Welch moments under welch_t, else the values) and, when t10 is asked
+    for, the Welch moments of the group's t10 degrees at (density,
+    ranking). Calling it on a group's (subjects x edges) values reduces
+    them; ddt_run reads nothing else of the subjects."""
+
+    test_cfg: EdgeTestConfig
+    t10: tuple[float, str] | None = None
+
+    @classmethod
+    def of(cls, test_cfg: EdgeTestConfig, baselines: tuple[str, ...],
+           density: float, ranking: str) -> "Reduction":
+        """The reduction a run with these settings reads."""
+        return cls(test_cfg, (density, ranking) if "t10" in baselines else None)
+
+    def __call__(self, values: np.ndarray) -> GroupSummary:
+        summary = summarize_group(values, self.test_cfg)
+        if self.t10 is None:
+            return summary
+        n = nodes_for_edges(values.shape[1])
+        return replace(summary, degrees=degree_moments(values, n, *self.t10))
+
+    def cohort(self, cohort: ConnectivityCohort) -> "ReducedCohort":
+        """An in-memory cohort, each group reduced."""
+        return ReducedCohort(cohort.n, self(cohort.x1), self(cohort.x2), self,
+                             covariates=cohort.covariates, labels=cohort.labels)
+
+
+@dataclass(frozen=True)
+class ReducedCohort:
+    """A cohort as ddt_run reads it: the node count, each group reduced by
+    `reduction`, and the covariates and node labels, checked as
+    ConnectivityCohort checks them (core.check_labels_and_covariates).
+    `ddt run` builds one group at a time (io.load_cohort), so it never holds
+    both groups' subject arrays."""
+
+    n: int
+    group1: GroupSummary
+    group2: GroupSummary
+    reduction: Reduction
+    covariates: np.ndarray | None = None
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        labels, covariates = check_labels_and_covariates(
+            self.n, self.n1 + self.n2, self.labels, self.covariates)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "covariates", covariates)
+
+    @property
+    def n1(self) -> int:
+        return self.group1.subjects
+
+    @property
+    def n2(self) -> int:
+        return self.group2.subjects
+
+
+@dataclass(frozen=True)
 class RunResult:
     """ddt_run's result: the edge tests' p-values and difference network,
     one DdtResult per rule and one NodeTests per baseline, in the order
@@ -181,36 +248,50 @@ class RunResult:
     error: PipelineError | None = None
 
 
-def ddt_run(cohort: ConnectivityCohort, rules: dict[str, ThresholdRule],
+def ddt_run(cohort: ConnectivityCohort | ReducedCohort,
+            rules: dict[str, ThresholdRule],
             baselines: tuple[str, ...] = (), *, test_cfg: EdgeTestConfig | None = None,
             ensemble_size: int = 1000, alpha: float = 0.05, seed: int = 0,
             inner_dim: int = 2, density: float = 0.10, ranking: str = "signed",
             correct_nodes: bool = False) -> RunResult:
     """Run every node method on a cohort: the edge tests (by default Welch,
-    seeded by `seed`); the baselines, t10 at `density` and `ranking` from
-    the cohort, binb and binf from the p-values; degree_tests for every
-    rule; and, when `correct_nodes` is set, BH across each rule's node
-    p-values before declaring significance.
+    seeded by `seed`); the baselines, t10 at `density` and `ranking`, binb
+    and binf from the p-values; degree_tests for every rule; and, when
+    `correct_nodes` is set, BH across each rule's node p-values before
+    declaring significance.
 
     Deterministic given the seeds: of the node methods only eDDT draws,
     `ensemble_size` null networks from one generator keyed by `seed`
     (hqs.NullStream).
-    The cohort is read only by the edge tests and t10: ddt_run drops its
-    reference before degree_tests, so when the caller holds none (as
-    `ddt run` does) the (S x E) subject arrays are freed before the eDDT
-    null pass. A caller that keeps its cohort keeps it intact.
+    The first step reduces each group (Reduction.of these settings): an
+    in-memory ConnectivityCohort is reduced here, and a ReducedCohort, as
+    `ddt run` loads one, must have been reduced under the same settings.
+    The edge tests and t10 read only the two reductions. Under welch_t
+    these hold per-edge moments, not subject arrays; the joint tests keep
+    both groups' values, and ddt_run drops its reference to them before
+    degree_tests, so when the caller holds none (as `ddt run` does) they
+    are freed before the eDDT null pass. A caller's own cohort is left
+    intact.
     A failing edge-test stage raises PipelineError; a failing degree-test
     stage is returned as RunResult.error.
     """
     check_baselines(baselines, density, ranking)
     test_cfg = test_cfg or EdgeTestConfig(seed=seed)
-    pmat = _stage("edge tests", edgewise_pvalues, cohort, test_cfg)
+    reduction = Reduction.of(test_cfg, baselines, density, ranking)
+    if isinstance(cohort, ConnectivityCohort):
+        cohort = reduction.cohort(cohort)
+    elif cohort.reduction != reduction:
+        raise ValidationError(
+            f"the cohort was reduced for {cohort.reduction}, not {reduction}")
+    g1, g2 = cohort.group1, cohort.group2
+    pmat = _stage("edge tests", group_pvalues, g1, g2, test_cfg, cohort.n,
+                  cohort.covariates)
     dn = DifferenceNetwork.from_pvalues(pmat)
-    tests = {name: degree_ttest(cohort, density, alpha, ranking)
+    tests = {name: t10_tests(g1.degrees, g2.degrees, alpha)
              if name == "t10" else binomial_corrected(
                  pmat, "bonferroni" if name == "binb" else "fdr", alpha)
              for name in baselines}
-    del cohort    # the subject arrays' last reader has run
+    del cohort, g1, g2    # the reductions' last readers have run
     try:
         ddt = degree_tests(pmat, dn, rules, ensemble_size, alpha, seed,
                            inner_dim)

@@ -20,6 +20,8 @@ from .core import (
     P_MIN,
     SymmetricMatrix,
     ValidationError,
+    _frozen,
+    _FrozenArrays,
     fisher_z_clamped,
     substream,
 )
@@ -80,6 +82,87 @@ class PValueMatrix(SymmetricMatrix):
             raise ValidationError("p-values must lie in (0, 1]")
 
 
+@dataclass(frozen=True)
+class WelchMoments(_FrozenArrays):
+    """One group's half of the Welch t-test, per column: the subject count,
+    the column means and vn, the ddof=1 variance over the count (as
+    scipy.stats.ttest_ind forms them); welch_moments makes it."""
+
+    count: int
+    mean: np.ndarray
+    vn: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", _frozen(self.mean))
+        object.__setattr__(self, "vn", _frozen(self.vn))
+
+
+@dataclass(frozen=True)
+class GroupSummary(_FrozenArrays):
+    """What the pipeline keeps of one subject group (degree_test.Reduction):
+    its subject count and how many of its values the Fisher Z transform
+    clamped, and
+
+    - `edges`, the Welch moments of its edge values, under welch_t;
+    - `values`, the (subjects x edges) values themselves, under wilcoxon,
+      permutation and regression, which need both groups at once;
+    - `degrees`, the Welch moments of its t10 nodal degrees, when t10 is
+      asked for (baselines.degree_moments).
+
+    Edge values are Fisher Z transformed first when the edge test asks."""
+
+    subjects: int
+    fisher_z_clamped: int = 0
+    edges: WelchMoments | None = None
+    values: np.ndarray | None = None
+    degrees: WelchMoments | None = None
+
+    def __post_init__(self):
+        if self.values is not None:
+            object.__setattr__(self, "values", _frozen(self.values))
+
+
+def welch_moments(x: np.ndarray,
+                  fisher_z: bool = False) -> tuple[WelchMoments, int]:
+    """The Welch moments of every column of x (subjects x columns), taken in
+    blocks of _WELCH_BLOCK columns so that no temporary as large as x is
+    made; each column is reduced on its own, so the blocks change no bit.
+    With fisher_z, each block is first Fisher Z transformed
+    (core.fisher_z_clamped); the count of clamped values is returned too."""
+    count = len(x)
+    mean, vn = np.empty((2, x.shape[1]))
+    clamped = 0
+    for start in range(0, x.shape[1], _WELCH_BLOCK):
+        cols = slice(start, start + _WELCH_BLOCK)
+        block = x[:, cols]
+        if fisher_z:
+            block, k = fisher_z_clamped(block)
+            clamped += k
+        m = block.mean(axis=0)
+        mean[cols] = m
+        # ddof=1 variance over n, as scipy.stats._var forms it
+        vn[cols] = np.mean((block - m) ** 2, axis=0) * (count / (count - 1)) / count
+    return WelchMoments(count, mean, vn), clamped
+
+
+def welch_pvalues(a: WelchMoments, b: WelchMoments) -> np.ndarray:
+    """Two-sided Welch p-value of every column, from the two groups'
+    moments. The arithmetic repeats scipy.stats.ttest_ind(equal_var=False)
+    of scipy 1.17 step for step, so each p-value is the same double; the
+    tests keep ttest_ind as the oracle. Zero variance in both groups gives
+    p = 1 when the means agree (np.isclose) and P_MIN when they do not."""
+    t, df = _welch_t(a, b)
+    # nan df means zero variance in both groups; any df then serves
+    df = np.where(np.isnan(df), 1.0, df)
+    p = 2 * special.stdtr(df, -np.abs(t))
+    bad = ~np.isfinite(p)
+    if bad.any():
+        equal = np.isclose(a.mean, b.mean)
+        p[bad & equal] = 1.0
+        p[bad & ~equal] = P_MIN
+    return np.clip(p, P_MIN, 1.0)
+
+
 def _finite_p(p):
     """Map degenerate test output into (0, 1]: nan or inf to 1."""
     return np.where(np.isfinite(p), np.clip(p, P_MIN, 1.0), 1.0)
@@ -135,7 +218,8 @@ def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
         rng = np.random.default_rng(seed)
     pooled = np.concatenate([x, y])
     n1 = len(x)
-    t_obs, _ = _welch_t(x[:, None], y[:, None])
+    t_obs, _ = _welch_t(welch_moments(x[:, None])[0],
+                        welch_moments(y[:, None])[0])
     cut = np.abs(t_obs) * (1.0 - 100 * np.finfo(float).eps)
     hits = 0
     # blocks bound the memory, not the draws; a constant pooled sample makes
@@ -143,7 +227,8 @@ def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
     for start in range(0, permutations, _WELCH_BLOCK):
         rows = min(_WELCH_BLOCK, permutations - start)
         cols = rng.permuted(np.tile(pooled, (rows, 1)), axis=1).T
-        t, _ = _welch_t(cols[:n1], cols[n1:])
+        t, _ = _welch_t(welch_moments(cols[:n1])[0],
+                        welch_moments(cols[n1:])[0])
         hits += np.count_nonzero(~(np.abs(t) < cut))
     return (1 + hits) / (permutations + 1)
 
@@ -160,79 +245,70 @@ def regression_edge(values, group, covariates=None) -> float:
     return float(_vector_regression(y[:, None], g, covariates)[0])
 
 
-def edgewise_pvalues(cohort: ConnectivityCohort,
-                     cfg: EdgeTestConfig) -> PValueMatrix:
-    """Apply the configured test independently at every edge.
-
-    Returns the symmetric p-value matrix; the diagonal is set to 1 and
-    ignored downstream.
-    """
-    x, y = cohort.x1, cohort.x2
-    n_clamped = 0
-    if cfg.fisher_z:
-        x, clamped_x = fisher_z_clamped(x)
-        y, clamped_y = fisher_z_clamped(y)
-        n_clamped = clamped_x + clamped_y
-    n_edges = x.shape[1]
-
+def summarize_group(x: np.ndarray, cfg: EdgeTestConfig) -> GroupSummary:
+    """What the edge test cfg needs of one group's (subjects x edges)
+    values: under welch_t the Welch moments of every edge, else the values
+    themselves; Fisher Z transformed first when cfg asks."""
     if cfg.method == "welch_t":
-        p = _vector_welch(x, y)
+        moments, clamped = welch_moments(x, cfg.fisher_z)
+        return GroupSummary(len(x), clamped, edges=moments)
+    values, clamped = fisher_z_clamped(x) if cfg.fisher_z else (x, 0)
+    return GroupSummary(len(x), clamped, values=values)
+
+
+def group_pvalues(g1: GroupSummary, g2: GroupSummary, cfg: EdgeTestConfig,
+                  n: int, covariates=None) -> PValueMatrix:
+    """The configured test at every edge of an n-node network, from the two
+    groups' summaries (summarize_group under the same cfg); covariates
+    serve the regression test. Returns the symmetric p-value matrix; the
+    diagonal is set to 1 and ignored downstream."""
+    if cfg.method == "welch_t":
+        p = welch_pvalues(g1.edges, g2.edges)
     elif cfg.method == "wilcoxon":
-        p = np.array([wilcoxon_edge(x[:, e], y[:, e]) for e in range(n_edges)])
+        x, y = g1.values, g2.values
+        p = np.array([wilcoxon_edge(x[:, e], y[:, e])
+                      for e in range(x.shape[1])])
     elif cfg.method == "permutation":
+        x, y = g1.values, g2.values
         p = np.array([
             permutation_edge(x[:, e], y[:, e], cfg.permutations,
                              rng=substream(cfg.seed, e))
-            for e in range(n_edges)
+            for e in range(x.shape[1])
         ])
     else:
-        g = np.concatenate([np.zeros(x.shape[0]), np.ones(y.shape[0])])
-        p = _vector_regression(np.vstack([x, y]), g, cohort.covariates)
-    return PValueMatrix(n=cohort.n, values=p, diagonal=np.ones(cohort.n),
-                        fisher_z_clamped=n_clamped)
+        g = np.concatenate([np.zeros(g1.subjects), np.ones(g2.subjects)])
+        p = _vector_regression(np.vstack([g1.values, g2.values]), g,
+                               covariates)
+    return PValueMatrix(n=n, values=p, diagonal=np.ones(n),
+                        fisher_z_clamped=g1.fisher_z_clamped
+                        + g2.fisher_z_clamped)
+
+
+def edgewise_pvalues(cohort: ConnectivityCohort,
+                     cfg: EdgeTestConfig) -> PValueMatrix:
+    """Apply the configured test independently at every edge: each group
+    summarized (summarize_group), then the summaries combined
+    (group_pvalues)."""
+    return group_pvalues(summarize_group(cohort.x1, cfg),
+                         summarize_group(cohort.x2, cfg), cfg, cohort.n,
+                         cohort.covariates)
 
 
 def _vector_welch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Welch t-test p-value of every column of x against the same column of
-    y, in blocks of _WELCH_BLOCK columns; each column is tested on its own,
-    so the blocks bound the temporaries without changing a bit."""
-    p = np.empty(x.shape[1])
-    for start in range(0, x.shape[1], _WELCH_BLOCK):
-        cols = slice(start, start + _WELCH_BLOCK)
-        p[cols] = _welch_block(x[:, cols], y[:, cols])
-    return p
+    y: the two halves, welch_moments of each group and welch_pvalues."""
+    return welch_pvalues(welch_moments(x)[0], welch_moments(y)[0])
 
 
-def _welch_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Column-wise two-sided Welch p-values. The arithmetic repeats
-    scipy.stats.ttest_ind(equal_var=False) of scipy 1.17 step for step, so
-    each p-value is the same double; the tests keep ttest_ind as the oracle."""
-    t, df = _welch_t(x, y)
-    # nan df means zero variance in both groups; any df then serves
-    df = np.where(np.isnan(df), 1.0, df)
-    p = 2 * special.stdtr(df, -np.abs(t))
-    # nan marks zero variance in both groups: p = 1 when means agree
-    bad = ~np.isfinite(p)
-    if bad.any():
-        equal = np.isclose(x.mean(axis=0), y.mean(axis=0))
-        p[bad & equal] = 1.0
-        p[bad & ~equal] = P_MIN
-    return np.clip(p, P_MIN, 1.0)
-
-
-def _welch_t(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Welch's t and its Welch-Satterthwaite df for every column of x
-    against the same column of y, formed as scipy.stats.ttest_ind forms
-    them. Zero variance in both groups gives df = nan and t = +/-inf, or
-    nan when the means agree."""
-    n1, n2 = len(x), len(y)
-    m1, m2 = x.mean(axis=0), y.mean(axis=0)
-    # ddof=1 variance over n, as scipy.stats._var forms it
-    vn1 = np.mean((x - m1) ** 2, axis=0) * (n1 / (n1 - 1)) / n1
-    vn2 = np.mean((y - m2) ** 2, axis=0) * (n2 / (n2 - 1)) / n2
+def _welch_t(a: WelchMoments, b: WelchMoments) -> tuple[np.ndarray, np.ndarray]:
+    """Welch's t and its Welch-Satterthwaite df for every column, from the
+    two groups' moments, formed as scipy.stats.ttest_ind forms them. Zero
+    variance in both groups gives df = nan and t = +/-inf, or nan when the
+    means agree."""
+    n1, n2, vn1, vn2 = a.count, b.count, a.vn, b.vn
     with np.errstate(divide="ignore", invalid="ignore"):
         df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
-        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+        t = (a.mean - b.mean) / np.sqrt(vn1 + vn2)
     return t, df
 
 

@@ -19,15 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    ConnectivityCohort,
     DdtError,
     DifferenceNetwork,
     ValidationError,
+    check_group,
     inv_logit,
     upper_triangle,
 )
 from .baselines import check_baselines
-from .degree_test import DdtResult, check_run_settings
+from .degree_test import DdtResult, ReducedCohort, Reduction, check_run_settings
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
 from .hqs import MomentSummary, NullEnsemble, NullStream
@@ -105,15 +105,21 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> ConnectivityCohort:
-    """Build a cohort from a manifest block.
+def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
+                reduction: Reduction = Reduction(EdgeTestConfig())) -> ReducedCohort:
+    """Build a reduced cohort from a manifest block, one group at a time.
 
     Expected keys: group1 and group2 (lists of matrix CSV paths), optional
     covariates (CSV, one row per subject ordered group1 then group2) and
     labels (one node label per line); any other key is a ManifestError.
     Relative paths resolve against the manifest's directory. Each file
-    fills one row of its group's array, in manifest order; the cohort is
-    validated here, before any output exists.
+    fills one row of its group's (subjects x edges) array, in manifest
+    order. Group 1 is read, checked as every cohort group is
+    (core.check_group), reduced by `reduction` (by default the Welch
+    moments of its edges) and dropped before group 2's first file is read,
+    so under welch_t the load never holds both groups' subject arrays.
+    The covariates and labels are read last and checked as
+    ConnectivityCohort checks them; all of it before any output exists.
     """
     _json_value("cohort", manifest, "dict")
     _reject_unknown(manifest, _COHORT_KEYS, "cohort keys")
@@ -125,24 +131,13 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
         if not isinstance(manifest.get(key) or "", str):
             raise ManifestError(f"{key} must be a file name, got "
                                 f"{manifest[key]!r}")
+    sizes = len(manifest["group1"]), len(manifest["group2"])
     n, groups = None, []
     for g, key in ((1, "group1"), (2, "group2")):
-        paths = [base_dir / name for name in manifest[key]]
-        x = np.empty((len(paths), 0))
-        for s, path in enumerate(paths):
-            dense = read_matrix_csv(path, header=header)
-            n = n or len(dense)
-            if len(dense) != n:
-                raise ValidationError(
-                    f"{path}: dimension mismatch: group {g} subject {s} has "
-                    f"n={len(dense)}, expected n={n}")
-            if s == 0:
-                x = np.empty((len(paths), n * (n - 1) // 2))
-            try:
-                x[s] = upper_triangle(dense)
-            except ValidationError as err:
-                raise ManifestError(f"{path}: {err}") from err
-        groups.append(x)
+        x, n = _read_group(g, [base_dir / name for name in manifest[key]],
+                           n, header)
+        groups.append(reduction(check_group(x, g, sizes)))
+        del x    # the group's subject arrays go before the next group's load
     covariates = None
     if manifest.get("covariates"):
         cpath = base_dir / manifest["covariates"]
@@ -161,7 +156,30 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False) -> Connect
             raise ManifestError(f"label file not found: {lpath}")
         labels = tuple(line.strip() for line in lpath.read_text().splitlines()
                        if line.strip())
-    return ConnectivityCohort(*groups, covariates=covariates, labels=labels)
+    return ReducedCohort(n, *groups, reduction, covariates=covariates,
+                         labels=labels)
+
+
+def _read_group(g: int, paths: list[Path], n: int | None,
+                header: bool) -> tuple[np.ndarray, int | None]:
+    """Group g's (subjects x edges) array, one row per file, and the node
+    count: n, or the first file's when n is None. A file of another n is a
+    dimension mismatch."""
+    x = np.empty((len(paths), 0))
+    for s, path in enumerate(paths):
+        dense = read_matrix_csv(path, header=header)
+        n = n or len(dense)
+        if len(dense) != n:
+            raise ValidationError(
+                f"{path}: dimension mismatch: group {g} subject {s} has "
+                f"n={len(dense)}, expected n={n}")
+        if s == 0:
+            x = np.empty((len(paths), n * (n - 1) // 2))
+        try:
+            x[s] = upper_triangle(dense)
+        except ValidationError as err:
+            raise ManifestError(f"{path}: {err}") from err
+    return x, n
 
 
 # What a config field's annotation asks of a JSON value: the test, and what

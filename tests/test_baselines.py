@@ -202,6 +202,27 @@ def test_stacked_degrees_equal_per_subject_degrees(ranking):
             assert np.array_equal(got, want), density
 
 
+@pytest.mark.parametrize("ranking", ["signed", "absolute"])
+def test_stacked_degrees_chunks_agree_with_one_shot(monkeypatch, ranking):
+    from ddtnet import baselines
+    rng = np.random.default_rng(22)
+    n = 12
+    n_edges = n * (n - 1) // 2
+    k = density_edge_count(n_edges, 0.1)
+    # whole-number values tie often; rows 2 and 3, on either side of the
+    # boundary between chunks of 3 rows, tie many edges at their k-th value
+    vals = np.round(rng.normal(0.0, 2.0, size=(8, n_edges)))
+    vals[2, : 2 * k] = vals[3, -2 * k:] = 9.0
+    vals[3, :k // 2] = 10.0
+    one_shot = baselines._row_degrees(vals, n, k, ranking)
+    monkeypatch.setattr(baselines, "_DEGREE_CHUNK_BYTES", 3 * 8 * n_edges)
+    chunked = stacked_degrees(vals, n, 0.1, ranking)
+    assert chunked.dtype == np.int64
+    assert np.array_equal(chunked, one_shot)
+    assert np.array_equal(chunked, np.vstack([degree_at_density(
+        SymmetricMatrix.from_upper(n, row), 0.1, ranking) for row in vals]))
+
+
 @pytest.mark.parametrize("correction", ["bonferroni", "fdr"])
 def test_binomial_corrected_equals_per_node_loop(correction):
     rng = np.random.default_rng(22)

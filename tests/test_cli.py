@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddtnet import cli, degree_test
+from ddtnet import cli, degree_test, io
 from ddtnet.cli import main
 from ddtnet.core import ConnectivityCohort
 from ddtnet.degree_test import ddt_run
@@ -114,6 +114,44 @@ def test_run_frees_the_cohort_before_the_eddt_null_pass(tmp_path, monkeypatch):
     assert passes == [0.95]
     header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
     assert header.startswith("node,label,degree,p_null,pvalue,significant")
+
+
+def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
+    # welch_t with t10: each group is reduced to moments as it loads
+    manifest = _manifest(tmp_path, baselines=["t10", "binb"],
+                         threshold={"kind": "eddt", "level": 0.95})
+    refs, events = [], []
+    real_check, real_read = io.check_group, io.read_matrix_csv
+    real_pass = degree_test.null_exceedances
+
+    def check_group(x, g, sizes):
+        checked = real_check(x, g, sizes)
+        assert checked.shape == (3, 15)
+        refs.extend((weakref.ref(x), weakref.ref(checked)))
+        return checked
+
+    def read_matrix_csv(path, header=False):
+        if Path(path).name == "group2_0.csv":
+            assert len(refs) == 2, "group 2 read before group 1 was checked"
+            assert all(ref() is None for ref in refs), (
+                "group 1's subject array outlived its reduction")
+            events.append("group 2")
+        return real_read(path, header=header)
+
+    def null_exceedances(source, level):
+        assert len(refs) == 4 and all(ref() is None for ref in refs), (
+            "a subject array is alive during the null pass")
+        events.append("null pass")
+        return real_pass(source, level)
+
+    monkeypatch.setattr(io, "check_group", check_group)
+    monkeypatch.setattr(io, "read_matrix_csv", read_matrix_csv)
+    monkeypatch.setattr(degree_test, "null_exceedances", null_exceedances)
+    assert main(["--quiet", "run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")]) == 0
+    assert events == ["group 2", "null pass"]
+    header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
+    assert "t10_pvalue" in header and "binb_pvalue" in header
 
 
 def test_ddt_run_leaves_a_held_cohort_intact(monkeypatch):
@@ -764,6 +802,81 @@ def test_run_bad_cohort_fails_before_any_output(tmp_path, capfd, case):
     assert expected in payload["message"]
     if case == "dimension":
         assert "bad_subject.csv" in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+def _non_finite_group1(tmp_path, data):
+    dense = np.loadtxt(tmp_path / "group1_2.csv", delimiter=",")
+    dense[1, 4] = dense[4, 1] = np.nan
+    write_matrix_csv(tmp_path / "group1_2.csv", dense)
+
+
+def _write(name, text):
+    def edit(tmp_path, data):
+        (tmp_path / name).write_text(text)
+        data["labels" if name == "labels.txt" else "covariates"] = name
+    return edit
+
+
+# single defects of a cohort that only the loaded groups show; each is a
+# one-line validation error (exit 2) that leaves no output directory
+BAD_COHORT_GROUPS = {
+    "nan-group-1": (_non_finite_group1,
+                    "invalid value in group 1 subject 2 at edge (1, 4)"),
+    "one-subject-group-1": (
+        lambda tmp_path, data: data.update(group1=data["group1"][:1]),
+        "at least 2 subjects (got 1 and 3)"),
+    "one-subject-group-2": (
+        lambda tmp_path, data: data.update(group2=data["group2"][:1]),
+        "at least 2 subjects (got 3 and 1)"),
+    "label-count": (_write("labels.txt", "a\nb\nc\n"),
+                    "3 node labels for n=6 nodes"),
+    "covariate-rows": (_write("cov.csv", "1.0\n2.0\n3.0\n"),
+                       "covariates must be one row per subject (6)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COHORT_GROUPS))
+def test_run_bad_cohort_group_is_one_json_line(tmp_path, capfd, case):
+    edit, expected = BAD_COHORT_GROUPS[case]
+    manifest = _manifest(tmp_path)
+    data = json.loads(manifest.read_text())
+    edit(tmp_path, data)
+    manifest.write_text(json.dumps(data))
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert expected in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("group1, expected", [
+    (lambda names: names[:1], "at least 2 subjects (got 1 and 3)"),
+    (lambda names: names[:2] + ["nan.csv"],
+     "invalid value in group 1 subject 2 at edge (0, 1)")])
+def test_run_reports_group_1_before_reading_group_2(tmp_path, capfd,
+                                                    group1, expected):
+    # two defects at once, one in group 1 and a missing group 2 file:
+    # group 1 is checked as soon as it loads, before group 2 is read, so
+    # its defect is the one reported
+    manifest = _manifest(tmp_path)
+    nan = np.eye(6)
+    nan[0, 1] = nan[1, 0] = np.nan
+    write_matrix_csv(tmp_path / "nan.csv", nan)
+    data = json.loads(manifest.read_text())
+    data["group1"] = group1(data["group1"])
+    data["group2"][1] = "nope.csv"
+    manifest.write_text(json.dumps(data))
+    code = main(["run", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    payload = json.loads(capfd.readouterr().err.strip())
+    assert payload["error"] == "validation"
+    assert expected in payload["message"]
     assert not (tmp_path / "results").exists()
 
 

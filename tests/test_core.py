@@ -179,6 +179,15 @@ def test_validate_cohort_group_size():
         ConnectivityCohort(x1[:1], x2)
 
 
+def test_validate_cohort_checks_group_1_before_group_2():
+    # each group passes all of core.check_group in turn, so a bad value in
+    # group 1 is reported before group 2's size
+    x1, x2 = _groups()
+    x1[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="invalid value in group 1"):
+        ConnectivityCohort(x1, x2[:1])
+
+
 def test_validate_cohort_covariate_alignment():
     x1, x2 = _groups()
     with pytest.raises(ValidationError, match="one row per subject"):

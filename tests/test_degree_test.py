@@ -12,12 +12,13 @@ from ddtnet.baselines import binomial_tails
 from ddtnet.degree_test import (
     DEGENERATE_P_FLOOR,
     PipelineError,
+    Reduction,
     ddt_run,
     degree_tests,
     node_tests,
     null_probability_from_counts,
 )
-from ddtnet.edgetests import EdgeTestConfig, PValueMatrix
+from ddtnet.edgetests import EdgeTestConfig, PValueMatrix, edgewise_pvalues
 from ddtnet.hqs import mixture_cdf
 from ddtnet.thresholds import ThresholdRule
 
@@ -246,6 +247,30 @@ def test_ddt_run_degenerate_cohort_surfaces_moment_error():
     assert str(result.error).startswith("moments")
     # the degree-test stage failed; the baselines still ran
     assert result.ddt == {} and list(result.baselines) == ["binb", "t10"]
+
+
+@pytest.mark.parametrize("method, fisher_z", [
+    ("welch_t", False), ("welch_t", True), ("wilcoxon", True),
+    ("regression", False)])
+def test_ddt_run_reads_a_cohort_reduced_for_its_settings(method, fisher_z):
+    cohort = _random_cohort(9, 6, 7, seed=21, shift_edges=range(8), shift=0.5)
+    cfg = EdgeTestConfig(method=method, fisher_z=fisher_z, seed=4)
+    rules = {"eddt": ThresholdRule(kind="eddt")}
+    kwargs = dict(test_cfg=cfg, ensemble_size=40, seed=4, density=0.2)
+    reduced = Reduction.of(cfg, ("t10", "binb"), 0.2, "signed").cohort(cohort)
+    whole = ddt_run(cohort, rules, ("t10", "binb"), **kwargs)
+    streamed = ddt_run(reduced, rules, ("t10", "binb"), **kwargs)
+    # the reductions give the library composition's p-values, bit for bit
+    want = edgewise_pvalues(cohort, cfg)
+    assert np.array_equal(streamed.pvalues.values, want.values)
+    assert streamed.pvalues.fisher_z_clamped == want.fisher_z_clamped
+    for a, b in ((whole.ddt["eddt"].nodes, streamed.ddt["eddt"].nodes),
+                 (whole.baselines["t10"], streamed.baselines["t10"])):
+        assert np.array_equal(a.pvalue, b.pvalue)
+    # a cohort reduced for other settings (here: without t10) is refused
+    with pytest.raises(ValidationError, match="reduced for"):
+        ddt_run(Reduction.of(cfg, (), 0.2, "signed").cohort(cohort), rules,
+                ("t10",), **kwargs)
 
 
 def test_ddt_run_bh_across_nodes_flag():

@@ -450,8 +450,9 @@ def test_config_validation():
     assert EdgeTestConfig(seed=np.int64(5)).seed == 5
 
 
-def test_vector_welch_blocks_are_bit_identical_to_one_call():
-    from ddtnet.edgetests import _WELCH_BLOCK, _vector_welch, _welch_block
+def test_vector_welch_blocks_are_bit_identical_to_one_call(monkeypatch):
+    from ddtnet import edgetests
+    from ddtnet.edgetests import _WELCH_BLOCK, _vector_welch
     rng = np.random.default_rng(8)
     width = 2 * _WELCH_BLOCK + 17
     x = rng.normal(size=(12, width))
@@ -459,7 +460,8 @@ def test_vector_welch_blocks_are_bit_identical_to_one_call():
     x[:, 5], y[:, 5] = 1.0, 1.0                  # constant, equal: p = 1
     x[:, -1], y[:, -1] = 0.0, 2.0                # constant, unequal: P_MIN
     chunked = _vector_welch(x, y)
-    whole = _welch_block(x, y)
+    monkeypatch.setattr(edgetests, "_WELCH_BLOCK", width)
+    whole = _vector_welch(x, y)
     assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
     assert chunked[5] == 1.0 and chunked[-1] == 1e-10
 
@@ -493,8 +495,8 @@ def _welch_columns(kind: str, n1: int, n2: int, rng) -> tuple[np.ndarray, np.nda
 
 
 def _ttest_ind_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Welch block through scipy.stats.ttest_ind, with the same
-    degenerate-column rule and clamp as _welch_block."""
+    """The Welch p-values through scipy.stats.ttest_ind, with the same
+    degenerate-column rule and clamp as welch_pvalues."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = np.asarray(stats.ttest_ind(x, y, axis=0, equal_var=False)[1], float)
@@ -508,15 +510,75 @@ def _ttest_ind_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["random", "constant-equal", "constant-unequal",
                                   "rounded", "integer-degree"])
 def test_welch_block_is_bit_identical_to_ttest_ind(kind):
-    from ddtnet.edgetests import _welch_block
+    from ddtnet.edgetests import _vector_welch
     rng = np.random.default_rng(sum(map(ord, kind)))
     for n1 in range(2, 31):
         n2 = int(rng.integers(2, 31))
         x, y = _welch_columns(kind, n1, n2, rng)
-        got = _welch_block(x, y)
+        got = _vector_welch(x, y)
         assert np.array_equal(got.view(np.int64),
                               _ttest_ind_block(x, y).view(np.int64)), (n1, n2)
-        # a strided view of the columns, as _vector_welch's blocks pass them
-        got = _welch_block(x[:, ::3], y[:, ::3])
+        # a strided view of the columns, as welch_moments's blocks take them
+        got = _vector_welch(x[:, ::3], y[:, ::3])
         assert np.array_equal(got.view(np.int64), _ttest_ind_block(
             x[:, ::3], y[:, ::3]).view(np.int64)), (n1, n2)
+
+
+WELCH_COLUMN_KINDS = ("random", "tied", "constant-equal", "constant-unequal")
+
+
+def _welch_column(kind: str, n1: int, n2: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    x = rng.normal(size=n1) * rng.uniform(0.01, 10.0)
+    y = rng.normal(rng.uniform(-1.0, 1.0), 1.0, size=n2)
+    # distinct constants in quarters, whose means are exact: zero variance
+    a = np.round(4 * x[0]) / 4
+    b = a + (1 + np.abs(np.round(4 * y[0]))) / 4
+    if kind == "tied":
+        x, y = np.round(x), np.round(y)
+    elif kind == "constant-equal":
+        x, y = np.full(n1, a), np.full(n2, a)
+    elif kind == "constant-unequal":
+        x, y = np.full(n1, a), np.full(n2, b)
+    return x, y
+
+
+@settings(max_examples=25, deadline=None)
+@given(n1=st.integers(2, 9), n2=st.integers(2, 9),
+       seed=st.integers(0, 2 ** 32 - 1),
+       edge=st.lists(st.sampled_from(WELCH_COLUMN_KINDS), min_size=2,
+                     max_size=2))
+def test_welch_halves_are_bit_identical_to_ttest_ind(n1, n2, seed, edge):
+    # E > _WELCH_BLOCK: one block boundary, with the hypothesis-drawn
+    # columns on each side of it and degenerate columns next to them
+    from ddtnet.edgetests import _WELCH_BLOCK, welch_moments, welch_pvalues
+    rng = np.random.default_rng(seed)
+    width = _WELCH_BLOCK + 40
+    kinds = list(rng.choice(WELCH_COLUMN_KINDS, size=width))
+    kinds[_WELCH_BLOCK - 1:_WELCH_BLOCK + 1] = edge
+    kinds[_WELCH_BLOCK - 2] = "constant-equal"
+    kinds[_WELCH_BLOCK + 1] = "constant-unequal"
+    x, y = np.empty((n1, width)), np.empty((n2, width))
+    for e, kind in enumerate(kinds):
+        x[:, e], y[:, e] = _welch_column(kind, n1, n2, rng)
+    (mx, cx), (my, cy) = welch_moments(x), welch_moments(y)
+    assert (mx.count, my.count, cx, cy) == (n1, n2, 0, 0)
+    got = welch_pvalues(mx, my)
+    assert np.array_equal(got.view(np.int64),
+                          _ttest_ind_block(x, y).view(np.int64))
+    assert got[_WELCH_BLOCK - 2] == 1.0 and got[_WELCH_BLOCK + 1] == P_MIN
+
+
+def test_welch_moments_fisher_z_per_block_is_the_whole_transform():
+    from ddtnet.core import fisher_z_clamped
+    from ddtnet.edgetests import _WELCH_BLOCK, welch_moments
+    rng = np.random.default_rng(14)
+    x = np.clip(rng.normal(0.0, 0.5, size=(7, _WELCH_BLOCK + 300)), -1.0, 1.0)
+    x[:, _WELCH_BLOCK - 1] = 1.0                 # clamped on both sides of
+    x[2, _WELCH_BLOCK] = -1.0                    # the block boundary
+    z, clamped = fisher_z_clamped(x)
+    assert clamped > 7
+    got, got_clamped = welch_moments(x, fisher_z=True)
+    want, _ = welch_moments(z)
+    assert got_clamped == clamped
+    for a, b in ((got.mean, want.mean), (got.vn, want.vn)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
