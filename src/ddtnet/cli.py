@@ -10,6 +10,7 @@ entropy, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -97,6 +98,22 @@ def _parse_threads(raw: str, source: str) -> int:
     return threads
 
 
+def _peak_rss_mb() -> float:
+    """The process's own peak resident memory so far, KiB on Linux -> MB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                 * 1024 / 1e6, 1)
+
+
+@contextlib.contextmanager
+def _timed_stage(stages: dict, name: str):
+    """Record the body's wall seconds and the peak RSS after it as
+    stages[name]."""
+    start = time.perf_counter()
+    yield
+    stages[name] = {"seconds": round(time.perf_counter() - start, 3),
+                    "peak_rss_mb": _peak_rss_mb()}
+
+
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
     _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
@@ -105,36 +122,40 @@ def cmd_run(args) -> int:
     # the load reduces each group as it reads it (Welch: per-edge moments).
     # ddt_run gets the only reference to the reduced cohort, so it can free
     # the joint tests' (S x E) subject arrays before the eDDT null pass;
-    # this frame keeps only what it writes. CPython >= 3.11 hands the popped
-    # argument over to the callee; 3.10 keeps it on this frame's stack
-    # until the return.
+    # this frame keeps only what it writes, and CPython hands the popped
+    # argument over to the callee.
     reduction = Reduction.of(run.test_config, run.baselines, run.density,
                              run.ranking)
-    held = [load_cohort(run.cohort, run.base_dir, header=run.header,
-                        reduction=reduction)]
+    stages = {}
+    with _timed_stage(stages, "load"):
+        held = [load_cohort(run.cohort, run.base_dir, header=run.header,
+                            reduction=reduction)]
     labels, n_nodes = held[0].labels, held[0].n
     n_subjects = [held[0].n1, held[0].n2]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    run_result = ddt_run(held.pop(), {run.threshold.kind: run.threshold},
-                         run.baselines, test_cfg=run.test_config,
-                         ensemble_size=run.null_networks, alpha=run.alpha,
-                         seed=run.seed, inner_dim=run.inner_dim,
-                         density=run.density, ranking=run.ranking,
-                         correct_nodes=run.correct_nodes)
+    with _timed_stage(stages, "pipeline"):
+        run_result = ddt_run(held.pop(), {run.threshold.kind: run.threshold},
+                             run.baselines, test_cfg=run.test_config,
+                             ensemble_size=run.null_networks, alpha=run.alpha,
+                             seed=run.seed, inner_dim=run.inner_dim,
+                             density=run.density, ranking=run.ranking,
+                             correct_nodes=run.correct_nodes)
     if run_result.error is not None:
         raise run_result.error
     result = run_result.ddt[run.threshold.kind]
 
-    write_nodes_csv(out_dir / "nodes.csv", result, labels=labels,
-                    baselines=run_result.baselines)
-    write_matrix_csv(out_dir / "difference_network.csv",
-                     run_result.difference.to_symmetric().to_dense())
-    write_matrix_csv(out_dir / "adjacency.csv", result.adjacency.to_dense())
-    write_gamma_json(out_dir / "gamma.json", run.threshold, result.gamma)
-    write_moments_json(out_dir / "moments.json", result.moments)
+    with _timed_stage(stages, "write"):
+        write_nodes_csv(out_dir / "nodes.csv", result, labels=labels,
+                        baselines=run_result.baselines)
+        write_matrix_csv(out_dir / "difference_network.csv",
+                         run_result.difference.to_symmetric().to_dense())
+        write_matrix_csv(out_dir / "adjacency.csv",
+                         result.adjacency.to_dense())
+        write_gamma_json(out_dir / "gamma.json", run.threshold, result.gamma)
+        write_moments_json(out_dir / "moments.json", result.moments)
     test_cfg = run.test_config
     summary = {
         "seed": run.seed,
@@ -151,9 +172,8 @@ def cmd_run(args) -> int:
         "flags": result.flags,
         "significant_nodes": result.significant_nodes.tolist(),
         "elapsed_seconds": round(time.perf_counter() - t_start, 3),
-        # the process's own peak so far, KiB on Linux -> MB
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
-                             .ru_maxrss * 1024 / 1e6, 1),
+        "peak_rss_mb": _peak_rss_mb(),
+        "stages": stages,
     }
     write_json(out_dir / "run_summary.json", summary)
     if not args.quiet:

@@ -139,13 +139,17 @@ def upper_triangle(dense: np.ndarray, *, tol: float = SYMMETRY_TOL) -> np.ndarra
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {dense.shape}")
     n = dense.shape[0]
-    with np.errstate(invalid="ignore"):    # inf - inf: nan, skipped below
-        asym = np.nanmax(np.abs(dense - dense.T)) if n else 0.0
+    # inf - inf is nan, which fmax.reduce skips as nanmax does but without
+    # its All-NaN warning, and a sum past the float range is inf: both reach
+    # the caller's finiteness check, not stderr
+    with np.errstate(invalid="ignore", over="ignore"):
+        asym = np.fmax.reduce(np.abs(dense - dense.T), axis=None) if n else 0.0
+        iu, ju = triu_index_pairs(n)
+        values = 0.5 * (dense[iu, ju] + dense[ju, iu])
     if asym > tol:
         raise ValidationError(
             f"matrix is asymmetric beyond tolerance ({asym:.3g} > {tol:.3g})")
-    iu, ju = triu_index_pairs(n)
-    return 0.5 * (dense[iu, ju] + dense[ju, iu])
+    return values
 
 
 @dataclass(frozen=True)

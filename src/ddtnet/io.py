@@ -72,7 +72,8 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
             # an empty input only warns; it is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             arr = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
-                             ndmin=2, dtype=float, skiprows=int(header))
+                             ndmin=2, dtype=float, skiprows=int(header),
+                             encoding="utf-8-sig")
     except ValueError as err:
         kind = ("ragged rows" if "number of columns changed" in str(err)
                 else "non-numeric value")
@@ -115,9 +116,15 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
     Relative paths resolve against the manifest's directory. Each file
     fills one row of its group's (subjects x edges) array, in manifest
     order. Group 1 is read, checked as every cohort group is
-    (core.check_group), reduced by `reduction` (by default the Welch
-    moments of its edges) and dropped before group 2's first file is read,
-    so under welch_t the load never holds both groups' subject arrays.
+    (core.check_group) and reduced by `reduction` (by default the Welch
+    moments of its edges) before group 2's first file is read, so under
+    welch_t the load never holds both groups' subject arrays. Both groups
+    are read into one (max(S1, S2) x edges) buffer, made when group 1's
+    first file is read and freed when the load returns: a second array of
+    that size, allocated after the first is freed, would come from a heap
+    the allocator does not hand back, and stay resident through the eDDT
+    null pass. Only when group 1's reduction keeps its values (the joint
+    tests without fisher_z) does group 2 get an array of its own.
     The covariates and labels are read last and checked as
     ConnectivityCohort checks them; all of it before any output exists.
     """
@@ -132,18 +139,21 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
             raise ManifestError(f"{key} must be a file name, got "
                                 f"{manifest[key]!r}")
     sizes = len(manifest["group1"]), len(manifest["group2"])
-    n, groups = None, []
+    n, buffer, groups = None, None, []
     for g, key in ((1, "group1"), (2, "group2")):
         x, n = _read_group(g, [base_dir / name for name in manifest[key]],
-                           n, header)
+                           n, header, buffer, max(sizes))
         groups.append(reduction(check_group(x, g, sizes)))
-        del x    # the group's subject arrays go before the next group's load
+        kept = groups[-1].values
+        shared = kept is not None and np.may_share_memory(kept, x)
+        buffer = None if shared else x.base
+        del x
     covariates = None
     if manifest.get("covariates"):
         cpath = base_dir / manifest["covariates"]
         if not cpath.exists():
             raise ManifestError(f"covariate file not found: {cpath}")
-        with open(cpath, newline="") as fh:
+        with open(cpath, newline="", encoding="utf-8-sig") as fh:
             try:
                 covariates = np.array([[float(v) for v in row]
                                        for row in csv.reader(fh) if row])
@@ -154,17 +164,20 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
         lpath = base_dir / manifest["labels"]
         if not lpath.exists():
             raise ManifestError(f"label file not found: {lpath}")
-        labels = tuple(line.strip() for line in lpath.read_text().splitlines()
-                       if line.strip())
+        lines = lpath.read_text(encoding="utf-8-sig").splitlines()
+        labels = tuple(line.strip() for line in lines if line.strip())
     return ReducedCohort(n, *groups, reduction, covariates=covariates,
                          labels=labels)
 
 
-def _read_group(g: int, paths: list[Path], n: int | None,
-                header: bool) -> tuple[np.ndarray, int | None]:
+def _read_group(g: int, paths: list[Path], n: int | None, header: bool,
+                buffer: np.ndarray | None,
+                rows: int) -> tuple[np.ndarray, int | None]:
     """Group g's (subjects x edges) array, one row per file, and the node
     count: n, or the first file's when n is None. A file of another n is a
-    dimension mismatch."""
+    dimension mismatch. The array is a view of the first len(paths) rows
+    of `buffer`, or, when buffer is None, of a new (rows x edges) buffer
+    made once the first file gives n; its .base is the buffer."""
     x = np.empty((len(paths), 0))
     for s, path in enumerate(paths):
         dense = read_matrix_csv(path, header=header)
@@ -174,7 +187,9 @@ def _read_group(g: int, paths: list[Path], n: int | None,
                 f"{path}: dimension mismatch: group {g} subject {s} has "
                 f"n={len(dense)}, expected n={n}")
         if s == 0:
-            x = np.empty((len(paths), n * (n - 1) // 2))
+            if buffer is None:
+                buffer = np.empty((rows, n * (n - 1) // 2))
+            x = buffer[:len(paths)]
         try:
             x[s] = upper_triangle(dense)
         except ValidationError as err:
@@ -354,7 +369,7 @@ def load_partition(path) -> ModulePartition:
         raise ManifestError(f"module file not found: {path}")
     assignment = {}
     names: dict[int, str] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for idx, row in enumerate(csv.reader(fh)):
             if not row:
                 continue

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -8,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ddtnet
 from ddtnet import cli, degree_test, io
 from ddtnet.cli import main
-from ddtnet.core import ConnectivityCohort
+from ddtnet.core import ConnectivityCohort, upper_triangle
 from ddtnet.degree_test import ddt_run
-from ddtnet.io import load_run_manifest, write_matrix_csv
+from ddtnet.io import load_run_manifest, read_matrix_csv, write_matrix_csv
 from ddtnet.thresholds import ThresholdRule
 
 RUN_OUTPUTS = ("nodes.csv", "difference_network.csv", "adjacency.csv",
@@ -117,10 +121,11 @@ def test_run_frees_the_cohort_before_the_eddt_null_pass(tmp_path, monkeypatch):
 
 
 def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
-    # welch_t with t10: each group is reduced to moments as it loads
+    # welch_t with t10: each group is reduced to moments as it loads, and
+    # both groups are read into one buffer that is freed with the load
     manifest = _manifest(tmp_path, baselines=["t10", "binb"],
                          threshold={"kind": "eddt", "level": 0.95})
-    refs, events = [], []
+    refs, buffers, events = [], [], []
     real_check, real_read = io.check_group, io.read_matrix_csv
     real_pass = degree_test.null_exceedances
 
@@ -128,6 +133,11 @@ def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
         checked = real_check(x, g, sizes)
         assert checked.shape == (3, 15)
         refs.extend((weakref.ref(x), weakref.ref(checked)))
+        if g == 2:
+            assert buffers[0]() is not None
+            assert np.shares_memory(checked, buffers[0]()), (
+                "group 2 was not read into group 1's buffer")
+        buffers.append(weakref.ref(checked.base))
         return checked
 
     def read_matrix_csv(path, header=False):
@@ -141,6 +151,8 @@ def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
     def null_exceedances(source, level):
         assert len(refs) == 4 and all(ref() is None for ref in refs), (
             "a subject array is alive during the null pass")
+        assert len(buffers) == 2 and buffers[1]() is None, (
+            "the subject buffer is alive during the null pass")
         events.append("null pass")
         return real_pass(source, level)
 
@@ -152,6 +164,51 @@ def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
     assert events == ["group 2", "null pass"]
     header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
     assert "t10_pvalue" in header and "binb_pvalue" in header
+
+
+@pytest.mark.parametrize("test, extra", [
+    ("regression", {"covariates": "cov.csv"}),
+    ("wilcoxon", {}),
+])
+def test_joint_test_run_matches_an_in_memory_cohort(tmp_path, test, extra):
+    # the joint tests keep group 1's values, so group 2 must not be read
+    # into group 1's buffer; groups of 3 and 4 subjects, group 2 the larger,
+    # differing on the edges among nodes 0-3 only
+    rng = np.random.default_rng(12)
+    files = {"group1": [], "group2": []}
+    for key, subjects, shift in (("group1", 3, 0.0), ("group2", 4, 0.6)):
+        for s in range(subjects):
+            d = rng.normal(0.0, 0.1, size=(8, 8))
+            d[:4, :4] += shift
+            d = (d + d.T) / 2
+            np.fill_diagonal(d, 1.0)
+            write_matrix_csv(tmp_path / f"{key}_{s}.csv", d)
+            files[key].append(f"{key}_{s}.csv")
+    (tmp_path / "cov.csv").write_text(
+        "".join(f"{v}\n" for v in (0.3, -1.2, 0.8, 1.5, -0.4, 0.1, -0.9)))
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        **files, **extra, "test": test, "seed": 31, "null_networks": 60,
+        "threshold": {"kind": "eddt", "level": 0.95}}))
+    out = tmp_path / "results"
+    assert main(["--quiet", "run", "--manifest", str(manifest),
+                 "--out", str(out)]) == 0
+
+    run = load_run_manifest(manifest)
+    x1, x2 = ([upper_triangle(read_matrix_csv(tmp_path / name))
+               for name in files[key]] for key in ("group1", "group2"))
+    covariates = (np.loadtxt(tmp_path / "cov.csv", ndmin=2)
+                  if extra else None)
+    expected = ddt_run(ConnectivityCohort(np.array(x1), np.array(x2),
+                                          covariates=covariates),
+                       {"eddt": run.threshold}, test_cfg=run.test_config,
+                       ensemble_size=run.null_networks, seed=run.seed)
+    np.testing.assert_array_equal(
+        np.loadtxt(out / "difference_network.csv", delimiter=","),
+        expected.difference.to_symmetric().to_dense())
+    with open(out / "nodes.csv", newline="") as fh:
+        pvalues = [float(row["pvalue"]) for row in csv.DictReader(fh)]
+    np.testing.assert_array_equal(pvalues, expected.ddt["eddt"].nodes.pvalue)
 
 
 def test_ddt_run_leaves_a_held_cohort_intact(monkeypatch):
@@ -191,6 +248,12 @@ def test_run_summary_reports_peak_rss_outside_the_csvs(tmp_path):
         peak = summary.pop("peak_rss_mb")
         assert isinstance(peak, float) and peak > 0
         summary.pop("elapsed_seconds")
+        stages = summary.pop("stages")
+        assert list(stages) == ["load", "pipeline", "write"]
+        for stage in stages.values():
+            assert set(stage) == {"seconds", "peak_rss_mb"}
+            assert stage["seconds"] >= 0
+            assert 0 < stage["peak_rss_mb"] <= peak
         summaries.append(summary)
     assert summaries[0] == summaries[1]
     for name in RUN_OUTPUTS[:-1]:
@@ -851,6 +914,32 @@ def test_run_bad_cohort_group_is_one_json_line(tmp_path, capfd, case):
     payload = json.loads(err)
     assert payload["error"] == "validation"
     assert expected in payload["message"]
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1.5e308])
+def test_run_degenerate_subject_file_prints_only_the_json_line(tmp_path,
+                                                                value):
+    # an all-nan or all-inf file, and finite values whose two-triangle mean
+    # overflows, are reported as an invalid value; no numpy warning reaches
+    # stderr. A fresh interpreter shows stderr as a user sees it.
+    manifest = _manifest(tmp_path)
+    write_matrix_csv(tmp_path / "degenerate.csv", np.full((6, 6), value))
+    data = json.loads(manifest.read_text())
+    data["group2"][1] = "degenerate.csv"
+    manifest.write_text(json.dumps(data))
+    src = str(Path(ddtnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ddtnet.cli", "run", "--manifest",
+         str(manifest), "--out", str(tmp_path / "results")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert json.loads(done.stderr) == {
+        "error": "validation", "stage": "input",
+        "message": "invalid value in group 2 subject 1 at edge (0, 1)"}
+    assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "results").exists()
 
 

@@ -186,6 +186,44 @@ def test_load_partition_variants(tmp_path):
     assert load_partition(p6).name(1) == "A"
 
 
+# a UTF-8 byte-order mark, as some editors save CSVs, is not data
+
+def test_matrix_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,0.5\n0.5,1.0\n", encoding="utf-8-sig")
+    np.testing.assert_array_equal(read_matrix_csv(path),
+                                  [[1.0, 0.5], [0.5, 1.0]])
+
+
+def _bom_cohort(tmp_path, **files):
+    for i in range(2):
+        _write_matrix(tmp_path / f"g1_{i}.csv", 3, seed=i)
+        _write_matrix(tmp_path / f"g2_{i}.csv", 3, seed=10 + i)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8-sig")
+    manifest = {"group1": ["g1_0.csv", "g1_1.csv"],
+                "group2": ["g2_0.csv", "g2_1.csv"],
+                **{name.split(".")[0]: name for name in files}}
+    return load_cohort(manifest, tmp_path)
+
+
+def test_covariate_file_skips_a_byte_order_mark(tmp_path):
+    cohort = _bom_cohort(tmp_path, **{"covariates.csv": "1.0\n2\n3\n4\n"})
+    np.testing.assert_array_equal(cohort.covariates, [[1.0], [2], [3], [4]])
+
+
+def test_label_file_skips_a_byte_order_mark(tmp_path):
+    cohort = _bom_cohort(tmp_path, **{"labels.txt": "R0\nR1\nR2\n"})
+    assert cohort.labels == ("R0", "R1", "R2")
+
+
+def test_module_file_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "modules.csv"
+    path.write_text("0,1\n1,1\n2,2\n3,2\n4,2\n", encoding="utf-8-sig")
+    np.testing.assert_array_equal(load_partition(path).assignment,
+                                  [1, 1, 2, 2, 2])
+
+
 def test_load_design(tmp_path):
     path = tmp_path / "design.json"
     path.write_text(json.dumps({
