@@ -79,7 +79,7 @@ def _nonpositive_mean(err: NonpositiveMeanError) -> int:
 
 def _threads(args) -> int:
     """Requested worker count: --threads, else DDT_THREADS, else the CPU
-    count. run_experiment caps it by the replicate and CPU counts."""
+    count. core.pool_size caps it by the task and CPU counts."""
     if args.threads is not None:
         return _parse_threads(args.threads, "--threads")
     env = os.environ.get("DDT_THREADS")
@@ -106,17 +106,18 @@ def _peak_rss_mb() -> float:
 
 @contextlib.contextmanager
 def _timed_stage(stages: dict, name: str):
-    """Record the body's wall seconds and the peak RSS after it as
-    stages[name]."""
+    """Record the body's wall seconds, the peak RSS after it and what the
+    body adds to the yielded dict as stages[name]."""
     start = time.perf_counter()
-    yield
+    extra = {}
+    yield extra
     stages[name] = {"seconds": round(time.perf_counter() - start, 3),
-                    "peak_rss_mb": _peak_rss_mb()}
+                    "peak_rss_mb": _peak_rss_mb(), **extra}
 
 
 def cmd_run(args) -> int:
     t_start = time.perf_counter()
-    _threads(args)  # a bad --threads / DDT_THREADS is an input error here too
+    threads = _threads(args)
     run = load_run_manifest(args.manifest, seed=args.seed,
                             baselines=args.baselines)
     # the load reduces each group as it reads it (Welch: per-edge moments).
@@ -127,9 +128,10 @@ def cmd_run(args) -> int:
     reduction = Reduction.of(run.test_config, run.baselines, run.density,
                              run.ranking)
     stages = {}
-    with _timed_stage(stages, "load"):
+    with _timed_stage(stages, "load") as record:
         held = [load_cohort(run.cohort, run.base_dir, header=run.header,
-                            reduction=reduction)]
+                            reduction=reduction, threads=threads,
+                            record=record)]
     labels, n_nodes = held[0].labels, held[0].n
     n_subjects = [held[0].n1, held[0].n2]
 
@@ -261,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", default=None,
                         help="worker pool size, a positive integer (default: "
                              "DDT_THREADS env or available parallelism; "
-                             "capped by the replicate and CPU counts)")
+                             "capped by the CPU count and by the replicate "
+                             "count for simulate, the larger group's subject "
+                             "file count for run)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the manifest seed")
     parser.add_argument("--quiet", action="store_true",

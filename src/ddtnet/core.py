@@ -9,8 +9,12 @@ workers; the transforms here are pure functions.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +35,10 @@ class DdtError(Exception):
 
 class ValidationError(DdtError):
     """Input data violates a structural contract."""
+
+
+class WorkerLostError(DdtError):
+    """A worker process ended before it returned its task's result."""
 
 
 def logit(x):
@@ -91,6 +99,35 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     reproducible.
     """
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
+
+
+def pool_size(threads: int, tasks: int) -> int:
+    """Worker processes for a pool: the requested count, capped by the
+    task count (simulation replicates, or a group's subject files) and the
+    CPU count."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, tasks, os.cpu_count() or 1))
+
+
+@contextmanager
+def worker_map(workers: int, stage: str, chunksize: int = 1):
+    """The map a with block runs its tasks through: the builtin map for one
+    worker, else the map of a ProcessPoolExecutor of `workers` processes
+    that lives only as long as the block. Either yields results in input
+    order and raises a task's exception when its result is reached. The
+    pool's pending tasks are cancelled when the block ends, and a worker
+    that died is a WorkerLostError naming `stage`."""
+    if workers == 1:
+        yield map
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield partial(pool.map, chunksize=chunksize)
+    except BrokenProcessPool as err:
+        raise WorkerLostError(f"{stage}: {err}") from err
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

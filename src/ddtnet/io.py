@@ -14,6 +14,7 @@ import gzip
 import json
 import math
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from .core import (
     ValidationError,
     check_group,
     inv_logit,
+    pool_size,
     upper_triangle,
+    worker_map,
 )
 from .baselines import check_baselines
 from .degree_test import DdtResult, ReducedCohort, Reduction, check_run_settings
@@ -107,7 +110,8 @@ def write_json(path, payload: dict) -> None:
 
 
 def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
-                reduction: Reduction = Reduction(EdgeTestConfig())) -> ReducedCohort:
+                reduction: Reduction = Reduction(EdgeTestConfig()),
+                threads: int = 1, record: dict | None = None) -> ReducedCohort:
     """Build a reduced cohort from a manifest block, one group at a time.
 
     Expected keys: group1 and group2 (lists of matrix CSV paths), optional
@@ -115,16 +119,20 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
     labels (one node label per line); any other key is a ManifestError.
     Relative paths resolve against the manifest's directory. Each file
     fills one row of its group's (subjects x edges) array, in manifest
-    order. Group 1 is read, checked as every cohort group is
-    (core.check_group) and reduced by `reduction` (by default the Welch
-    moments of its edges) before group 2's first file is read, so under
-    welch_t the load never holds both groups' subject arrays. Both groups
-    are read into one (max(S1, S2) x edges) buffer, made when group 1's
-    first file is read and freed when the load returns: a second array of
-    that size, allocated after the first is freed, would come from a heap
-    the allocator does not hand back, and stay resident through the eDDT
-    null pass. Only when group 1's reduction keeps its values (the joint
-    tests without fisher_z) does group 2 get an array of its own.
+    order. The files are parsed (read_subject) on pool_size(threads, larger
+    group's file count) worker processes, made before the first file is
+    read and ended before the load returns; the results are the same for
+    any count, and `record`, when given, gets the count as "workers". Group
+    1 is read, checked as every cohort group is (core.check_group) and
+    reduced by `reduction` (by default the Welch moments of its edges)
+    before group 2's first file is handed to a worker, so under welch_t the
+    load never holds both groups' subject arrays. Both groups are read into
+    one (max(S1, S2) x edges) buffer, made when group 1's first file is
+    read and freed when the load returns: a second array of that size,
+    allocated after the first is freed, would come from a heap the
+    allocator does not hand back, and stay resident through the eDDT null
+    pass. Only when group 1's reduction keeps its values (the joint tests
+    without fisher_z) does group 2 get an array of its own.
     The covariates and labels are read last and checked as
     ConnectivityCohort checks them; all of it before any output exists.
     """
@@ -139,15 +147,21 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
             raise ManifestError(f"{key} must be a file name, got "
                                 f"{manifest[key]!r}")
     sizes = len(manifest["group1"]), len(manifest["group2"])
+    workers = pool_size(threads, max(sizes))
+    if record is not None:
+        record["workers"] = workers
     n, buffer, groups = None, None, []
-    for g, key in ((1, "group1"), (2, "group2")):
-        x, n = _read_group(g, [base_dir / name for name in manifest[key]],
-                           n, header, buffer, max(sizes))
-        groups.append(reduction(check_group(x, g, sizes)))
-        kept = groups[-1].values
-        shared = kept is not None and np.may_share_memory(kept, x)
-        buffer = None if shared else x.base
-        del x
+    with worker_map(workers, "cohort load") as pmap:
+        for g, key in ((1, "group1"), (2, "group2")):
+            paths = [base_dir / name for name in manifest[key]]
+            x, n = _read_group(g, paths, pmap(read_subject, paths,
+                                              repeat(header)),
+                               n, buffer, max(sizes))
+            groups.append(reduction(check_group(x, g, sizes)))
+            kept = groups[-1].values
+            shared = kept is not None and np.may_share_memory(kept, x)
+            buffer = None if shared else x.base
+            del x
     covariates = None
     if manifest.get("covariates"):
         cpath = base_dir / manifest["covariates"]
@@ -170,30 +184,39 @@ def load_cohort(manifest: dict, base_dir: Path, header: bool = False,
                          labels=labels)
 
 
-def _read_group(g: int, paths: list[Path], n: int | None, header: bool,
+def read_subject(path: Path, header: bool = False) -> tuple[int, np.ndarray]:
+    """One subject file's node count and its values in canonical i<j order
+    (core.upper_triangle): the per-file work of load_cohort, which a worker
+    process runs when the load has a pool. A file upper_triangle rejects is
+    a ManifestError naming it."""
+    dense = read_matrix_csv(path, header=header)
+    try:
+        return len(dense), upper_triangle(dense)
+    except ValidationError as err:
+        raise ManifestError(f"{path}: {err}") from err
+
+
+def _read_group(g: int, paths: list[Path], subjects, n: int | None,
                 buffer: np.ndarray | None,
                 rows: int) -> tuple[np.ndarray, int | None]:
-    """Group g's (subjects x edges) array, one row per file, and the node
+    """Group g's (subjects x edges) array, one row per file from the
+    read_subject results `subjects` (in manifest order), and the node
     count: n, or the first file's when n is None. A file of another n is a
     dimension mismatch. The array is a view of the first len(paths) rows
     of `buffer`, or, when buffer is None, of a new (rows x edges) buffer
     made once the first file gives n; its .base is the buffer."""
     x = np.empty((len(paths), 0))
-    for s, path in enumerate(paths):
-        dense = read_matrix_csv(path, header=header)
-        n = n or len(dense)
-        if len(dense) != n:
+    for s, (path, (size, values)) in enumerate(zip(paths, subjects)):
+        n = n or size
+        if size != n:
             raise ValidationError(
                 f"{path}: dimension mismatch: group {g} subject {s} has "
-                f"n={len(dense)}, expected n={n}")
+                f"n={size}, expected n={n}")
         if s == 0:
             if buffer is None:
-                buffer = np.empty((rows, n * (n - 1) // 2))
+                buffer = np.empty((rows, len(values)))
             x = buffer[:len(paths)]
-        try:
-            x[s] = upper_triangle(dense)
-        except ValidationError as err:
-            raise ManifestError(f"{path}: {err}") from err
+        x[s] = values
     return x, n
 
 

@@ -12,8 +12,6 @@ substreams, so results are identical under any scheduling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -29,8 +27,10 @@ from .core import (
     SymmetricMatrix,
     ValidationError,
     node_sums,
+    pool_size,
     substream,
     triu_index_pairs,
+    worker_map,
 )
 from .degree_test import check_run_settings, ddt_run, node_tests  # noqa: F401
 from .edgetests import EdgeTestConfig, edgewise_pvalues  # noqa: F401
@@ -445,14 +445,6 @@ def _aggregate(method: str, scope: str, counts: list[ConfusionCounts],
                      replicates_used=len(counts), errors=n_errors, counts=total)
 
 
-def pool_size(threads: int, replicates: int) -> int:
-    """Worker processes for a run: the requested count, capped by the
-    replicate count and the CPU count."""
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    return max(1, min(threads, replicates, os.cpu_count() or 1))
-
-
 def run_experiment(design: SimDesign, threads: int = 1) -> ExperimentResult:
     """Run the full benchmark: replicate loop, method execution, scoring of
     the design's methods (node level) and edge rules (edge level).
@@ -468,15 +460,11 @@ def run_experiment(design: SimDesign, threads: int = 1) -> ExperimentResult:
     rules = experiment_rules(design)
     workers = pool_size(threads, design.replicates)
     base = base_network(design)
-    reps = range(design.replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                run_replicate, repeat(design), repeat(base), reps,
-                repeat(rules),
-                chunksize=max(1, design.replicates // (8 * workers))))
-    else:
-        outcomes = [run_replicate(design, base, rep, rules) for rep in reps]
+    with worker_map(workers, "simulate replicates",
+                    chunksize=max(1, design.replicates // (8 * workers))
+                    ) as pmap:
+        outcomes = list(pmap(run_replicate, repeat(design), repeat(base),
+                             range(design.replicates), repeat(rules)))
 
     rows = []
     for method in design.methods:

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ddtnet
-from ddtnet import cli, degree_test, io
+from ddtnet import cli, core, degree_test, io, simulate
 from ddtnet.cli import main
 from ddtnet.core import ConnectivityCohort, upper_triangle
 from ddtnet.degree_test import ddt_run
@@ -122,7 +123,10 @@ def test_run_frees_the_cohort_before_the_eddt_null_pass(tmp_path, monkeypatch):
 
 def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
     # welch_t with t10: each group is reduced to moments as it loads, and
-    # both groups are read into one buffer that is freed with the load
+    # both groups are read into one buffer that is freed with the load.
+    # One process: a pool's forked workers would run the patched
+    # read_matrix_csv against their own stale copies of this test's state
+    # (test_run_on_a_pool_hands_group_2_out_after_group_1 is the pool's).
     manifest = _manifest(tmp_path, baselines=["t10", "binb"],
                          threshold={"kind": "eddt", "level": 0.95})
     refs, buffers, events = [], [], []
@@ -159,21 +163,66 @@ def test_run_holds_one_subject_group_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "check_group", check_group)
     monkeypatch.setattr(io, "read_matrix_csv", read_matrix_csv)
     monkeypatch.setattr(degree_test, "null_exceedances", null_exceedances)
-    assert main(["--quiet", "run", "--manifest", str(manifest),
-                 "--out", str(tmp_path / "results")]) == 0
+    assert main(["--quiet", "--threads", "1", "run", "--manifest",
+                 str(manifest), "--out", str(tmp_path / "results")]) == 0
     assert events == ["group 2", "null pass"]
     header = (tmp_path / "results" / "nodes.csv").read_text().splitlines()[0]
     assert "t10_pvalue" in header and "binb_pvalue" in header
 
 
-@pytest.mark.parametrize("test, extra", [
-    ("regression", {"covariates": "cov.csv"}),
-    ("wilcoxon", {}),
-])
-def test_joint_test_run_matches_an_in_memory_cohort(tmp_path, test, extra):
-    # the joint tests keep group 1's values, so group 2 must not be read
-    # into group 1's buffer; groups of 3 and 4 subjects, group 2 the larger,
-    # differing on the edges among nodes 0-3 only
+def test_run_on_a_pool_hands_group_2_out_after_group_1(tmp_path, monkeypatch):
+    # the same load on a pool of 2, seen from the parent: group 2's files go
+    # to the workers only after group 1 is checked and reduced, and no
+    # subject array or buffer is alive in the null pass
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    manifest = _manifest(tmp_path, baselines=["t10", "binb"],
+                         threshold={"kind": "eddt", "level": 0.95})
+    refs, events = [], []
+    real_map = core.ProcessPoolExecutor.map
+    real_check, real_reduce = io.check_group, degree_test.Reduction.__call__
+    real_pass = degree_test.null_exceedances
+
+    def pool_map(self, fn, paths, *iterables, **kwargs):
+        paths = list(paths)
+        events.append(("map", [Path(p).name for p in paths]))
+        return real_map(self, fn, paths, *iterables, **kwargs)
+
+    def check_group(x, g, sizes):
+        checked = real_check(x, g, sizes)
+        refs.extend((weakref.ref(checked), weakref.ref(checked.base)))
+        events.append(("check", g))
+        return checked
+
+    def reduce(self, values):
+        summary = real_reduce(self, values)
+        events.append(("reduce", len(values)))
+        return summary
+
+    def null_exceedances(source, level):
+        assert len(refs) == 4 and all(ref() is None for ref in refs), (
+            "a subject array or the buffer is alive during the null pass")
+        events.append("null pass")
+        return real_pass(source, level)
+
+    monkeypatch.setattr(core.ProcessPoolExecutor, "map", pool_map)
+    monkeypatch.setattr(io, "check_group", check_group)
+    monkeypatch.setattr(degree_test.Reduction, "__call__", reduce)
+    monkeypatch.setattr(degree_test, "null_exceedances", null_exceedances)
+    out = tmp_path / "results"
+    assert main(["--quiet", "--threads", "2", "run", "--manifest",
+                 str(manifest), "--out", str(out)]) == 0
+    assert events == [
+        ("map", ["group1_0.csv", "group1_1.csv", "group1_2.csv"]),
+        ("check", 1), ("reduce", 3),
+        ("map", ["group2_0.csv", "group2_1.csv", "group2_2.csv"]),
+        ("check", 2), ("reduce", 3), "null pass"]
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["stages"]["load"]["workers"] == 2
+
+
+def _unequal_cohort(tmp_path):
+    """Groups of 3 and 4 subjects, n=8, differing on the edges among nodes
+    0-3 only, and cov.csv, one covariate per subject."""
     rng = np.random.default_rng(12)
     files = {"group1": [], "group2": []}
     for key, subjects, shift in (("group1", 3, 0.0), ("group2", 4, 0.6)):
@@ -186,6 +235,17 @@ def test_joint_test_run_matches_an_in_memory_cohort(tmp_path, test, extra):
             files[key].append(f"{key}_{s}.csv")
     (tmp_path / "cov.csv").write_text(
         "".join(f"{v}\n" for v in (0.3, -1.2, 0.8, 1.5, -0.4, 0.1, -0.9)))
+    return files
+
+
+@pytest.mark.parametrize("test, extra", [
+    ("regression", {"covariates": "cov.csv"}),
+    ("wilcoxon", {}),
+])
+def test_joint_test_run_matches_an_in_memory_cohort(tmp_path, test, extra):
+    # the joint tests keep group 1's values, so group 2 must not be read
+    # into group 1's buffer; group 2 is the larger
+    files = _unequal_cohort(tmp_path)
     manifest = tmp_path / "run.json"
     manifest.write_text(json.dumps({
         **files, **extra, "test": test, "seed": 31, "null_networks": 60,
@@ -250,6 +310,7 @@ def test_run_summary_reports_peak_rss_outside_the_csvs(tmp_path):
         summary.pop("elapsed_seconds")
         stages = summary.pop("stages")
         assert list(stages) == ["load", "pipeline", "write"]
+        assert stages["load"].pop("workers") >= 1
         for stage in stages.values():
             assert set(stage) == {"seconds", "peak_rss_mb"}
             assert stage["seconds"] >= 0
@@ -967,6 +1028,126 @@ def test_run_reports_group_1_before_reading_group_2(tmp_path, capfd,
     assert payload["error"] == "validation"
     assert expected in payload["message"]
     assert not (tmp_path / "results").exists()
+
+
+def _run_at(threads, manifest, out, capfd):
+    """`ddt --threads <threads> run` on a pool of that size whatever the
+    host's CPU count: its exit code and stderr. No worker outlives it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 2)
+        code = main(["--quiet", "--threads", threads, "run", "--manifest",
+                     str(manifest), "--out", str(out)])
+    assert multiprocessing.active_children() == []
+    return code, capfd.readouterr().err
+
+
+PARITY_RUNS = {
+    "welch_t": {"threshold": {"kind": "eddt", "level": 0.95},
+                "baselines": ["t10", "binb", "binf"]},
+    # group 1's reduction keeps its values, so group 2 has its own array
+    "regression": {"test": "regression", "covariates": "cov.csv",
+                   "threshold": {"kind": "eddt", "level": 0.95}},
+    "wilcoxon": {"test": "wilcoxon",
+                 "threshold": {"kind": "eddt", "level": 0.95}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_RUNS))
+def test_run_threads_1_and_2_byte_identical(tmp_path, capfd, case):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        **_unequal_cohort(tmp_path), "seed": 31, "null_networks": 60,
+        **PARITY_RUNS[case]}))
+    for threads in ("1", "2"):
+        code, err = _run_at(threads, manifest, tmp_path / f"t{threads}", capfd)
+        assert (code, err) == (0, "")
+        summary = json.loads(
+            (tmp_path / f"t{threads}" / "run_summary.json").read_text())
+        assert summary["stages"]["load"]["workers"] == int(threads)
+    for name in RUN_OUTPUTS[:-1]:
+        assert (tmp_path / "t1" / name).read_bytes() == \
+            (tmp_path / "t2" / name).read_bytes(), name
+
+
+def _write_defect(tmp_path, case):
+    """A subject file with one defect, `<case>.csv` (not written when the
+    defect is that it is missing); returns its name."""
+    path = tmp_path / f"{case}.csv"
+    if case == "wrong-n":
+        write_matrix_csv(path, np.eye(5))
+    elif case == "non-finite":
+        nan = np.eye(6)
+        nan[2, 3] = nan[3, 2] = np.nan
+        write_matrix_csv(path, nan)
+    elif case == "asymmetric":
+        write_matrix_csv(path, ASYMMETRIC)
+    elif case != "missing":
+        path.write_text(BAD_SUBJECT_FILES[case][0])
+    return path.name
+
+
+SUBJECT_DEFECTS = ("missing", "ragged", "non-numeric", "asymmetric",
+                   "wrong-n", "non-finite")
+
+
+@pytest.mark.parametrize("placed", [
+    *([(case, "group1", 1)] for case in SUBJECT_DEFECTS),
+    *([(case, "group2", 2)] for case in SUBJECT_DEFECTS),
+    # the defect listed first is the one reported. Two bad files in one
+    # group: the first in manifest order
+    [("ragged", "group2", 0), ("asymmetric", "group2", 2)],
+    [("wrong-n", "group1", 1), ("missing", "group1", 2)],
+    # a group 1 defect and a bad group 2 file: group 1's
+    [("non-finite", "group1", 2), ("missing", "group2", 0)],
+], ids=lambda placed: "+".join(f"{c}@{k}[{s}]" for c, k, s in placed))
+def test_run_bad_file_gives_the_same_error_at_threads_1_and_2(
+        tmp_path, capfd, placed):
+    manifest = _manifest(tmp_path)
+    data = json.loads(manifest.read_text())
+    for case, key, s in placed:
+        data[key][s] = _write_defect(tmp_path, case)
+    manifest.write_text(json.dumps(data))
+    runs = {threads: _run_at(threads, manifest, tmp_path / "results", capfd)
+            for threads in ("1", "2")}
+    assert runs["1"] == runs["2"]
+    code, err = runs["1"]
+    assert code == 2 and len(err.splitlines()) == 1
+    assert not (tmp_path / "results").exists()
+    case, key, s = placed[0]
+    if case == "non-finite":    # check_group names the group and subject
+        assert f"invalid value in group {key[-1]} subject {s} " in err
+    else:
+        assert f"{case}.csv" in err
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_a_lost_worker_is_one_json_line(tmp_path, capfd, monkeypatch,
+                                        command):
+    # a worker that dies mid-task: the patched function is inherited by the
+    # forked workers and ends the one that calls it
+    parent = os.getpid()
+
+    def exit_in_worker(*args, **kwargs):
+        assert os.getpid() != parent, "the task ran in the parent process"
+        os._exit(1)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if command == "run":
+        monkeypatch.setattr(io, "read_matrix_csv", exit_in_worker)
+        args, stage = ["--manifest", str(_manifest(tmp_path))], "cohort load"
+    else:
+        monkeypatch.setattr(simulate, "simulate_cohort", exit_in_worker)
+        args = ["--design", str(_small_design(tmp_path))]
+        stage = "simulate replicates"
+    code = main(["--quiet", "--threads", "2", command, *args,
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "error"
+    assert payload["message"].startswith(f"{stage}: ")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("text", ["1.0\n2.0,3.0\n", "1.0\nabc\n"])

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddtnet import simulate
-from ddtnet.core import ValidationError, substream, triu_index_pairs
+from ddtnet import core, simulate
+from ddtnet.core import ValidationError, pool_size, substream, triu_index_pairs
 from ddtnet.degree_test import ddt_run
 from ddtnet.edgetests import EdgeTestConfig
 from ddtnet.thresholds import baseline_threshold
@@ -15,7 +15,6 @@ from ddtnet.simulate import (
     base_network,
     experiment_rules,
     matthews_corrcoef,
-    pool_size,
     run_experiment,
     run_replicate,
     score,
@@ -334,11 +333,11 @@ def test_run_experiment_rejects_bad_rule_settings_before_replicates(
 
 
 def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 4)
     assert pool_size(10 ** 9, 500) == 4
     assert pool_size(3, 2) == 2
     assert pool_size(1, 500) == 1
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
     assert pool_size(8, 500) == 1
     for bad in (0, -3):
         with pytest.raises(ValidationError):
@@ -348,8 +347,8 @@ def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
 def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU run must not start a pool")
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
                        replicates=2, seed=11, null_networks=25,
                        methods=("addt",))
