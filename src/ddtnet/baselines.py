@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, ValidationError,
                    _frozen, _FrozenArrays, triu_index_pairs)
@@ -67,6 +66,7 @@ def binomial_tails(degrees: np.ndarray, trials: int, p) -> np.ndarray:
     if bad_p.any():
         raise ValidationError(
             f"success probability must be in [0, 1], got {p[bad_p].flat[0]}")
+    from scipy import special
     return special.bdtrc(k - 1, trials, p)
 
 

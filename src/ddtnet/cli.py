@@ -31,6 +31,7 @@ from .core import (
     P_MIN,
     SymmetricMatrix,
     ValidationError,
+    usable_cpus,
 )
 from .degree_test import PipelineError, Reduction, ddt_run
 from .enrichment import NoSelectedEdgesError, enrichment_test
@@ -78,14 +79,15 @@ def _nonpositive_mean(err: NonpositiveMeanError) -> int:
 
 
 def _threads(args) -> int:
-    """Requested worker count: --threads, else DDT_THREADS, else the CPU
-    count. core.pool_size caps it by the task and CPU counts."""
+    """Requested worker count: --threads, else DDT_THREADS, else the CPUs
+    this process may run on. core.pool_size caps it by the task count and
+    those CPUs."""
     if args.threads is not None:
         return _parse_threads(args.threads, "--threads")
     env = os.environ.get("DDT_THREADS")
     if env:
         return _parse_threads(env, "DDT_THREADS")
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def _parse_threads(raw: str, source: str) -> int:
@@ -262,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--threads", default=None,
                         help="worker pool size, a positive integer (default: "
-                             "DDT_THREADS env or available parallelism; "
-                             "capped by the CPU count and by the replicate "
-                             "count for simulate, the larger group's subject "
-                             "file count for run)")
+                             "DDT_THREADS env or the CPUs this process may "
+                             "run on; capped by those CPUs and by the "
+                             "replicate count for simulate, the larger "
+                             "group's subject file count for run)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the manifest seed")
     parser.add_argument("--quiet", action="store_true",

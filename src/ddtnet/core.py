@@ -101,13 +101,23 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (so `taskset`
+    and cgroup cpusets count), or the host's CPU count where the platform
+    has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def pool_size(threads: int, tasks: int) -> int:
     """Worker processes for a pool: the requested count, capped by the
-    task count (simulation replicates, or a group's subject files) and the
-    CPU count."""
+    task count (simulation replicates, or a group's subject files) and
+    usable_cpus()."""
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    return max(1, min(threads, tasks, os.cpu_count() or 1))
+    return max(1, min(threads, tasks, usable_cpus()))
 
 
 @contextmanager

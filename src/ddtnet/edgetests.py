@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     ConnectivityCohort,
@@ -151,6 +150,7 @@ def welch_pvalues(a: WelchMoments, b: WelchMoments) -> np.ndarray:
     of scipy 1.17 step for step, so each p-value is the same double; the
     tests keep ttest_ind as the oracle. Zero variance in both groups gives
     p = 1 when the means agree (np.isclose) and P_MIN when they do not."""
+    from scipy import special  # deferred: loading the cohort never calls it
     t, df = _welch_t(a, b)
     # nan df means zero variance in both groups; any df then serves
     df = np.where(np.isnan(df), 1.0, df)
@@ -339,6 +339,7 @@ def _vector_regression(values: np.ndarray, group: np.ndarray,
         resid = y - X @ beta
         beta1[e], sigma2[e] = beta[1], resid @ resid / df
     se = np.sqrt(sigma2 * np.linalg.inv(X.T @ X)[1, 1])
+    from scipy import special
     with np.errstate(divide="ignore", invalid="ignore"):
         p = _finite_p(2.0 * special.stdtr(df, -np.abs(beta1 / se)))
     return np.where(se == 0.0, np.where(beta1 == 0.0, 1.0, P_MIN), p)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import AdjacencyMatrix, DdtError, ValidationError
 from .thresholds import bh_adjust
@@ -127,6 +126,7 @@ def enrichment_test(adjacency: AdjacencyMatrix, partition: ModulePartition,
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    from scipy import special
     total = adjacency.n_edges_selected
     if total == 0:
         raise NoSelectedEdgesError(

@@ -25,6 +25,9 @@ pipeline never holds its M x E entries: a NullStream draws the replicates
 from one generator in row blocks of at most 4 MB, and null_exceedances
 selects the quantile and its per-edge exceedance counts from one pass over
 them, keeping only the entries in a narrow bracket around the law's quantile.
+
+scipy.special is imported by the functions that call it, so importing this
+module, or streaming the null networks to disk, does not load it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-from scipy import special
 
 from .core import (
     DdtError,
@@ -307,7 +309,11 @@ def null_exceedances(source: NullStream | NullEnsemble,
     below lo. If the order statistics the quantile needs are kept, they are
     selected from them. Otherwise another pass takes twice the margin, at
     least 0.01: a miss costs a pass, never an approximation, and within
-    eight widenings the margin passes 1, which keeps every entry.
+    eight widenings the margin passes 1, which keeps every entry. A pass
+    holds the stream's block, two bool masks of its shape, reused for every
+    block, and the kept values and edges in one pair of arrays with room for
+    the bracket's expected share, which grow only if it overflows; the block
+    and the masks are freed before the selection.
 
     The pooled share of entries below x is the mean of the M per-network
     shares, each with mean F(x), so on the probability scale the pooled
@@ -332,8 +338,10 @@ def null_exceedances(source: NullStream | NullEnsemble,
     if len(first) > 1:
         rates = (first > mixture_quantile(source.moments, level)).mean(axis=1)
         spread = max(spread, float(rates.std(ddof=1)))
-    margin = _BRACKET_Z * spread / math.sqrt(size)
+    se = spread / math.sqrt(size)    # of the pooled share below a point
+    margin = _BRACKET_Z * se
     blocks = itertools.chain([first], blocks)
+    shape = first.shape
     del first
     while True:
         lo = (mixture_quantile(source.moments, level - margin)
@@ -341,25 +349,47 @@ def null_exceedances(source: NullStream | NullEnsemble,
         hi = (mixture_quantile(source.moments, level + margin)
               if level + margin < 1.0 else math.inf)
         above = np.zeros(n_edges, dtype=np.int64)
-        values, edges = [], []
+        # room for the bracket's expected share 2 margin, give or take a
+        # standard error at either end; pages never written stay out of RSS
+        capacity = min(total, math.ceil(2.0 * (margin + se) * total))
+        values, edges = np.empty(capacity), np.empty(capacity, dtype=np.int32)
+        kept = 0
+        masks = np.empty((2, *shape), dtype=bool)
         for block in blocks:
-            over = block > hi
+            over, inside = masks[:, :len(block)]
+            np.greater(block, hi, out=over)
             above += over.sum(axis=0)
-            inside = block >= lo
+            np.greater_equal(block, lo, out=inside)
             inside &= np.logical_not(over, out=over)
             keep = np.flatnonzero(inside)
-            values.append(block.ravel()[keep])
-            edges.append((keep % n_edges).astype(np.int32))
-        del block, over, inside    # frees the block buffer and its masks
-        values = np.concatenate(values)
+            end = kept + len(keep)
+            if end > len(values):
+                room = min(total, max(end, 2 * len(values)))
+                values = _grown(values, kept, room)
+                edges = _grown(edges, kept, room)
+            # "clip", unlike "raise", fills `out` unbuffered; keep is in range
+            np.take(block.ravel(), keep, out=values[kept:end], mode="clip")
+            np.remainder(keep, n_edges, out=edges[kept:end])
+            kept = end
+        del block, masks, over, inside    # frees the block buffer and masks
+        values, edges = values[:kept], edges[:kept]
         gamma = _order_quantile(values, level, total,
-                                total - int(above.sum()) - len(values))
+                                total - int(above.sum()) - kept)
         if gamma is not None:
-            counts = above + np.bincount(
-                np.concatenate(edges)[values > gamma], minlength=n_edges)
+            counts = above + np.bincount(edges[values > gamma],
+                                         minlength=n_edges)
             return NullExceedance(gamma=gamma, counts=counts, size=size)
+        del values, edges
         margin = max(2.0 * margin, 0.01)
         blocks = source.blocks()
+
+
+def _grown(kept: np.ndarray, length: int, room: int) -> np.ndarray:
+    """kept[:length] copied into an array of `room` entries: a bracket array
+    outgrown by its pass."""
+    grown = np.empty(room, dtype=kept.dtype)
+    grown[:length] = kept[:length]
+    return grown
 
 
 def mixture_sample(moments: MomentSummary, count: int, seed: int = 0,
@@ -404,6 +434,7 @@ def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _chi2_quantiles(m: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Quantiles of chi^2_m at lower-tail probabilities `lower`, whose
     complements are `upper`; each is inverted from its smaller tail."""
+    from scipy import special
     a = 0.5 * m
     return 2.0 * np.where(lower <= 0.5,
                           special.gammaincinv(a, np.minimum(lower, 0.5)),
@@ -428,6 +459,7 @@ def mixture_cdf(moments: MomentSummary, x: float) -> float:
     The nodes for y >= 0 depend only on m and are cached. Each call costs
     57 chndtr values, whose series grows as sqrt(lambda).
     """
+    from scipy import special
     m, lam = moments.m, moments.noncentrality
     y = 2.0 * x / moments.sigma2
     s, c, weights = _tanh_sinh_rule()
@@ -473,6 +505,7 @@ def mixture_quantile(moments: MomentSummary, q: float) -> float:
         # cumulants kappa_r = 2^(r-1) (r-1)! (m + r lambda) of T and of Q
         skew = 3.0 * lam / (m + lam) ** 1.5
         kurt = 6.0 * (m + 2.0 * lam) / (m + lam) ** 2
+        from scipy import special
         z = float(special.ndtri(q))
         return mean + sd * (z + skew * (z * z - 1.0) / 6.0
                             + kurt * (z ** 3 - 3.0 * z) / 24.0

@@ -460,6 +460,9 @@ def run_experiment(design: SimDesign, threads: int = 1) -> ExperimentResult:
     rules = experiment_rules(design)
     workers = pool_size(threads, design.replicates)
     base = base_network(design)
+    # every replicate calls scipy.special; loaded here, before the pool
+    # forks, it is inherited instead of imported by each worker
+    import scipy.special  # noqa: F401
     with worker_map(workers, "simulate replicates",
                     chunksize=max(1, design.replicates // (8 * workers))
                     ) as pmap:

@@ -174,7 +174,7 @@ def test_run_on_a_pool_hands_group_2_out_after_group_1(tmp_path, monkeypatch):
     # the same load on a pool of 2, seen from the parent: group 2's files go
     # to the workers only after group 1 is checked and reduced, and no
     # subject array or buffer is alive in the null pass
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     manifest = _manifest(tmp_path, baselines=["t10", "binb"],
                          threshold={"kind": "eddt", "level": 0.95})
     refs, events = [], []
@@ -784,16 +784,36 @@ def test_threads_env_rejects_non_positive_integers(tmp_path, capsys,
 
 def test_thread_resolver_precedence(monkeypatch):
     from argparse import Namespace
-    import os
 
     from ddtnet.cli import _threads
     monkeypatch.delenv("DDT_THREADS", raising=False)
-    assert _threads(Namespace(threads=None)) == (os.cpu_count() or 1)
+    assert _threads(Namespace(threads=None)) == core.usable_cpus()
     monkeypatch.setenv("DDT_THREADS", "")
-    assert _threads(Namespace(threads=None)) == (os.cpu_count() or 1)
+    assert _threads(Namespace(threads=None)) == core.usable_cpus()
     monkeypatch.setenv("DDT_THREADS", "3")
     assert _threads(Namespace(threads=None)) == 3
     assert _threads(Namespace(threads="5")) == 5
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_run_pinned_to_one_cpu_loads_serially(tmp_path):
+    # `taskset -c <cpu> ddt run`: a fresh interpreter pinned to one CPU
+    # (its own affinity mask) sizes the load's pool from that CPU alone
+    manifest = _manifest(tmp_path)
+    code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
+            "from ddtnet.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(ddtnet.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "DDT_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", code, "--quiet", "run", "--manifest",
+         str(manifest), "--out", str(tmp_path / "results")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((tmp_path / "results" / "run_summary.json").read_text())
+    assert summary["stages"]["load"]["workers"] == 1
 
 
 def test_run_summary_reports_clamp_counts(tmp_path):
@@ -1034,7 +1054,7 @@ def _run_at(threads, manifest, out, capfd):
     """`ddt --threads <threads> run` on a pool of that size whatever the
     host's CPU count: its exit code and stderr. No worker outlives it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "cpu_count", lambda: 2)
+        mp.setattr(core, "usable_cpus", lambda: 2)
         code = main(["--quiet", "--threads", threads, "run", "--manifest",
                      str(manifest), "--out", str(out)])
     assert multiprocessing.active_children() == []
@@ -1131,7 +1151,7 @@ def test_a_lost_worker_is_one_json_line(tmp_path, capfd, monkeypatch,
         assert os.getpid() != parent, "the task ran in the parent process"
         os._exit(1)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 2)
     if command == "run":
         monkeypatch.setattr(io, "read_matrix_csv", exit_in_worker)
         args, stage = ["--manifest", str(_manifest(tmp_path))], "cohort load"

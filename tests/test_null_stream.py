@@ -218,6 +218,45 @@ def test_bracket_miss_falls_back_to_an_exact_pass(monkeypatch, level):
     _assert_matches_mask(null, entries, n)
 
 
+def _crowded_bracket(n, size, seed, level):
+    """A generated ensemble with every other entry moved to within 1e-9 of
+    the law's level-quantile: the bracket holds about half of all entries,
+    far above its expected share."""
+    entries = generate_null(MOMENTS, n, size, seed).logit_entries.copy()
+    jitter = np.random.default_rng(seed).normal(size=entries[:, ::2].shape)
+    entries[:, ::2] = hqs.mixture_quantile(MOMENTS, level) + 1e-9 * jitter
+    return NullEnsemble(moments=MOMENTS, n=n, seed=seed, logit_entries=entries)
+
+
+@pytest.mark.parametrize("miss", [False, True])
+@pytest.mark.parametrize("level", [0.5, 0.95])
+def test_overflowing_bracket_matches_the_materialized_ensemble(monkeypatch,
+                                                              miss, level):
+    # the bracket arrays outgrow their expected share, in blocks of 7
+    # replicates with a last block of 5, on the first pass or, with a
+    # zero-width bracket, on the pass after the miss. A miss alone and an
+    # uneven block alone are covered above.
+    n, size, seed = 12, 40, 3
+    _rows_per_block(monkeypatch, n, 7)
+    grown = []
+    real_grown = hqs._grown
+
+    def spy_grown(kept, length, room):
+        grown.append(room)
+        return real_grown(kept, length, room)
+    monkeypatch.setattr(hqs, "_grown", spy_grown)
+    if miss:
+        monkeypatch.setattr(hqs, "_BRACKET_Z", 0.0)
+    source = _CountingSource(_crowded_bracket(n, size, seed, level))
+    entries = source.source.logit_entries
+    assert [len(b) for b in source.source.blocks()] == [7] * 5 + [5]
+    null = null_exceedances(source, level)
+    assert null.gamma == float(np.quantile(entries, level))
+    _assert_matches_mask(null, entries, n)
+    assert (source.passes > 1) == miss
+    assert grown and grown[-1] <= entries.size
+
+
 @pytest.mark.parametrize("shift", [-50.0, 50.0])
 def test_unrepresentative_first_block_still_gives_the_exact_quantile(
         monkeypatch, shift):
@@ -425,3 +464,37 @@ def test_eddt_run_memory_does_not_grow_with_the_ensemble():
     # quantile bracket; the ensemble is 43 times the block budget
     assert ensemble_bytes > 40 * hqs._BLOCK_BYTES
     assert peak < 3 * hqs._BLOCK_BYTES
+
+
+def test_bracket_pass_working_set(monkeypatch):
+    # traced, the multi-block pass holds the stream's block and Gram chunk,
+    # two bool masks of the block's shape, the bracket arrays (8 + 4 bytes
+    # a slot) and two per-edge int64 counts; the block and the masks are
+    # freed before the selection copies the kept values (8 bytes each) and
+    # masks them (1 byte each). 256 KB covers numpy's casting buffers of the
+    # per-edge sums (~100 KB)
+    n, size = 150, 2000
+    n_edges = n * (n - 1) // 2
+    stream = NullStream(MOMENTS, n, size, seed=1)
+    null_exceedances(stream, 0.95)     # makes the cached index arrays
+    held = {}
+    real_select = hqs._order_quantile
+
+    def spy_select(values, level, total, below=0):
+        held["kept"], held["slots"] = len(values), len(values.base)
+        return real_select(values, level, total, below)
+    monkeypatch.setattr(hqs, "_order_quantile", spy_select)
+    tracemalloc.start()
+    try:
+        null_exceedances(stream, 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = hqs._block_rows(n_edges)
+    block = rows * n_edges * 8
+    gram = max(1, min(rows, hqs._GRAM_BYTES // (8 * n * n))) * n * n * 8
+    counts = 16 * n_edges
+    in_pass = block + 2 * block // 8 + gram + 12 * held["slots"] + counts
+    selection = 12 * held["slots"] + 9 * held["kept"] + counts
+    assert size > 10 * rows and held["slots"] < size * n_edges // 100
+    assert peak < max(in_pass, selection) + 2 ** 18

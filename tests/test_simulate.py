@@ -333,21 +333,35 @@ def test_run_experiment_rejects_bad_rule_settings_before_replicates(
 
 
 def test_pool_size_is_capped_by_replicates_and_cpus(monkeypatch):
-    monkeypatch.setattr(core.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 4)
     assert pool_size(10 ** 9, 500) == 4
     assert pool_size(3, 2) == 2
     assert pool_size(1, 500) == 1
-    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
     assert pool_size(8, 500) == 1
     for bad in (0, -3):
         with pytest.raises(ValidationError):
             pool_size(bad, 5)
 
 
+def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
+    # a process pinned to one CPU of a 64-CPU host gets one worker
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 64)
+    assert core.usable_cpus() == 1
+    assert pool_size(8, 500) == 1
+    # a platform without the affinity call falls back to the host's count
+    monkeypatch.delattr(core.os, "sched_getaffinity")
+    assert core.usable_cpus() == 64
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    assert core.usable_cpus() == 1
+
+
 def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU run must not start a pool")
-    monkeypatch.setattr(core.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 1)
     monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
                        replicates=2, seed=11, null_networks=25,
