@@ -16,7 +16,6 @@ from .core import (
     DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
-    fisher_z,
     inv_logit,
     logit,
 )

@@ -58,18 +58,9 @@ def inv_logit(x):
     return float(out) if out.ndim == 0 else out
 
 
-def fisher_z(r):
-    """atanh(r), the variance-stabilizing transform for correlations."""
-    r = np.asarray(r, dtype=float)
-    if np.any(np.abs(r) >= 1.0):
-        raise ValidationError("fisher_z requires |r| < 1; clamp degenerate "
-                              "correlations first (see fisher_z_clamped)")
-    out = np.arctanh(r)
-    return float(out) if out.ndim == 0 else out
-
-
 def fisher_z_clamped(r: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fisher Z with |r| >= 1 clamped to +/-R_MAX.
+    """Fisher Z, atanh(r), the variance-stabilizing transform for
+    correlations, with |r| >= 1 clamped to +/-R_MAX.
 
     Returns the transformed array and the number of clamped entries, which
     callers surface in run reports.
@@ -178,24 +169,33 @@ def node_sums(n: int, per_edge: np.ndarray) -> np.ndarray:
             + np.bincount(ju, weights=weights, minlength=n))
 
 
-def upper_triangle(dense: np.ndarray, *, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def upper_triangle(dense: np.ndarray) -> np.ndarray:
     """The off-diagonal values of a square, symmetric matrix in canonical i<j
     order: the mean of the two triangles, so tiny read asymmetries do not
-    leak through. Non-finite entries pass through for the caller to report."""
+    leak through. Non-finite entries pass through for the caller to report;
+    finite entries whose mean overflows are a ValidationError."""
     dense = np.asarray(dense, dtype=float)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {dense.shape}")
     n = dense.shape[0]
     # inf - inf is nan, which fmax.reduce skips as nanmax does but without
-    # its All-NaN warning, and a sum past the float range is inf: both reach
-    # the caller's finiteness check, not stderr
+    # its All-NaN warning, and a sum past the float range is inf: neither
+    # reaches stderr
     with np.errstate(invalid="ignore", over="ignore"):
         asym = np.fmax.reduce(np.abs(dense - dense.T), axis=None) if n else 0.0
         iu, ju = triu_index_pairs(n)
         values = 0.5 * (dense[iu, ju] + dense[ju, iu])
-    if asym > tol:
-        raise ValidationError(
-            f"matrix is asymmetric beyond tolerance ({asym:.3g} > {tol:.3g})")
+    if asym > SYMMETRY_TOL:
+        raise ValidationError(f"matrix is asymmetric beyond tolerance "
+                              f"({asym:.3g} > {SYMMETRY_TOL:.3g})")
+    if not np.isfinite(values).all():
+        # an inf mean of two finite entries is an overflow, not a bad value
+        over = np.flatnonzero(np.isinf(values) & np.isfinite(dense[iu, ju])
+                              & np.isfinite(dense[ju, iu]))
+        if len(over):
+            k = over[0]
+            raise ValidationError(f"values at edge ({iu[k]}, {ju[k]}) "
+                                  "overflow when averaged")
     return values
 
 
@@ -227,9 +227,9 @@ class SymmetricMatrix(_FrozenArrays):
         return self.n * (self.n - 1) // 2
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, tol: float = SYMMETRY_TOL) -> "SymmetricMatrix":
+    def from_dense(cls, dense: np.ndarray) -> "SymmetricMatrix":
         dense = np.asarray(dense, dtype=float)
-        values = upper_triangle(dense, tol=tol)
+        values = upper_triangle(dense)
         return cls(n=dense.shape[0], values=values, diagonal=np.diag(dense).copy())
 
     @classmethod

@@ -168,18 +168,6 @@ def _finite_p(p):
     return np.where(np.isfinite(p), np.clip(p, P_MIN, 1.0), 1.0)
 
 
-def welch_t_edge(x, y) -> float:
-    """Two-sided Welch t-test p-value (Welch-Satterthwaite df).
-
-    Both groups constant and equal gives p = 1 (no evidence of difference);
-    constant but unequal gives the clamp floor.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_sizes(x, y)
-    return float(_vector_welch(x[:, None], y[:, None])[0])
-
-
 def wilcoxon_edge(x, y) -> float:
     """Two-sided Wilcoxon rank-sum p-value.
 
@@ -201,8 +189,8 @@ def wilcoxon_edge(x, y) -> float:
     return float(_finite_p(res.pvalue))
 
 
-def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
-                     rng: np.random.Generator | None = None) -> float:
+def permutation_edge(x, y, permutations: int,
+                     rng: np.random.Generator) -> float:
     """Label-permutation p-value for the Welch t statistic.
 
     p = (1 + #{b : |T_b| >= |T_obs| (1 - 100 eps)}) / (B + 1): the +1 keeps
@@ -214,8 +202,6 @@ def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
     _check_sizes(x, y)
     if permutations < 100:
         raise ValidationError("permutation test needs at least 100 permutations")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     pooled = np.concatenate([x, y])
     n1 = len(x)
     t_obs, _ = _welch_t(welch_moments(x[:, None])[0],
@@ -231,18 +217,6 @@ def permutation_edge(x, y, permutations: int = 1000, seed: int = 0,
                         welch_moments(cols[n1:])[0])
         hits += np.count_nonzero(~(np.abs(t) < cut))
     return (1 + hits) / (permutations + 1)
-
-
-def regression_edge(values, group, covariates=None) -> float:
-    """OLS of edge values on [1, group, covariates]; p-value of the group term.
-
-    With no covariates this reproduces the pooled-variance two-sample t-test.
-    """
-    y = np.asarray(values, dtype=float)
-    g = np.asarray(group, dtype=float)
-    if y.shape != g.shape or y.ndim != 1:
-        raise ValidationError("values and group labels must be 1-d and aligned")
-    return float(_vector_regression(y[:, None], g, covariates)[0])
 
 
 def summarize_group(x: np.ndarray, cfg: EdgeTestConfig) -> GroupSummary:
@@ -294,12 +268,6 @@ def edgewise_pvalues(cohort: ConnectivityCohort,
                          cohort.covariates)
 
 
-def _vector_welch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Welch t-test p-value of every column of x against the same column of
-    y: the two halves, welch_moments of each group and welch_pvalues."""
-    return welch_pvalues(welch_moments(x)[0], welch_moments(y)[0])
-
-
 def _welch_t(a: WelchMoments, b: WelchMoments) -> tuple[np.ndarray, np.ndarray]:
     """Welch's t and its Welch-Satterthwaite df for every column, from the
     two groups' moments, formed as scipy.stats.ttest_ind forms them. Zero
@@ -314,9 +282,11 @@ def _welch_t(a: WelchMoments, b: WelchMoments) -> tuple[np.ndarray, np.ndarray]:
 
 def _vector_regression(values: np.ndarray, group: np.ndarray,
                        covariates=None) -> np.ndarray:
-    """regression_edge of every column of values (subjects x edges): the
-    design is built, checked and inverted once, and each column gets its own
-    lstsq, so every p-value is the double a one-column fit gives."""
+    """Per column of values (subjects x edges), the two-sided p-value of the
+    group term in the OLS of the column on [1, group, covariates]; with no
+    covariates, the pooled-variance two-sample t-test. The design is built,
+    checked and inverted once, and each column gets its own lstsq, so every
+    p-value is the double a one-column fit gives."""
     cols = [np.ones(len(group)), group]
     if covariates is not None:
         cov = np.atleast_2d(np.asarray(covariates, dtype=float))

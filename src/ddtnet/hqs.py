@@ -46,7 +46,6 @@ from .core import (
     ValidationError,
     _FrozenArrays,
     _frozen,
-    inv_logit,
     substream,
     triu_index_pairs,
 )
@@ -200,8 +199,8 @@ class NullEnsemble(_FrozenArrays):
     """M generated null networks sharing the observed first two moments.
 
     logit_entries holds the raw off-diagonal Gram entries, one row per
-    replicate in canonical upper-triangle order; the probability-scale
-    networks are materialized on demand.
+    replicate in canonical upper-triangle order; core.inv_logit of a row is
+    that replicate's probability-scale network.
     """
 
     moments: MomentSummary
@@ -222,10 +221,6 @@ class NullEnsemble(_FrozenArrays):
     @property
     def size(self) -> int:
         return self.logit_entries.shape[0]
-
-    def network(self, i: int) -> DifferenceNetwork:
-        """Probability-scale view of replicate i (diagonal zeroed)."""
-        return DifferenceNetwork(n=self.n, d=inv_logit(self.logit_entries[i]))
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The entries in the row blocks a NullStream of this size yields."""

@@ -33,7 +33,7 @@ from .baselines import check_baselines
 from .degree_test import DdtResult, ReducedCohort, Reduction, check_run_settings
 from .edgetests import EdgeTestConfig
 from .enrichment import EnrichmentResult, ModulePartition
-from .hqs import MomentSummary, NullEnsemble, NullStream
+from .hqs import MomentSummary, NullStream
 from .simulate import ExperimentResult, SimDesign, experiment_rules
 from .thresholds import ThresholdRule
 
@@ -513,15 +513,14 @@ def write_gamma_json(path, rule: ThresholdRule, gamma: float) -> None:
         "tau": inv_logit(gamma) if math.isfinite(gamma) else 1.0})
 
 
-def write_null_networks(out_dir: Path,
-                        ensemble: NullStream | NullEnsemble) -> list[Path]:
+def write_null_networks(out_dir: Path, stream: NullStream) -> list[Path]:
     """One probability-scale CSV per null network, written block by block as
-    a NullStream generates them."""
+    the stream generates them."""
     paths = []
-    width = len(str(ensemble.size - 1))
-    for block in ensemble.blocks():
+    width = len(str(stream.size - 1))
+    for block in stream.blocks():
         for entries in block:
-            net = DifferenceNetwork(n=ensemble.n, d=inv_logit(entries))
+            net = DifferenceNetwork(n=stream.n, d=inv_logit(entries))
             p = out_dir / f"null_{len(paths):0{width}d}.csv"
             write_matrix_csv(p, net.to_symmetric().to_dense())
             paths.append(p)

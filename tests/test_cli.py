@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -309,7 +310,7 @@ def test_run_summary_reports_peak_rss_outside_the_csvs(tmp_path):
         assert isinstance(peak, float) and peak > 0
         summary.pop("elapsed_seconds")
         stages = summary.pop("stages")
-        assert list(stages) == ["load", "pipeline", "write"]
+        assert list(stages) == ["load", "pipeline", "scipy_import", "write"]
         assert stages["load"].pop("workers") >= 1
         for stage in stages.values():
             assert set(stage) == {"seconds", "peak_rss_mb"}
@@ -321,6 +322,28 @@ def test_run_summary_reports_peak_rss_outside_the_csvs(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         assert a == (tmp_path / "b" / name).read_bytes(), name
         assert b"peak_rss" not in a, name
+
+
+def test_run_summary_peak_rss_excludes_the_launcher_peak(tmp_path):
+    # a process that subprocess starts (vfork and exec) begins with its
+    # launcher's ru_maxrss; this launcher first touches 200 MB, more than
+    # the small run ever holds, so a figure that carries its peak fails
+    ballast = np.ones(25_000_000)
+    del ballast
+    manifest = _manifest(tmp_path)
+    src = str(Path(ddtnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ddtnet.cli", "--quiet", "run", "--manifest",
+         str(manifest), "--out", str(tmp_path / "results")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    launcher = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    summary = json.loads((tmp_path / "results" / "run_summary.json").read_text())
+    peaks = [summary["peak_rss_mb"],
+             *(stage["peak_rss_mb"] for stage in summary["stages"].values())]
+    assert all(0 < peak < launcher for peak in peaks), (peaks, launcher)
 
 
 @settings(max_examples=15, deadline=None)
@@ -1001,9 +1024,10 @@ def test_run_bad_cohort_group_is_one_json_line(tmp_path, capfd, case):
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1.5e308])
 def test_run_degenerate_subject_file_prints_only_the_json_line(tmp_path,
                                                                 value):
-    # an all-nan or all-inf file, and finite values whose two-triangle mean
-    # overflows, are reported as an invalid value; no numpy warning reaches
-    # stderr. A fresh interpreter shows stderr as a user sees it.
+    # an all-nan or all-inf file is reported as an invalid value, and finite
+    # values whose two-triangle mean overflows as an overflow in that file;
+    # no numpy warning reaches stderr. A fresh interpreter shows stderr as a
+    # user sees it.
     manifest = _manifest(tmp_path)
     write_matrix_csv(tmp_path / "degenerate.csv", np.full((6, 6), value))
     data = json.loads(manifest.read_text())
@@ -1017,9 +1041,13 @@ def test_run_degenerate_subject_file_prints_only_the_json_line(tmp_path,
          str(manifest), "--out", str(tmp_path / "results")],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
-    assert json.loads(done.stderr) == {
-        "error": "validation", "stage": "input",
-        "message": "invalid value in group 2 subject 1 at edge (0, 1)"}
+    if np.isfinite(value):
+        expected = {"error": "manifest", "message": f"{tmp_path / 'degenerate.csv'}"
+                    ": values at edge (0, 1) overflow when averaged"}
+    else:
+        expected = {"error": "validation", "message":
+                    "invalid value in group 2 subject 1 at edge (0, 1)"}
+    assert json.loads(done.stderr) == {"stage": "input", **expected}
     assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "results").exists()
 

@@ -9,7 +9,6 @@ from ddtnet.core import (
     DifferenceNetwork,
     SymmetricMatrix,
     ValidationError,
-    fisher_z,
     fisher_z_clamped,
     inv_logit,
     logit,
@@ -49,15 +48,15 @@ def test_logit_inv_logit_roundtrip_grid():
 
 
 def test_fisher_z_examples():
-    assert fisher_z(0.0) == 0.0
-    assert fisher_z(0.5) == pytest.approx(0.549306, abs=1e-6)
-    assert fisher_z(-0.5) == pytest.approx(-0.549306, abs=1e-6)
+    z, clamped = fisher_z_clamped(np.array([0.0, 0.5, -0.5]))
+    assert clamped == 0
+    assert z[0] == 0.0
+    assert z[1] == pytest.approx(0.549306, abs=1e-6)
+    assert z[2] == pytest.approx(-0.549306, abs=1e-6)
     grid = np.linspace(-0.999, 0.999, 999)
-    z = fisher_z(grid)
+    z, _ = fisher_z_clamped(grid)
     assert np.all(np.diff(z) > 0)
-    assert np.allclose(z, -fisher_z(-grid), atol=1e-12)
-    with pytest.raises(ValidationError):
-        fisher_z(1.0)
+    assert np.allclose(z, -fisher_z_clamped(-grid)[0], atol=1e-12)
 
 
 def test_fisher_z_clamped_counts():

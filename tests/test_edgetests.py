@@ -12,10 +12,11 @@ from ddtnet.core import P_MIN, ConnectivityCohort, ValidationError
 from ddtnet.edgetests import (
     EdgeTestConfig,
     PValueMatrix,
+    _vector_regression,
     edgewise_pvalues,
     permutation_edge,
-    regression_edge,
-    welch_t_edge,
+    welch_moments,
+    welch_pvalues,
     wilcoxon_edge,
 )
 
@@ -125,11 +126,12 @@ def regression_p_per_edge(values, group, covariates=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# welch
+# welch: the column kernels, welch_moments and welch_pvalues, on one column
 
 
 def test_welch_identical_samples():
-    assert welch_t_edge([1, 2, 3], [1, 2, 3]) == 1.0
+    m = welch_moments(np.c_[[1.0, 2.0, 3.0]])[0]
+    assert welch_pvalues(m, m)[0] == 1.0
 
 
 def test_welch_derived_example_against_quadrature():
@@ -141,31 +143,34 @@ def test_welch_derived_example_against_quadrature():
     assert t == pytest.approx(-1.095445, abs=1e-6)
     oracle = t_two_sided_p_by_quadrature(t, 6.0)
     assert oracle == pytest.approx(0.315334, abs=1e-5)
-    assert welch_t_edge(x, y) == pytest.approx(oracle, abs=1e-9)
-    assert welch_t_edge(x, y) == pytest.approx(0.3153, abs=5e-4)
+    p = welch_pvalues(welch_moments(np.c_[x])[0], welch_moments(np.c_[y])[0])
+    assert p[0] == pytest.approx(oracle, abs=1e-9)
+    assert p[0] == pytest.approx(0.3153, abs=5e-4)
 
 
 def test_welch_scale_invariance():
     x = np.array([0.3, -0.2, 0.9, 0.1, 0.4])
     y = np.array([0.8, 0.5, 0.2, 1.0])
-    assert welch_t_edge(10 * x, 10 * y) == pytest.approx(welch_t_edge(x, y),
-                                                         rel=1e-12)
+    p = welch_pvalues(welch_moments(np.c_[x])[0], welch_moments(np.c_[y])[0])
+    p10 = welch_pvalues(welch_moments(np.c_[10 * x])[0],
+                        welch_moments(np.c_[10 * y])[0])
+    assert p10[0] == pytest.approx(p[0], rel=1e-12)
 
 
 def test_welch_degenerate_constant_groups():
-    assert welch_t_edge([2.0, 2.0, 2.0], [2.0, 2.0]) == 1.0
-    assert welch_t_edge([0.0, 0.0], [10.0, 10.0]) <= 1e-10
+    equal = welch_pvalues(welch_moments(np.c_[[2.0, 2.0, 2.0]])[0],
+                          welch_moments(np.c_[[2.0, 2.0]])[0])
+    unequal = welch_pvalues(welch_moments(np.c_[[0.0, 0.0]])[0],
+                            welch_moments(np.c_[[10.0, 10.0]])[0])
+    assert equal[0] == 1.0
+    assert unequal[0] <= 1e-10
 
 
 def test_welch_group_label_symmetry():
-    x = np.array([0.1, 0.5, 0.2])
-    y = np.array([0.4, 0.9, 0.6, 0.3])
-    assert welch_t_edge(x, y) == pytest.approx(welch_t_edge(y, x), rel=1e-12)
-
-
-def test_welch_needs_two_per_group():
-    with pytest.raises(ValidationError):
-        welch_t_edge([1.0], [1.0, 2.0])
+    x = welch_moments(np.c_[[0.1, 0.5, 0.2]])[0]
+    y = welch_moments(np.c_[[0.4, 0.9, 0.6, 0.3]])[0]
+    assert welch_pvalues(x, y)[0] == pytest.approx(welch_pvalues(y, x)[0],
+                                                   rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,7 @@ def test_wilcoxon_exact_matches_enumeration():
 
 def test_permutation_identical_samples():
     assert permutation_edge([1.0, 1.0, 1.0], [1.0, 1.0], permutations=200,
-                            seed=0) == 1.0
+                            rng=np.random.default_rng(0)) == 1.0
 
 
 def test_permutation_converges_to_exact_enumeration():
@@ -214,7 +219,8 @@ def test_permutation_converges_to_exact_enumeration():
     y = np.array([10.0, 10.0])
     exact = permutation_p_exact(x, y)
     assert exact == pytest.approx(2 / 6)
-    p = permutation_edge(x, y, permutations=4000, seed=5)
+    p = permutation_edge(x, y, permutations=4000,
+                         rng=np.random.default_rng(5))
     # Monte Carlo estimate of the same quantity, binomial error bound
     se = math.sqrt(exact * (1 - exact) / 4000)
     assert abs(p - exact) < 4 * se + 2 / 4001
@@ -224,9 +230,11 @@ def test_permutation_seed_stability():
     rng = np.random.default_rng(9)
     x = rng.normal(size=8)
     y = rng.normal(0.8, size=8)
-    p1 = permutation_edge(x, y, permutations=3000, seed=1)
-    p2 = permutation_edge(x, y, permutations=3000, seed=2)
-    assert p1 == permutation_edge(x, y, permutations=3000, seed=1)
+    def p(seed):
+        return permutation_edge(x, y, permutations=3000,
+                                rng=np.random.default_rng(seed))
+    p1, p2 = p(1), p(2)
+    assert p1 == p(1)
     se = math.sqrt(max(p1, 1 / 3001) * (1 - min(p1, 1.0)) / 3000)
     assert abs(p1 - p2) <= 3 * se + 2 / 3001
 
@@ -254,7 +262,8 @@ def _permutation_columns(kind: str, n1: int, n2: int, rng):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_permutation_edge_equals_the_one_draw_at_a_time_loop(kind, n1, n2, seed):
     x, y = _permutation_columns(kind, n1, n2, np.random.default_rng(seed))
-    assert permutation_edge(x, y, permutations=100, seed=seed) == \
+    assert permutation_edge(x, y, permutations=100,
+                            rng=np.random.default_rng(seed)) == \
         permutation_p_by_loop(x, y, 100, seed)
 
 
@@ -263,7 +272,8 @@ def test_permutation_edge_blocks_keep_the_draws():
     rng = np.random.default_rng(41)
     x, y = np.round(rng.normal(size=4), 1), np.round(rng.normal(size=5), 1)
     b = _WELCH_BLOCK + 7
-    assert permutation_edge(x, y, permutations=b, seed=3) == \
+    assert permutation_edge(x, y, permutations=b,
+                            rng=np.random.default_rng(3)) == \
         permutation_p_by_loop(x, y, b, 3)
 
 
@@ -275,13 +285,14 @@ def test_permutation_3_3_is_unbiased_against_full_enumeration():
     gaps = []
     for e in range(200):
         x, y = rng.normal(size=3), rng.normal(0.5, 1.0, size=3)
-        gaps.append(permutation_edge(x, y, permutations=1000, seed=e)
+        gaps.append(permutation_edge(x, y, permutations=1000,
+                                     rng=np.random.default_rng(e))
                     - permutation_p_exact(x, y))
     assert abs(np.mean(gaps)) < 0.004
 
 
 # ---------------------------------------------------------------------------
-# regression
+# regression: the column kernel, _vector_regression, on one column
 
 
 def test_regression_matches_pooled_ttest_without_covariates():
@@ -292,7 +303,8 @@ def test_regression_matches_pooled_ttest_without_covariates():
         vals = np.concatenate([x, y])
         groups = np.concatenate([np.zeros(9), np.ones(7)])
         pooled = stats.ttest_ind(x, y, equal_var=True).pvalue
-        assert regression_edge(vals, groups) == pytest.approx(pooled, abs=1e-10)
+        assert _vector_regression(np.c_[vals], groups)[0] == pytest.approx(
+            pooled, abs=1e-10)
 
 
 def test_regression_collinear_covariate_errors():
@@ -300,7 +312,7 @@ def test_regression_collinear_covariate_errors():
     groups = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
     from ddtnet.edgetests import RankDeficientError
     with pytest.raises(RankDeficientError):
-        regression_edge(vals, groups, covariates=groups.copy())
+        _vector_regression(np.c_[vals], groups, covariates=groups.copy())
 
 
 def test_regression_group_null_uniform_under_covariate_signal():
@@ -310,7 +322,7 @@ def test_regression_group_null_uniform_under_covariate_signal():
         groups = np.repeat([0.0, 1.0], 10)
         cov = rng.normal(size=20)
         y = 5.0 * cov + rng.normal(size=20)
-        pvals.append(regression_edge(y, groups, covariates=cov))
+        pvals.append(_vector_regression(np.c_[y], groups, covariates=cov)[0])
     ks = stats.kstest(pvals, "uniform").statistic
     assert ks < 0.05
 
@@ -452,28 +464,18 @@ def test_config_validation():
 
 def test_vector_welch_blocks_are_bit_identical_to_one_call(monkeypatch):
     from ddtnet import edgetests
-    from ddtnet.edgetests import _WELCH_BLOCK, _vector_welch
+    from ddtnet.edgetests import _WELCH_BLOCK
     rng = np.random.default_rng(8)
     width = 2 * _WELCH_BLOCK + 17
     x = rng.normal(size=(12, width))
     y = rng.normal(0.1, 1.0, size=(9, width))
     x[:, 5], y[:, 5] = 1.0, 1.0                  # constant, equal: p = 1
     x[:, -1], y[:, -1] = 0.0, 2.0                # constant, unequal: P_MIN
-    chunked = _vector_welch(x, y)
+    chunked = welch_pvalues(welch_moments(x)[0], welch_moments(y)[0])
     monkeypatch.setattr(edgetests, "_WELCH_BLOCK", width)
-    whole = _vector_welch(x, y)
+    whole = welch_pvalues(welch_moments(x)[0], welch_moments(y)[0])
     assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
     assert chunked[5] == 1.0 and chunked[-1] == 1e-10
-
-
-def test_welch_t_edge_is_one_column_of_the_vector_test():
-    from ddtnet.edgetests import _vector_welch
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(7, 40))
-    y = rng.normal(0.3, 2.0, size=(5, 40))
-    vector = _vector_welch(x, y)
-    for e in range(40):
-        assert welch_t_edge(x[:, e], y[:, e]) == vector[e]
 
 
 def _welch_columns(kind: str, n1: int, n2: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -510,16 +512,16 @@ def _ttest_ind_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["random", "constant-equal", "constant-unequal",
                                   "rounded", "integer-degree"])
 def test_welch_block_is_bit_identical_to_ttest_ind(kind):
-    from ddtnet.edgetests import _vector_welch
     rng = np.random.default_rng(sum(map(ord, kind)))
     for n1 in range(2, 31):
         n2 = int(rng.integers(2, 31))
         x, y = _welch_columns(kind, n1, n2, rng)
-        got = _vector_welch(x, y)
+        got = welch_pvalues(welch_moments(x)[0], welch_moments(y)[0])
         assert np.array_equal(got.view(np.int64),
                               _ttest_ind_block(x, y).view(np.int64)), (n1, n2)
         # a strided view of the columns, as welch_moments's blocks take them
-        got = _vector_welch(x[:, ::3], y[:, ::3])
+        got = welch_pvalues(welch_moments(x[:, ::3])[0],
+                            welch_moments(y[:, ::3])[0])
         assert np.array_equal(got.view(np.int64), _ttest_ind_block(
             x[:, ::3], y[:, ::3]).view(np.int64)), (n1, n2)
 
@@ -550,7 +552,7 @@ def _welch_column(kind: str, n1: int, n2: int, rng) -> tuple[np.ndarray, np.ndar
 def test_welch_halves_are_bit_identical_to_ttest_ind(n1, n2, seed, edge):
     # E > _WELCH_BLOCK: one block boundary, with the hypothesis-drawn
     # columns on each side of it and degenerate columns next to them
-    from ddtnet.edgetests import _WELCH_BLOCK, welch_moments, welch_pvalues
+    from ddtnet.edgetests import _WELCH_BLOCK
     rng = np.random.default_rng(seed)
     width = _WELCH_BLOCK + 40
     kinds = list(rng.choice(WELCH_COLUMN_KINDS, size=width))

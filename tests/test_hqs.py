@@ -73,7 +73,7 @@ def test_generate_null_probability_scale_strictly_inside_unit_interval():
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
     ens = generate_null(ms, n=20, size=3, seed=7)
     for i in range(ens.size):
-        net = ens.network(i)
+        net = DifferenceNetwork(n=ens.n, d=inv_logit(ens.logit_entries[i]))
         assert np.all((net.d > 0) & (net.d < 1))
         assert net.n == 20
 

@@ -14,7 +14,9 @@ from ddtnet import hqs
 from ddtnet.core import (
     AdjacencyMatrix,
     ConnectivityCohort,
+    DifferenceNetwork,
     ValidationError,
+    inv_logit,
     substream,
     triu_index_pairs,
 )
@@ -166,7 +168,8 @@ def test_null_networks_are_written_block_by_block(monkeypatch, tmp_path):
     assert [p.name for p in paths] == [f"null_{i}.csv" for i in range(size)]
     ens = generate_null(MOMENTS, n, size, seed)
     for i, path in enumerate(paths):
-        expected = ens.network(i).to_symmetric().to_dense()
+        net = DifferenceNetwork(n=n, d=inv_logit(ens.logit_entries[i]))
+        expected = net.to_symmetric().to_dense()
         assert np.array_equal(read_matrix_csv(path), expected)
 
 
