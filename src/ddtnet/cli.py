@@ -116,12 +116,14 @@ def _peak_rss_mb() -> float:
 
 @contextlib.contextmanager
 def _timed_stage(stages: dict, name: str):
-    """Record the body's wall seconds, the peak RSS after it and what the
-    body adds to the yielded dict as stages[name]."""
-    start = time.perf_counter()
+    """Record the stage's 0-based place in the run, the body's wall
+    seconds, the peak RSS after it and what the body adds to the yielded
+    dict as stages[name]; the order survives the summary's sorted keys."""
+    order, start = len(stages), time.perf_counter()
     extra = {}
     yield extra
-    stages[name] = {"seconds": round(time.perf_counter() - start, 3),
+    stages[name] = {"order": order,
+                    "seconds": round(time.perf_counter() - start, 3),
                     "peak_rss_mb": _peak_rss_mb(), **extra}
 
 

@@ -28,6 +28,9 @@ from .core import (
 EDGE_TEST_METHODS = ("welch_t", "wilcoxon", "permutation", "regression")
 # columns (edges, or relabellings of one edge) per vectorised Welch block
 _WELCH_BLOCK = 4096
+# bytes of both groups' values per column block of the joint tests; it
+# bounds scipy's temporaries in wilcoxon_pvalues and the regression's stack
+_JOINT_BLOCK_BYTES = 1 << 18
 
 
 class EdgeTestError(DdtError):
@@ -168,25 +171,27 @@ def _finite_p(p):
     return np.where(np.isfinite(p), np.clip(p, P_MIN, 1.0), 1.0)
 
 
-def wilcoxon_edge(x, y) -> float:
-    """Two-sided Wilcoxon rank-sum p-value.
-
-    Exact enumeration when n1 + n2 <= 12 without ties; normal approximation
-    with continuity and tie correction otherwise.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_sizes(x, y)
-    pooled = np.concatenate([x, y])
-    if np.ptp(pooled) == 0.0:
-        return 1.0
-    no_ties = len(np.unique(pooled)) == len(pooled)
-    method = "exact" if (len(pooled) <= 12 and no_ties) else "asymptotic"
+def wilcoxon_pvalues(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Two-sided Wilcoxon rank-sum p-value of every column of x and y
+    (subjects x columns): 1 where the pooled column is constant; exact
+    enumeration for tie-free columns when n1 + n2 <= 12; else the normal
+    approximation with continuity and tie correction. One
+    scipy.stats.mannwhitneyu call per method, so each p-value is the double
+    a one-column call gives."""
     from scipy import stats  # deferred: a Welch-only run never loads it
+    pooled = np.sort(np.concatenate([x, y]), axis=0)
+    varying = pooled[0] != pooled[-1]
+    tie_free = ~np.any(pooled[1:] == pooled[:-1], axis=0)
+    exact = varying & tie_free & (len(pooled) <= 12)
+    p = np.ones(x.shape[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = stats.mannwhitneyu(x, y, alternative="two-sided", method=method)
-    return float(_finite_p(res.pvalue))
+        for method, cols in (("exact", exact), ("asymptotic", varying & ~exact)):
+            if cols.any():
+                res = stats.mannwhitneyu(x[:, cols], y[:, cols], axis=0,
+                                         alternative="two-sided", method=method)
+                p[cols] = _finite_p(res.pvalue)
+    return p
 
 
 def permutation_edge(x, y, permutations: int,
@@ -199,9 +204,6 @@ def permutation_edge(x, y, permutations: int,
     B relabellings are the draws of B successive rng.permutation calls."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_sizes(x, y)
-    if permutations < 100:
-        raise ValidationError("permutation test needs at least 100 permutations")
     pooled = np.concatenate([x, y])
     n1 = len(x)
     t_obs, _ = _welch_t(welch_moments(x[:, None])[0],
@@ -235,24 +237,29 @@ def group_pvalues(g1: GroupSummary, g2: GroupSummary, cfg: EdgeTestConfig,
     """The configured test at every edge of an n-node network, from the two
     groups' summaries (summarize_group under the same cfg); covariates
     serve the regression test. Returns the symmetric p-value matrix; the
-    diagonal is set to 1 and ignored downstream."""
+    diagonal is set to 1 and ignored downstream. The joint tests read both
+    groups' values in column blocks of about _JOINT_BLOCK_BYTES, so their
+    temporaries stay a few blocks at any network size."""
     if cfg.method == "welch_t":
         p = welch_pvalues(g1.edges, g2.edges)
-    elif cfg.method == "wilcoxon":
-        x, y = g1.values, g2.values
-        p = np.array([wilcoxon_edge(x[:, e], y[:, e])
-                      for e in range(x.shape[1])])
-    elif cfg.method == "permutation":
-        x, y = g1.values, g2.values
-        p = np.array([
-            permutation_edge(x[:, e], y[:, e], cfg.permutations,
-                             rng=substream(cfg.seed, e))
-            for e in range(x.shape[1])
-        ])
     else:
-        g = np.concatenate([np.zeros(g1.subjects), np.ones(g2.subjects)])
-        p = _vector_regression(np.vstack([g1.values, g2.values]), g,
-                               covariates)
+        x, y = g1.values, g2.values
+        group = np.repeat([0.0, 1.0], [len(x), len(y)])
+        width = max(1, _JOINT_BLOCK_BYTES // (x.itemsize * len(group)))
+        p = np.empty(x.shape[1])
+        for start in range(0, x.shape[1], width):
+            cols = slice(start, start + width)
+            xb, yb = x[:, cols], y[:, cols]
+            if cfg.method == "wilcoxon":
+                p[cols] = wilcoxon_pvalues(xb, yb)
+            elif cfg.method == "permutation":
+                # each edge draws from its own substream, keyed by its index
+                p[cols] = [permutation_edge(xb[:, j], yb[:, j], cfg.permutations,
+                                            rng=substream(cfg.seed, start + j))
+                           for j in range(xb.shape[1])]
+            else:
+                p[cols] = _vector_regression(np.vstack([xb, yb]), group,
+                                             covariates)
     return PValueMatrix(n=n, values=p, diagonal=np.ones(n),
                         fisher_z_clamped=g1.fisher_z_clamped
                         + g2.fisher_z_clamped)
@@ -289,12 +296,7 @@ def _vector_regression(values: np.ndarray, group: np.ndarray,
     p-value is the double a one-column fit gives."""
     cols = [np.ones(len(group)), group]
     if covariates is not None:
-        cov = np.atleast_2d(np.asarray(covariates, dtype=float))
-        if cov.shape[0] != len(group):
-            cov = cov.T
-        if cov.shape[0] != len(group):
-            raise ValidationError("covariates must have one row per subject")
-        cols.extend(cov.T)
+        cols.append(covariates)
     X = np.column_stack(cols)
     n, k = X.shape
     if np.linalg.matrix_rank(X) < k:
@@ -313,9 +315,3 @@ def _vector_regression(values: np.ndarray, group: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         p = _finite_p(2.0 * special.stdtr(df, -np.abs(beta1 / se)))
     return np.where(se == 0.0, np.where(beta1 == 0.0, 1.0, P_MIN), p)
-
-
-def _check_sizes(x: np.ndarray, y: np.ndarray) -> None:
-    if len(x) < 2 or len(y) < 2:
-        raise ValidationError(
-            f"each group needs at least 2 observations (got {len(x)}, {len(y)})")

@@ -312,6 +312,10 @@ def test_run_summary_reports_peak_rss_outside_the_csvs(tmp_path):
         stages = summary.pop("stages")
         assert list(stages) == ["load", "pipeline", "scipy_import", "write"]
         assert stages["load"].pop("workers") >= 1
+        order = {name: stage.pop("order") for name, stage in stages.items()}
+        assert sorted(order, key=order.get) == ["load", "scipy_import",
+                                                "pipeline", "write"]
+        assert sorted(order.values()) == [0, 1, 2, 3]
         for stage in stages.values():
             assert set(stage) == {"seconds", "peak_rss_mb"}
             assert stage["seconds"] >= 0

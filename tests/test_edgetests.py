@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from ddtnet.core import P_MIN, ConnectivityCohort, ValidationError
@@ -14,10 +15,12 @@ from ddtnet.edgetests import (
     PValueMatrix,
     _vector_regression,
     edgewise_pvalues,
+    group_pvalues,
     permutation_edge,
+    summarize_group,
     welch_moments,
     welch_pvalues,
-    wilcoxon_edge,
+    wilcoxon_pvalues,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,25 @@ def ranksum_p_by_enumeration(x, y) -> float:
     lo = np.mean(ws <= w_obs + 1e-12)
     hi = np.mean(ws >= w_obs - 1e-12)
     return min(1.0, 2 * min(lo, hi))
+
+
+def wilcoxon_p_per_edge(x, y) -> float:
+    """One edge's two-sided rank-sum p-value by one scipy.stats.mannwhitneyu
+    call: 1 for a constant pooled sample, exact when n1 + n2 <= 12 without
+    ties, else the normal approximation with continuity and tie correction;
+    nan or inf p maps to 1, the rest is clipped to [P_MIN, 1]."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pooled = np.concatenate([x, y])
+    if np.ptp(pooled) == 0.0:
+        return 1.0
+    no_ties = len(np.unique(pooled)) == len(pooled)
+    method = "exact" if (len(pooled) <= 12 and no_ties) else "asymptotic"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = stats.mannwhitneyu(x, y, alternative="two-sided",
+                               method=method).pvalue
+    return float(min(max(p, P_MIN), 1.0)) if np.isfinite(p) else 1.0
 
 
 def _welch_t2_exact(a, b) -> Fraction:
@@ -174,25 +196,26 @@ def test_welch_group_label_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# wilcoxon
+# wilcoxon: the column kernel, wilcoxon_pvalues, on one column
 
 
 def test_wilcoxon_exact_small_example():
-    assert wilcoxon_edge([1, 2], [3, 4]) == pytest.approx(1 / 3, abs=1e-12)
+    assert wilcoxon_pvalues(np.c_[[1.0, 2.0]], np.c_[[3.0, 4.0]])[0] == \
+        pytest.approx(1 / 3, abs=1e-12)
     assert ranksum_p_by_enumeration([1, 2], [3, 4]) == pytest.approx(1 / 3)
 
 
 def test_wilcoxon_identical_samples():
-    assert wilcoxon_edge([1, 2, 3], [1, 2, 3]) == 1.0
-    assert wilcoxon_edge([5, 5, 5], [5, 5]) == 1.0
+    assert wilcoxon_pvalues(np.c_[[1.0, 2.0, 3.0]], np.c_[[1.0, 2.0, 3.0]])[0] == 1.0
+    assert wilcoxon_pvalues(np.c_[[5.0, 5.0, 5.0]], np.c_[[5.0, 5.0]])[0] == 1.0
 
 
 def test_wilcoxon_monotone_invariance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=6)
     y = rng.normal(0.5, size=6)
-    assert wilcoxon_edge(np.exp(x), np.exp(y)) == pytest.approx(
-        wilcoxon_edge(x, y), rel=1e-12)
+    assert wilcoxon_pvalues(np.c_[np.exp(x)], np.c_[np.exp(y)])[0] == \
+        pytest.approx(wilcoxon_pvalues(np.c_[x], np.c_[y])[0], rel=1e-12)
 
 
 def test_wilcoxon_exact_matches_enumeration():
@@ -201,8 +224,45 @@ def test_wilcoxon_exact_matches_enumeration():
         for _ in range(5):
             x = rng.normal(size=n1)
             y = rng.normal(0.4, size=n2)
-            assert wilcoxon_edge(x, y) == pytest.approx(
+            assert wilcoxon_pvalues(np.c_[x], np.c_[y])[0] == pytest.approx(
                 ranksum_p_by_enumeration(x, y), abs=1e-12), (n1, n2)
+
+
+WILCOXON_COLUMN_KINDS = ("random", "tied", "constant", "one-constant")
+
+
+def _wilcoxon_column(kind: str, n1: int, n2: int, rng):
+    x = rng.normal(size=n1)
+    y = rng.normal(rng.uniform(-1.0, 1.0), 1.0, size=n2)
+    if kind == "tied":
+        x, y = np.round(x, 1), np.round(y, 1)
+    elif kind == "constant":
+        x, y = np.full(n1, 0.3), np.full(n2, 0.3)
+    elif kind == "one-constant":
+        x = np.full(n1, np.round(y[0], 1))
+    return x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(2, 10), n2=st.integers(2, 10),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(WILCOXON_COLUMN_KINDS), min_size=1,
+                      max_size=24))
+@example(n1=6, n2=6, seed=1, kinds=list(WILCOXON_COLUMN_KINDS) * 3)
+@example(n1=6, n2=7, seed=1, kinds=list(WILCOXON_COLUMN_KINDS) * 3)
+def test_wilcoxon_pvalues_are_bit_identical_to_per_edge_calls(n1, n2, seed,
+                                                             kinds):
+    # n1 + n2 <= 12 for a share of the draws (and for 6 + 6, one past it
+    # for 6 + 7): tie-free columns take the exact path there, tied ones the
+    # normal approximation in the same block
+    rng = np.random.default_rng(seed)
+    x, y = np.empty((n1, len(kinds))), np.empty((n2, len(kinds)))
+    for e, kind in enumerate(kinds):
+        x[:, e], y[:, e] = _wilcoxon_column(kind, n1, n2, rng)
+    got = wilcoxon_pvalues(x, y)
+    want = np.array([wilcoxon_p_per_edge(x[:, e], y[:, e])
+                     for e in range(len(kinds))])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +414,33 @@ def test_edgewise_regression_design_error_names_no_edge():
     with pytest.raises(RankDeficientError) as err:
         edgewise_pvalues(cohort, EdgeTestConfig(method="regression"))
     assert str(err.value) == "design matrix [1, group, covariates] is rank deficient"
+
+
+@pytest.mark.parametrize("method", ["wilcoxon", "regression"])
+def test_joint_tests_hold_a_few_column_blocks_not_both_groups(method):
+    # scipy's mannwhitneyu makes ~9 temporaries the size of its input, and a
+    # stacked copy of both groups is S x E; group_pvalues reads column
+    # blocks of ~_JOINT_BLOCK_BYTES, so neither grows with the network
+    from ddtnet.edgetests import _JOINT_BLOCK_BYTES
+    n = 150
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(30, n * (n - 1) // 2))
+    y = rng.normal(0.2, 1.0, size=x.shape)
+    cov = rng.normal(size=(60, 2))
+    bound = 16 * _JOINT_BLOCK_BYTES
+    assert bound < x.nbytes + y.nbytes
+    cfg = EdgeTestConfig(method=method)
+    g1, g2 = summarize_group(x, cfg), summarize_group(y, cfg)
+    # scipy's imports and first-call state are not the working set
+    group_pvalues(summarize_group(x[:, :3], cfg), summarize_group(y[:, :3], cfg),
+                  cfg, 3, cov)
+    tracemalloc.start()
+    try:
+        group_pvalues(g1, g2, cfg, n, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------

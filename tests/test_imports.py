@@ -133,10 +133,11 @@ def test_enrich_does_not_load_scipy_stats(tmp_path):
     assert got == {"code": 0, "stats": False}
 
 
-def test_wilcoxon_edge_loads_scipy_stats():
+def test_wilcoxon_pvalues_loads_scipy_stats():
     # the probe can see scipy.stats: a path that needs it does load it
-    code = ("import sys; from ddtnet.edgetests import wilcoxon_edge;"
-            "wilcoxon_edge([0.0, 1.0, 2.0], [3.0, 4.0, 5.0]);"
+    code = ("import sys; import numpy as np;"
+            "from ddtnet.edgetests import wilcoxon_pvalues;"
+            "wilcoxon_pvalues(np.c_[[0.0, 1.0, 2.0]], np.c_[[3.0, 4.0, 5.0]]);"
             "print('scipy.stats' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=SRC),
