@@ -1,8 +1,9 @@
 """Core numeric types and transforms shared across the toolkit.
 
-Symmetric matrices are stored as their upper triangle plus an explicit
-diagonal, since every downstream statistic ignores the diagonal. All
-containers are immutable after construction and safe to share between
+Networks are stored as their edges only: one value per node pair, in
+canonical i<j upper-triangle order, since no statistic reads a diagonal.
+Their dense n x n form, built for the matrix CSVs, has a zero diagonal.
+All containers are immutable after construction and safe to share between
 workers; the transforms here are pure functions.
 """
 
@@ -77,9 +78,10 @@ def clamp_pvalues(p: np.ndarray) -> np.ndarray:
 
 
 def pvalue_clamp_count(p: np.ndarray) -> int:
-    """How many p-values clamp_pvalues moves onto P_MIN or 1 - P_MIN."""
+    """How many p-values clamp_pvalues leaves on P_MIN or 1 - P_MIN: those
+    it moves there, and those an edge test already floored at P_MIN."""
     p = np.asarray(p, dtype=float)
-    return int(np.count_nonzero(clamp_pvalues(p) != p))
+    return int(np.count_nonzero((p <= P_MIN) | (p >= 1.0 - P_MIN)))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -199,28 +201,32 @@ def upper_triangle(dense: np.ndarray) -> np.ndarray:
     return values
 
 
+def _dense_from_edges(n: int, values: np.ndarray, dtype) -> np.ndarray:
+    """The symmetric n x n matrix, zero diagonal, of one value per edge in
+    canonical i<j order."""
+    out = np.zeros((n, n), dtype=dtype)
+    iu, ju = triu_index_pairs(n)
+    out[iu, ju] = values
+    out[ju, iu] = values
+    return out
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix(_FrozenArrays):
-    """Symmetric n x n matrix stored as upper triangle plus diagonal."""
+    """Symmetric n x n matrix stored as its off-diagonal upper triangle."""
 
     n: int
     values: np.ndarray          # shape (n*(n-1)/2,), canonical i<j order
-    diagonal: np.ndarray        # shape (n,)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError(f"need at least 2 nodes, got n={self.n}")
         values = np.asarray(self.values, dtype=float)
-        diagonal = np.asarray(self.diagonal, dtype=float)
         if values.shape != (self.n_edges,):
             raise ValidationError(
                 f"expected {self.n_edges} upper-triangle values for n={self.n}, "
                 f"got shape {values.shape}")
-        if diagonal.shape != (self.n,):
-            raise ValidationError(
-                f"expected diagonal of length {self.n}, got shape {diagonal.shape}")
         object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "diagonal", _frozen(diagonal))
 
     @property
     def n_edges(self) -> int:
@@ -228,23 +234,14 @@ class SymmetricMatrix(_FrozenArrays):
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricMatrix":
-        dense = np.asarray(dense, dtype=float)
+        """The off-diagonal entries of a square, symmetric matrix
+        (upper_triangle); its diagonal is not kept."""
         values = upper_triangle(dense)
-        return cls(n=dense.shape[0], values=values, diagonal=np.diag(dense).copy())
-
-    @classmethod
-    def from_upper(cls, n: int, values: np.ndarray,
-                   diagonal: np.ndarray | float = 0.0) -> "SymmetricMatrix":
-        diag = np.full(n, diagonal, dtype=float) if np.isscalar(diagonal) else diagonal
-        return cls(n=n, values=values, diagonal=diag)
+        return cls(n=len(dense), values=values)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=float)
-        iu, ju = triu_index_pairs(self.n)
-        out[iu, ju] = self.values
-        out[ju, iu] = self.values
-        out[np.diag_indices(self.n)] = self.diagonal
-        return out
+        """The n x n float matrix, zero diagonal."""
+        return _dense_from_edges(self.n, self.values, float)
 
 
 @dataclass(frozen=True)
@@ -271,11 +268,7 @@ class AdjacencyMatrix(_FrozenArrays):
         return node_sums(self.n, self.selected).astype(np.int64)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=int)
-        iu, ju = triu_index_pairs(self.n)
-        out[iu, ju] = self.selected
-        out[ju, iu] = self.selected
-        return out
+        return _dense_from_edges(self.n, self.selected, int)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "AdjacencyMatrix":
@@ -324,7 +317,7 @@ class DifferenceNetwork(_FrozenArrays):
         return np.log(self.d) - np.log1p(-self.d)
 
     def to_symmetric(self) -> SymmetricMatrix:
-        return SymmetricMatrix.from_upper(self.n, self.d, diagonal=0.0)
+        return SymmetricMatrix(self.n, self.d)
 
 
 def nodes_for_edges(n_edges: int) -> int:

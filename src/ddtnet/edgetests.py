@@ -70,7 +70,7 @@ class EdgeTestConfig:
 
 @dataclass(frozen=True)
 class PValueMatrix(SymmetricMatrix):
-    """SymmetricMatrix whose off-diagonal entries are p-values in (0, 1].
+    """SymmetricMatrix whose edge values are p-values in (0, 1].
 
     fisher_z_clamped counts the subject values with |r| >= 1 that were
     clamped to +/-R_MAX before the Fisher Z transform.
@@ -236,10 +236,10 @@ def group_pvalues(g1: GroupSummary, g2: GroupSummary, cfg: EdgeTestConfig,
                   n: int, covariates=None) -> PValueMatrix:
     """The configured test at every edge of an n-node network, from the two
     groups' summaries (summarize_group under the same cfg); covariates
-    serve the regression test. Returns the symmetric p-value matrix; the
-    diagonal is set to 1 and ignored downstream. The joint tests read both
-    groups' values in column blocks of about _JOINT_BLOCK_BYTES, so their
-    temporaries stay a few blocks at any network size."""
+    serve the regression test. Returns one p-value per edge. The joint
+    tests read both groups' values in column blocks of about
+    _JOINT_BLOCK_BYTES, so their temporaries stay a few blocks at any
+    network size."""
     if cfg.method == "welch_t":
         p = welch_pvalues(g1.edges, g2.edges)
     else:
@@ -260,7 +260,7 @@ def group_pvalues(g1: GroupSummary, g2: GroupSummary, cfg: EdgeTestConfig,
             else:
                 p[cols] = _vector_regression(np.vstack([xb, yb]), group,
                                              covariates)
-    return PValueMatrix(n=n, values=p, diagonal=np.ones(n),
+    return PValueMatrix(n=n, values=p,
                         fisher_z_clamped=g1.fisher_z_clamped
                         + g2.fisher_z_clamped)
 
@@ -292,8 +292,9 @@ def _vector_regression(values: np.ndarray, group: np.ndarray,
     """Per column of values (subjects x edges), the two-sided p-value of the
     group term in the OLS of the column on [1, group, covariates]; with no
     covariates, the pooled-variance two-sample t-test. The design is built,
-    checked and inverted once, and each column gets its own lstsq, so every
-    p-value is the double a one-column fit gives."""
+    checked and inverted once per call (group_pvalues calls once per column
+    block), and each column gets its own lstsq, so every p-value is the
+    double a one-column fit gives."""
     cols = [np.ones(len(group)), group]
     if covariates is not None:
         cols.append(covariates)

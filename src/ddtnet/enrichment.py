@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdjacencyMatrix, DdtError, ValidationError
+from .core import AdjacencyMatrix, DdtError, ValidationError, triu_index_pairs
 from .thresholds import bh_adjust
 
 # blocks with expected counts below this are reported but marked unreliable;
@@ -83,7 +83,7 @@ def block_counts(adjacency: AdjacencyMatrix,
         raise ValidationError(
             f"partition covers {partition.n_nodes} nodes, adjacency has "
             f"{adjacency.n}")
-    iu, ju = np.triu_indices(adjacency.n, k=1)
+    iu, ju = triu_index_pairs(adjacency.n)
     g = partition.assignment
     counts = {}
     for g1 in range(1, partition.n_modules + 1):
@@ -122,7 +122,7 @@ def enrichment_test(adjacency: AdjacencyMatrix, partition: ModulePartition,
 
     Upper-tail p-values are BH-corrected across the G(G+1)/2 blocks; a
     block is flagged only when Q > E (enrichment, not depletion) and the
-    corrected p-value is below alpha, with 0 < alpha < 1.
+    corrected p-value is at most alpha, with 0 < alpha < 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")

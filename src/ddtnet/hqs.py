@@ -387,8 +387,8 @@ def _grown(kept: np.ndarray, length: int, room: int) -> np.ndarray:
     return grown
 
 
-def mixture_sample(moments: MomentSummary, count: int, seed: int = 0,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
+def mixture_sample(moments: MomentSummary, count: int,
+                   seed: int = 0) -> np.ndarray:
     """Draw iid samples of the null edge law (sigma2/2) (T - Q).
 
     T is sampled exactly through its Poisson mixture of central chi-squares:
@@ -396,8 +396,7 @@ def mixture_sample(moments: MomentSummary, count: int, seed: int = 0,
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     k = rng.poisson(moments.noncentrality / 2.0, size=count)
     t = rng.chisquare(moments.m + 2 * k)
     q = rng.chisquare(moments.m, size=count)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (
     DdtError,
-    DifferenceNetwork,
+    SymmetricMatrix,
     ValidationError,
     check_group,
     inv_logit,
@@ -520,8 +520,8 @@ def write_null_networks(out_dir: Path, stream: NullStream) -> list[Path]:
     width = len(str(stream.size - 1))
     for block in stream.blocks():
         for entries in block:
-            net = DifferenceNetwork(n=stream.n, d=inv_logit(entries))
             p = out_dir / f"null_{len(paths):0{width}d}.csv"
-            write_matrix_csv(p, net.to_symmetric().to_dense())
+            write_matrix_csv(
+                p, SymmetricMatrix(stream.n, inv_logit(entries)).to_dense())
             paths.append(p)
     return paths

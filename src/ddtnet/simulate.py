@@ -168,8 +168,7 @@ def _watts_strogatz_edges(n: int, k: int, rewire: float,
 
 
 def base_network(design: SimDesign) -> SymmetricMatrix:
-    """The design's base correlation-like network, unit diagonal, drawn from
-    its seed.
+    """The design's base correlation-like network, drawn from its seed.
 
     random: dense iid N(0, base_edge_sd^2) weights. smallworld: a Watts-
     Strogatz lattice (sw_neighbors neighbors, each edge rewired with
@@ -177,7 +176,7 @@ def base_network(design: SimDesign) -> SymmetricMatrix:
     sw_weight_sd^2) weights, unsigned unless sw_signed. hybrid: n_modules
     small-world blocks joined by between-block edges, each present with
     probability between_density and weighted N(0, base_edge_sd^2).
-    Off-diagonal entries are clamped to [-0.9, 0.9].
+    Edge weights are clamped to [-0.9, 0.9].
     """
     n = design.n_nodes
     rng = np.random.default_rng(design.seed)
@@ -202,10 +201,8 @@ def base_network(design: SimDesign) -> SymmetricMatrix:
         present = cross & (rng.random(len(iu)) < design.between_density)
         dense[iu[present], ju[present]] = rng.normal(
             0.0, design.base_edge_sd, size=int(present.sum()))
-    dense = dense + dense.T
-    dense = np.clip(dense, -0.9, 0.9)
-    np.fill_diagonal(dense, 1.0)
-    return SymmetricMatrix.from_dense(dense)
+    # every pair above was written as (i, j) with i < j
+    return SymmetricMatrix(n, np.clip(dense[iu, ju], -0.9, 0.9))
 
 
 def simulate_cohort(design: SimDesign, base: SymmetricMatrix,

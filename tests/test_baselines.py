@@ -39,7 +39,7 @@ def test_density_edge_count_rounding():
 
 def test_degree_at_density_keeps_exactly_k_edges():
     rng = np.random.default_rng(0)
-    g = SymmetricMatrix.from_upper(8, rng.normal(size=28), 1.0)
+    g = SymmetricMatrix(8, rng.normal(size=28))
     for density in (0.05, 0.1, 0.3, 0.9):
         k = density_edge_count(28, density)
         deg = degree_at_density(g, density)
@@ -47,13 +47,13 @@ def test_degree_at_density_keeps_exactly_k_edges():
 
 
 def test_degree_at_density_complete_at_density_one_minus():
-    g = SymmetricMatrix.from_upper(6, np.arange(15, dtype=float), 1.0)
+    g = SymmetricMatrix(6, np.arange(15, dtype=float))
     deg = degree_at_density(g, 0.999)
     assert np.array_equal(deg, np.full(6, 5))
 
 
 def test_degree_at_density_tie_rule_lexicographic():
-    g = SymmetricMatrix.from_upper(5, np.ones(10), 1.0)
+    g = SymmetricMatrix(5, np.ones(10))
     deg = degree_at_density(g, 0.1)          # k = 1, first edge is (0, 1)
     assert list(deg) == [1, 1, 0, 0, 0]
     deg3 = degree_at_density(g, 0.3)         # k = 3: (0,1), (0,2), (0,3)
@@ -62,7 +62,7 @@ def test_degree_at_density_tie_rule_lexicographic():
 
 def test_degree_at_density_signed_vs_absolute():
     vals = np.array([0.9, -0.95, 0.1, 0.0, -0.2, 0.05])
-    g = SymmetricMatrix.from_upper(4, vals, 1.0)
+    g = SymmetricMatrix(4, vals)
     signed = degree_at_density(g, 1 / 6, ranking="signed")
     absolute = degree_at_density(g, 1 / 6, ranking="absolute")
     # signed keeps (0,1)=0.9; absolute keeps (0,2)=-0.95
@@ -92,7 +92,7 @@ def test_degree_ttest_detects_degree_shift():
 
 
 def test_binomial_corrected_no_detections():
-    pmat = PValueMatrix(n=6, values=np.full(15, 0.8), diagonal=np.ones(6))
+    pmat = PValueMatrix(n=6, values=np.full(15, 0.8))
     for correction in ("bonferroni", "fdr"):
         nodes = binomial_corrected(pmat, correction)
         assert all(nodes.degree == 0)
@@ -102,8 +102,7 @@ def test_binomial_corrected_no_detections():
 
 def _pmat_from_dense(p):
     n = p.shape[0]
-    return PValueMatrix(n=n, values=p[np.triu_indices(n, k=1)],
-                        diagonal=np.ones(n))
+    return PValueMatrix(n=n, values=p[np.triu_indices(n, k=1)])
 
 
 def test_binomial_corrected_bonferroni_cutoff():
@@ -137,7 +136,7 @@ def test_binomial_corrected_bonferroni_cutoff():
 def test_binomial_fdr_detects_superset_of_bonferroni():
     rng = np.random.default_rng(4)
     p = rng.uniform(size=190) ** 4
-    pmat = PValueMatrix(n=20, values=p, diagonal=np.ones(20))
+    pmat = PValueMatrix(n=20, values=p)
     bonf = binomial_corrected(pmat, "bonferroni")
     fdr = binomial_corrected(pmat, "fdr")
     sig_b = set(np.flatnonzero(bonf.significant).tolist())
@@ -156,7 +155,7 @@ def test_baseline_config_validation():
             degree_ttest(cohort, density=density)
     with pytest.raises(ValidationError):
         degree_ttest(cohort, ranking="weighted")
-    pmat = PValueMatrix(n=6, values=rng.uniform(size=15), diagonal=np.ones(6))
+    pmat = PValueMatrix(n=6, values=rng.uniform(size=15))
     with pytest.raises(ValidationError):
         binomial_corrected(pmat, correction="holm")
     # the defaults are density 0.10 and alpha 0.05
@@ -176,7 +175,7 @@ def test_degree_ttest_matches_per_node_welch():
         v[:n - 1] = 10.0
     cohort = _cohort(vals1, vals2)
     res = degree_ttest(cohort, density=0.3)
-    d1, d2 = (np.vstack([degree_at_density(SymmetricMatrix.from_upper(n, row), 0.3)
+    d1, d2 = (np.vstack([degree_at_density(SymmetricMatrix(n, row), 0.3)
                          for row in x]) for x in (cohort.x1, cohort.x2))
     # node 0's degrees are constant and equal, which ttest_ind leaves nan
     per_node = stats.ttest_ind(d1[:, 1:], d2[:, 1:], axis=0,
@@ -195,7 +194,7 @@ def test_stacked_degrees_equal_per_subject_degrees(ranking):
     # and 0.0 tie too, and the lower edge index wins
     for vals in (raw, np.round(raw, 1),
                  np.where(np.abs(raw) < 0.8, np.copysign(0.0, raw), raw)):
-        mats = tuple(SymmetricMatrix.from_upper(n, v, 1.0) for v in vals)
+        mats = tuple(SymmetricMatrix(n, v) for v in vals)
         for density in (0.001, 0.1, 0.25, 0.5, 0.999):
             want = np.vstack([degree_at_density(m, density, ranking)
                               for m in mats])
@@ -222,15 +221,14 @@ def test_stacked_degrees_chunks_agree_with_one_shot(monkeypatch, ranking):
     assert chunked.dtype == np.int64
     assert np.array_equal(chunked, one_shot)
     assert np.array_equal(chunked, np.vstack([degree_at_density(
-        SymmetricMatrix.from_upper(n, row), 0.1, ranking) for row in vals]))
+        SymmetricMatrix(n, row), 0.1, ranking) for row in vals]))
 
 
 @pytest.mark.parametrize("correction", ["bonferroni", "fdr"])
 def test_binomial_corrected_equals_per_node_loop(correction):
     rng = np.random.default_rng(22)
     n, alpha = 30, 0.05
-    pmat = PValueMatrix(n=n, values=rng.uniform(size=n * (n - 1) // 2) ** 3,
-                        diagonal=np.ones(n))
+    pmat = PValueMatrix(n=n, values=rng.uniform(size=n * (n - 1) // 2) ** 3)
     degrees = AdjacencyMatrix(n, pmat.values < alpha).degrees()
     raw = np.array([binomial_tails(int(k), n - 1, alpha) for k in degrees])
     adjusted = np.minimum(1.0, n * raw) if correction == "bonferroni" else bh_adjust(raw)

@@ -739,6 +739,23 @@ def test_null_clamps_exact_0_and_1_difference_entries(tmp_path):
     assert json.loads((tmp_path / "m.json").read_text())["ebar"] > 0
 
 
+def test_null_from_moments_writes_entries_that_round_to_0_or_1(tmp_path):
+    # ebar 10 and vbar 100 put some null entries far above logit 36.7, where
+    # inv_logit is exactly 1.0; every network is still written
+    (tmp_path / "m.json").write_text(
+        json.dumps({"ebar": 10.0, "vbar": 100.0, "m": 2}))
+    assert main(["--quiet", "null", "--moments", str(tmp_path / "m.json"),
+                 "--nodes", "30", "--ensemble-size", "20",
+                 "--out", str(tmp_path / "d")]) == 0
+    paths = sorted((tmp_path / "d").glob("null_*.csv"))
+    assert len(paths) == 20
+    dense = np.stack([read_matrix_csv(path) for path in paths])
+    assert np.array_equal(dense, dense.transpose(0, 2, 1))
+    assert not np.diagonal(dense, axis1=1, axis2=2).any()
+    assert np.all((dense >= 0.0) & (dense <= 1.0))
+    assert np.any(dense == 1.0)
+
+
 def test_version_and_help_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -872,6 +889,31 @@ def test_run_summary_reports_clamp_counts(tmp_path):
     assert flags[True]["pvalues_clamped"] == 1
     assert flags[False]["fisher_z_clamped"] == 0
     assert flags[False]["pvalues_clamped"] == 1
+
+
+def test_run_summary_counts_pvalues_an_edge_test_floored(tmp_path):
+    # edge (0, 1) sits near 0 in group 1 and near 0.9 in group 2 with
+    # spreads of 1e-6, so welch_pvalues floors its p-value at P_MIN; the
+    # other edges stay inside the clamp bounds
+    files = _toy_cohort(tmp_path)
+    for group, names in files.items():
+        for s, name in enumerate(names):
+            dense = np.loadtxt(tmp_path / name, delimiter=",")
+            value = (0.9 if group == "group2" else 0.0) + 1e-6 * s
+            dense[0, 1] = dense[1, 0] = value
+            write_matrix_csv(tmp_path / name, dense)
+    manifest = dict(files, seed=31, null_networks=60,
+                    threshold={"kind": "eddt", "level": 0.95})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "results"
+    assert main(["--quiet", "run", "--manifest", str(path),
+                 "--out", str(out)]) == 0
+    d = read_matrix_csv(out / "difference_network.csv")
+    assert d[0, 1] == 1.0 - core.P_MIN
+    assert np.count_nonzero(np.triu(d, 1) == 1.0 - core.P_MIN) == 1
+    flags = json.loads((out / "run_summary.json").read_text())["flags"]
+    assert flags["pvalues_clamped"] == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])

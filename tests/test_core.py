@@ -70,11 +70,11 @@ def test_symmetric_matrix_roundtrip_and_lookup():
     dense = rng.normal(size=(6, 6))
     dense = (dense + dense.T) / 2
     m = SymmetricMatrix.from_dense(dense)
+    np.fill_diagonal(dense, 0.0)
     assert np.array_equal(m.to_dense(), dense)
     iu, ju = triu_index_pairs(6)
     assert np.array_equal(m.values, dense[iu, ju])
     assert np.array_equal(m.values, dense[ju, iu])
-    assert np.array_equal(m.diagonal, np.diag(dense))
 
 
 # finite and small enough that from_dense's averaging of the two triangles
@@ -86,12 +86,11 @@ _ENTRIES = st.floats(-1e300, 1e300, allow_nan=False)
 @given(n=st.integers(2, 12), data=st.data())
 def test_symmetric_matrix_dense_roundtrip_property(n, data):
     values = data.draw(arrays(float, n * (n - 1) // 2, elements=_ENTRIES))
-    diagonal = data.draw(arrays(float, n, elements=_ENTRIES))
-    dense = SymmetricMatrix(n=n, values=values, diagonal=diagonal).to_dense()
+    dense = SymmetricMatrix(n=n, values=values).to_dense()
     assert np.array_equal(dense, dense.T)
+    assert not np.diag(dense).any()
     back = SymmetricMatrix.from_dense(dense)
     assert np.array_equal(back.values, values)
-    assert np.array_equal(back.diagonal, diagonal)
     assert np.array_equal(back.to_dense(), dense)
 
 
@@ -120,12 +119,11 @@ def test_symmetric_matrix_rejects_asymmetry_and_size():
     with pytest.raises(ValidationError):
         SymmetricMatrix.from_dense(bad)
     with pytest.raises(ValidationError):
-        SymmetricMatrix.from_upper(1, np.array([]), diagonal=0.0)
+        SymmetricMatrix(1, np.array([]))
     # asymmetry within tolerance is averaged away
     almost = np.array([[1.0, 0.2], [0.2 + 1e-9, 1.0]])
     m = SymmetricMatrix.from_dense(almost)
     assert m.values[0] == pytest.approx(0.2, abs=1e-9)
-    assert np.array_equal(m.diagonal, [1.0, 1.0])
 
 
 def _groups(n_nodes=3, n1=3, n2=3, seed=0):
@@ -200,8 +198,7 @@ def test_validate_cohort_covariate_alignment():
 
 
 def test_difference_network_clamps_and_logits():
-    pm = SymmetricMatrix.from_upper(3, np.array([1.0, 0.5, 1e-15]),
-                                    diagonal=1.0)
+    pm = SymmetricMatrix(3, np.array([1.0, 0.5, 1e-15]))
     dn = DifferenceNetwork.from_pvalues(pm)
     assert np.all((dn.d > 0) & (dn.d < 1))
     assert np.all(np.isfinite(dn.logit_values()))
@@ -217,16 +214,15 @@ def test_containers_stay_frozen_across_pickling():
     from ddtnet.edgetests import PValueMatrix
     from ddtnet.hqs import MomentSummary, NullExceedance, generate_null
 
-    sym = SymmetricMatrix.from_upper(4, np.arange(6.0), 1.0)
-    pmat = PValueMatrix(n=3, values=np.full(3, 0.5), diagonal=np.ones(3),
-                        fisher_z_clamped=2)
+    sym = SymmetricMatrix(4, np.arange(6.0))
+    pmat = PValueMatrix(n=3, values=np.full(3, 0.5), fisher_z_clamped=2)
     cohort = ConnectivityCohort(np.vstack([sym.values] * 2),
                                 np.vstack([sym.values] * 2),
                                 covariates=np.zeros((4, 1)))
     moments = MomentSummary.from_moments(1.0, 0.5)
     cases = [
-        (sym, ("values", "diagonal")),
-        (pmat, ("values", "diagonal")),
+        (sym, ("values",)),
+        (pmat, ("values",)),
         (AdjacencyMatrix(4, np.arange(6) % 2 == 0), ("selected",)),
         (DifferenceNetwork(n=4, d=np.full(6, 0.3)), ("d",)),
         (cohort, ("x1", "x2", "covariates")),

@@ -291,7 +291,7 @@ def _pvalue_matrix(n, seed, low, high, strong=0):
     rng = np.random.default_rng(seed)
     values = rng.uniform(low, high, size=n * (n - 1) // 2)
     values[:strong] = 1e-6
-    return PValueMatrix(n=n, values=values, diagonal=np.ones(n))
+    return PValueMatrix(n=n, values=values)
 
 
 FIXED_RULES = {"addt": ThresholdRule("addt", 0.95),

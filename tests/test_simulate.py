@@ -26,7 +26,7 @@ def test_base_network_random_properties():
     b = base_network(SimDesign(base_edge_sd=math.sqrt(0.04), seed=1))
     dense = b.to_dense()
     assert np.array_equal(dense, dense.T)
-    assert np.all(np.diag(dense) == 1.0)
+    assert np.all(np.diag(dense) == 0.0)
     off = b.values
     assert np.all(off != 0.0)                 # no structural zeros
     assert np.all((off >= -0.9) & (off <= 0.9))

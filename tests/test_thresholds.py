@@ -219,7 +219,7 @@ def _p_scale_selection(pmat, rule):
 def test_baseline_threshold_rules():
     n = 5                                     # E = 10 edges
     p = np.array([0.004, 0.02, 0.04, 0.9, 0.5, 0.3, 0.2, 0.6, 0.7, 0.8])
-    pmat = PValueMatrix(n=n, values=p, diagonal=np.ones(n))
+    pmat = PValueMatrix(n=n, values=p)
     bonf = baseline_threshold(pmat, ThresholdRule(kind="bonferroni", level=0.05))
     assert np.array_equal(bonf.selected, p < 0.005)   # cutoff alpha/E = 0.005
     hard = baseline_threshold(pmat, ThresholdRule(kind="hard", level=0.95))
@@ -229,7 +229,7 @@ def test_baseline_threshold_rules():
 
 
 def test_all_p_one_selects_nothing():
-    pmat = PValueMatrix(n=4, values=np.ones(6), diagonal=np.ones(4))
+    pmat = PValueMatrix(n=4, values=np.ones(6))
     for kind in ("hard", "bonferroni", "fdr"):
         rule = ThresholdRule(kind=kind, level=0.95 if kind == "hard" else 0.05)
         assert baseline_threshold(pmat, rule).n_edges_selected == 0
@@ -255,7 +255,7 @@ def test_baseline_threshold_equals_the_p_scale_rule(data, n, kind):
                               min_size=n_edges - len(boundary),
                               max_size=n_edges - len(boundary)))
     values = data.draw(st.permutations(boundary + rest), label="p")
-    pmat = PValueMatrix(n=n, values=np.array(values), diagonal=np.ones(n))
+    pmat = PValueMatrix(n=n, values=np.array(values))
     rule = ThresholdRule(kind, level)
     assert np.array_equal(baseline_threshold(pmat, rule).selected,
                           _p_scale_selection(pmat, rule))
@@ -267,7 +267,7 @@ def test_baseline_threshold_follows_the_difference_network():
     n, rest = 4, [0.5] * 4
 
     def compare(values, rule):
-        pmat = PValueMatrix(n=n, values=np.array(values + rest), diagonal=np.ones(n))
+        pmat = PValueMatrix(n=n, values=np.array(values + rest))
         return (_p_scale_selection(pmat, rule)[:2].tolist(),
                 baseline_threshold(pmat, rule).selected[:2].tolist())
 
@@ -295,7 +295,7 @@ def test_select_gamma_consistency_with_baseline_threshold():
     rng = np.random.default_rng(9)
     n = 8
     p = rng.uniform(size=28) ** 3
-    pmat = PValueMatrix(n=n, values=p, diagonal=np.ones(n))
+    pmat = PValueMatrix(n=n, values=p)
     dn = DifferenceNetwork.from_pvalues(pmat)
     for kind, level in (("hard", 0.95), ("bonferroni", 0.05), ("fdr", 0.05)):
         rule = ThresholdRule(kind=kind, level=level)
@@ -309,7 +309,7 @@ def test_select_gamma_consistency_with_baseline_threshold():
 
 
 def test_select_gamma_fdr_no_rejections_is_infinite():
-    pmat = PValueMatrix(n=4, values=np.full(6, 0.8), diagonal=np.ones(4))
+    pmat = PValueMatrix(n=4, values=np.full(6, 0.8))
     rule = ThresholdRule(kind="fdr", level=0.05)
     assert select_gamma(rule, pmat=pmat) == math.inf
 
