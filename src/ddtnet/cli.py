@@ -169,7 +169,7 @@ def cmd_run(args) -> int:
         write_nodes_csv(out_dir / "nodes.csv", result, labels=labels,
                         baselines=run_result.baselines)
         write_matrix_csv(out_dir / "difference_network.csv",
-                         run_result.difference.to_symmetric().to_dense())
+                         run_result.difference.to_dense())
         write_matrix_csv(out_dir / "adjacency.csv",
                          result.adjacency.to_dense())
         write_gamma_json(out_dir / "gamma.json", run.threshold, result.gamma)
@@ -205,6 +205,8 @@ def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
     threads = _threads(args)
     design = load_design(args.design)
+    if args.seed is not None:
+        design = dataclasses.replace(design, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(design, threads=threads)
@@ -224,6 +226,9 @@ def cmd_simulate(args) -> int:
 def cmd_null(args) -> int:
     n_nodes = args.nodes
     if args.moments:
+        if args.inner_dim is not None:
+            raise ManifestError("--inner-dim applies to --difference only; "
+                                "a moment file carries its own m")
         moments = load_moments(args.moments)
     elif args.difference:
         dense = read_matrix_csv(args.difference, header=args.header)
@@ -232,8 +237,9 @@ def cmd_null(args) -> int:
             raise ValidationError(f"{args.difference}: difference-network "
                                   "entries must be finite and in [0, 1]")
         dn = DifferenceNetwork(n=sym.n,
-                               d=np.clip(sym.values, P_MIN, 1.0 - P_MIN))
-        moments = observed_moments(dn, m=args.inner_dim)
+                               values=np.clip(sym.values, P_MIN, 1.0 - P_MIN))
+        moments = observed_moments(
+            dn, m=2 if args.inner_dim is None else args.inner_dim)
         n_nodes = n_nodes or sym.n
     else:
         raise ManifestError("pass --difference (difference-network CSV) or "
@@ -307,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--ensemble-size", type=int, default=100)
     p_null.add_argument("--nodes", type=int, default=None,
                         help="node count when generating from --moments")
-    p_null.add_argument("--inner-dim", type=int, default=2)
+    p_null.add_argument("--inner-dim", type=int,
+                        help="null inner dimension m, --difference only (default: 2)")
     p_null.add_argument("--header", action="store_true",
                         help="matrix CSVs carry one header line")
     p_null.add_argument("--out", help="directory for generated null networks")

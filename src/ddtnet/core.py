@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -124,6 +122,10 @@ def worker_map(workers: int, stage: str, chunksize: int = 1):
     if workers == 1:
         yield map
         return
+    # imported here, so a process that makes no pool never loads
+    # multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         yield partial(pool.map, chunksize=chunksize)
@@ -213,7 +215,13 @@ def _dense_from_edges(n: int, values: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetricMatrix(_FrozenArrays):
-    """Symmetric n x n matrix stored as its off-diagonal upper triangle."""
+    """Symmetric n x n matrix stored as its off-diagonal upper triangle.
+
+    The base of every per-edge network: construction checks n >= 2 and the
+    edge count, coerces the values to the class's _DTYPE and freezes them;
+    a subclass adds only its own range check."""
+
+    _DTYPE = float
 
     n: int
     values: np.ndarray          # shape (n*(n-1)/2,), canonical i<j order
@@ -221,7 +229,7 @@ class SymmetricMatrix(_FrozenArrays):
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError(f"need at least 2 nodes, got n={self.n}")
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=self._DTYPE)
         if values.shape != (self.n_edges,):
             raise ValidationError(
                 f"expected {self.n_edges} upper-triangle values for n={self.n}, "
@@ -245,30 +253,22 @@ class SymmetricMatrix(_FrozenArrays):
 
 
 @dataclass(frozen=True)
-class AdjacencyMatrix(_FrozenArrays):
+class AdjacencyMatrix(SymmetricMatrix):
     """Binary symmetric matrix with zero diagonal (selected edge set)."""
 
-    n: int
-    selected: np.ndarray        # bool, shape (n*(n-1)/2,), canonical order
-
-    def __post_init__(self):
-        sel = np.asarray(self.selected, dtype=bool)
-        expected = self.n * (self.n - 1) // 2
-        if sel.shape != (expected,):
-            raise ValidationError(
-                f"expected {expected} edge indicators for n={self.n}, got {sel.shape}")
-        object.__setattr__(self, "selected", _frozen(sel))
+    _DTYPE = bool
 
     @property
     def n_edges_selected(self) -> int:
-        return int(self.selected.sum())
+        return int(self.values.sum())
 
     def degrees(self) -> np.ndarray:
         """Number of selected edges incident to each node."""
-        return node_sums(self.n, self.selected).astype(np.int64)
+        return node_sums(self.n, self.values).astype(np.int64)
 
     def to_dense(self) -> np.ndarray:
-        return _dense_from_edges(self.n, self.selected, int)
+        """The n x n 0/1 int matrix, zero diagonal."""
+        return _dense_from_edges(self.n, self.values, int)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "AdjacencyMatrix":
@@ -282,42 +282,30 @@ class AdjacencyMatrix(_FrozenArrays):
         if np.any(np.diag(dense) != 0):
             raise ValidationError("adjacency diagonal must be zero (no self-loops)")
         iu, ju = triu_index_pairs(dense.shape[0])
-        return cls(n=dense.shape[0], selected=dense[iu, ju].astype(bool))
+        return cls(n=dense.shape[0], values=dense[iu, ju])
 
 
 @dataclass(frozen=True)
-class DifferenceNetwork(_FrozenArrays):
+class DifferenceNetwork(SymmetricMatrix):
     """Edge-wise difference strengths d_ij = 1 - p_ij, zero diagonal.
 
     Entries are kept strictly inside (0, 1) (p-values are clamped on
     construction) so the logit-scale view is always finite.
     """
 
-    n: int
-    d: np.ndarray               # shape (n*(n-1)/2,), in (0, 1)
-
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        expected = self.n * (self.n - 1) // 2
-        if d.shape != (expected,):
-            raise ValidationError(
-                f"expected {expected} edge values for n={self.n}, got {d.shape}")
-        if np.any(d <= 0.0) or np.any(d >= 1.0):
+        super().__post_init__()
+        if np.any(self.values <= 0.0) or np.any(self.values >= 1.0):
             raise ValidationError("difference-network entries must lie in (0, 1); "
                                   "clamp p-values first")
-        object.__setattr__(self, "d", _frozen(d))
 
     @classmethod
-    def from_pvalues(cls, pmat: "SymmetricMatrix") -> "DifferenceNetwork":
-        p = clamp_pvalues(pmat.values)
-        return cls(n=pmat.n, d=1.0 - p)
+    def from_pvalues(cls, pmat: SymmetricMatrix) -> "DifferenceNetwork":
+        return cls(n=pmat.n, values=1.0 - clamp_pvalues(pmat.values))
 
     def logit_values(self) -> np.ndarray:
         """Logit-scale view of the off-diagonal entries."""
-        return np.log(self.d) - np.log1p(-self.d)
-
-    def to_symmetric(self) -> SymmetricMatrix:
-        return SymmetricMatrix(self.n, self.d)
+        return np.log(self.values) - np.log1p(-self.values)
 
 
 def nodes_for_edges(n_edges: int) -> int:

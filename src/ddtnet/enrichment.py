@@ -89,7 +89,7 @@ def block_counts(adjacency: AdjacencyMatrix,
     for g1 in range(1, partition.n_modules + 1):
         for g2 in range(g1, partition.n_modules + 1):
             counts[(g1, g2)] = 0
-    sel = adjacency.selected
+    sel = adjacency.values
     for i, j in zip(iu[sel], ju[sel]):
         a, b = sorted((int(g[i]), int(g[j])))
         counts[(a, b)] += 1

@@ -409,7 +409,7 @@ def run_replicate(design: SimDesign, base: SymmetricMatrix, rep: int,
         for name, tests in nodes.items() if name in design.methods
     }
     edge_counts = {
-        name: score(adjacency.selected, sim.dwe_edges)
+        name: score(adjacency.values, sim.dwe_edges)
         for name, adjacency in edges.items() if name in design.edge_rules
     }
     return ReplicateOutcome(replicate=rep, node_counts=node_counts,

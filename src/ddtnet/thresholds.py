@@ -70,7 +70,7 @@ def apply_threshold(dn: DifferenceNetwork, gamma: float) -> AdjacencyMatrix:
     """Select edges with logit(d_ij) strictly above gamma."""
     if math.isnan(gamma):
         raise ValidationError("threshold gamma is NaN")
-    return AdjacencyMatrix(n=dn.n, selected=dn.logit_values() > gamma)
+    return AdjacencyMatrix(n=dn.n, values=dn.logit_values() > gamma)
 
 
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import concurrent.futures as futures
 import csv
 import json
 import multiprocessing
@@ -179,7 +180,7 @@ def test_run_on_a_pool_hands_group_2_out_after_group_1(tmp_path, monkeypatch):
     manifest = _manifest(tmp_path, baselines=["t10", "binb"],
                          threshold={"kind": "eddt", "level": 0.95})
     refs, events = [], []
-    real_map = core.ProcessPoolExecutor.map
+    real_map = futures.ProcessPoolExecutor.map
     real_check, real_reduce = io.check_group, degree_test.Reduction.__call__
     real_pass = degree_test.null_exceedances
 
@@ -205,7 +206,7 @@ def test_run_on_a_pool_hands_group_2_out_after_group_1(tmp_path, monkeypatch):
         events.append("null pass")
         return real_pass(source, level)
 
-    monkeypatch.setattr(core.ProcessPoolExecutor, "map", pool_map)
+    monkeypatch.setattr(futures.ProcessPoolExecutor, "map", pool_map)
     monkeypatch.setattr(io, "check_group", check_group)
     monkeypatch.setattr(degree_test.Reduction, "__call__", reduce)
     monkeypatch.setattr(degree_test, "null_exceedances", null_exceedances)
@@ -266,7 +267,7 @@ def test_joint_test_run_matches_an_in_memory_cohort(tmp_path, test, extra):
                        ensemble_size=run.null_networks, seed=run.seed)
     np.testing.assert_array_equal(
         np.loadtxt(out / "difference_network.csv", delimiter=","),
-        expected.difference.to_symmetric().to_dense())
+        expected.difference.to_dense())
     with open(out / "nodes.csv", newline="") as fh:
         pvalues = [float(row["pvalue"]) for row in csv.DictReader(fh)]
     np.testing.assert_array_equal(pvalues, expected.ddt["eddt"].nodes.pvalue)
@@ -651,6 +652,19 @@ def test_enrich_rejects_a_self_loop(tmp_path, capfd):
     assert not (tmp_path / "enrichment.csv").exists()
 
 
+def test_enrich_rejects_a_one_node_adjacency(tmp_path, capfd):
+    write_matrix_csv(tmp_path / "adjacency.csv", np.zeros((1, 1), dtype=int))
+    (tmp_path / "modules.csv").write_text("0,1\n")
+    code = main(["enrich", "--adjacency", str(tmp_path / "adjacency.csv"),
+                 "--modules", str(tmp_path / "modules.csv"),
+                 "--out", str(tmp_path / "enrichment.csv")])
+    assert code == 2
+    payload = json.loads(capfd.readouterr().err.strip())
+    assert payload["error"] == "validation"
+    assert "need at least 2 nodes, got n=1" in payload["message"]
+    assert not (tmp_path / "enrichment.csv").exists()
+
+
 @pytest.mark.parametrize("modules, line", [
     ("0,1\n1,1\n2,1\n1,2\n3,2\n", "line 4 repeats node 1"),
     ("0,1,A\n1,1\n2,1,B\n3,2\n", "line 3 names module 1 'B'")])
@@ -739,6 +753,25 @@ def test_null_clamps_exact_0_and_1_difference_entries(tmp_path):
     assert json.loads((tmp_path / "m.json").read_text())["ebar"] > 0
 
 
+@pytest.mark.parametrize("inner_dim", ["3", "2", "0"])
+def test_null_inner_dim_applies_to_difference_only(tmp_path, capfd, inner_dim):
+    # a moment file carries its own m, so --inner-dim beside it is an error
+    moments = tmp_path / "m.json"
+    moments.write_text(json.dumps({"ebar": 2.0, "vbar": 3.0}))
+    assert main(["null", "--moments", str(moments),
+                 "--inner-dim", inner_dim]) == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert "--inner-dim" in payload["message"]
+    if inner_dim == "3":
+        path = _difference_csv(tmp_path, {})
+        assert main(["--quiet", "null", "--difference", str(path),
+                     "--inner-dim", "3", "--moments-out", str(moments)]) == 0
+        assert json.loads(moments.read_text())["m"] == 3
+
+
 def test_null_from_moments_writes_entries_that_round_to_0_or_1(tmp_path):
     # ebar 10 and vbar 100 put some null entries far above logit 36.7, where
     # inv_logit is exactly 1.0; every network is still written
@@ -774,6 +807,18 @@ def test_seed_override_changes_output(tmp_path):
     sa = json.loads((tmp_path / "a" / "run_summary.json").read_text())
     sb = json.loads((tmp_path / "b" / "run_summary.json").read_text())
     assert sa["seed"] == 31 and sb["seed"] == 99
+
+
+def test_seed_flag_overrides_the_design_seed(tmp_path):
+    design = _small_design(tmp_path, replicates=2)
+    for flag, out in (([], "a"), (["--seed", "99"], "b")):
+        assert main(["--quiet", "--threads", "1", *flag, "simulate",
+                     "--design", str(design), "--out", str(tmp_path / out)]) == 0
+    seeds = [json.loads((tmp_path / out / "design.json").read_text())["seed"]
+             for out in "ab"]
+    assert seeds == [17, 99]
+    assert (tmp_path / "a" / "replicates.csv.gz").read_bytes() != \
+        (tmp_path / "b" / "replicates.csv.gz").read_bytes()
 
 
 def _small_design(tmp_path, **extra):
@@ -1480,10 +1525,12 @@ def test_simulate_rejects_q_above_the_non_target_partners(tmp_path, capfd):
     assert not (tmp_path / "bench").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "null"])
+@pytest.mark.parametrize("command", ["run", "null", "simulate"])
 def test_negative_seed_flag_fails_before_any_output(tmp_path, capfd, command):
     if command == "run":
         args = ["--manifest", str(_manifest(tmp_path))]
+    elif command == "simulate":
+        args = ["--design", str(_small_design(tmp_path))]
     else:
         moments = tmp_path / "moments.json"
         moments.write_text(json.dumps({"ebar": 1.0, "vbar": 0.5}))

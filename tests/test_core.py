@@ -14,6 +14,7 @@ from ddtnet.core import (
     logit,
     triu_index_pairs,
 )
+from ddtnet.edgetests import PValueMatrix
 
 
 def test_logit_examples():
@@ -98,17 +99,17 @@ def test_symmetric_matrix_dense_roundtrip_property(n, data):
 @given(n=st.integers(2, 12), data=st.data())
 def test_adjacency_matrix_dense_roundtrip_property(n, data):
     selected = data.draw(arrays(bool, n * (n - 1) // 2))
-    dense = AdjacencyMatrix(n=n, selected=selected).to_dense()
+    dense = AdjacencyMatrix(n=n, values=selected).to_dense()
     assert np.array_equal(dense, dense.T)
     assert not np.diag(dense).any()
     assert set(np.unique(dense)) <= {0, 1}
     back = AdjacencyMatrix.from_dense(dense)
-    assert np.array_equal(back.selected, selected)
+    assert np.array_equal(back.values, selected)
     assert np.array_equal(back.to_dense(), dense)
 
 
 def test_adjacency_matrix_rejects_a_nonzero_diagonal():
-    dense = AdjacencyMatrix(n=4, selected=np.ones(6, dtype=bool)).to_dense()
+    dense = AdjacencyMatrix(n=4, values=np.ones(6, dtype=bool)).to_dense()
     dense[2, 2] = 1
     with pytest.raises(ValidationError, match="diagonal"):
         AdjacencyMatrix.from_dense(dense)
@@ -124,6 +125,23 @@ def test_symmetric_matrix_rejects_asymmetry_and_size():
     almost = np.array([[1.0, 0.2], [0.2 + 1e-9, 1.0]])
     m = SymmetricMatrix.from_dense(almost)
     assert m.values[0] == pytest.approx(0.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("cls, value", [(AdjacencyMatrix, True),
+                                        (DifferenceNetwork, 0.5),
+                                        (PValueMatrix, 0.5)])
+def test_every_network_is_a_symmetric_matrix(cls, value):
+    # one __post_init__ checks every per-edge network's size and length
+    net = cls(n=4, values=np.full(6, value))
+    assert isinstance(net, SymmetricMatrix)
+    assert net.values.dtype == (bool if cls is AdjacencyMatrix else float)
+    assert not net.values.flags.writeable
+    with pytest.raises(ValidationError,
+                       match=r"expected 6 upper-triangle values for n=4, "
+                             r"got shape \(5,\)"):
+        cls(n=4, values=np.full(5, value))
+    with pytest.raises(ValidationError, match="need at least 2 nodes, got n=1"):
+        cls(n=1, values=np.full(0, value))
 
 
 def _groups(n_nodes=3, n1=3, n2=3, seed=0):
@@ -200,18 +218,16 @@ def test_validate_cohort_covariate_alignment():
 def test_difference_network_clamps_and_logits():
     pm = SymmetricMatrix(3, np.array([1.0, 0.5, 1e-15]))
     dn = DifferenceNetwork.from_pvalues(pm)
-    assert np.all((dn.d > 0) & (dn.d < 1))
+    assert np.all((dn.values > 0) & (dn.values < 1))
     assert np.all(np.isfinite(dn.logit_values()))
     # d = 1 - p ordering is preserved
-    assert dn.d[2] > dn.d[1] > dn.d[0]
+    assert dn.values[2] > dn.values[1] > dn.values[0]
 
 
 def test_containers_stay_frozen_across_pickling():
     import pickle
 
-    from ddtnet.core import AdjacencyMatrix
     from ddtnet.degree_test import NodeTests, node_tests
-    from ddtnet.edgetests import PValueMatrix
     from ddtnet.hqs import MomentSummary, NullExceedance, generate_null
 
     sym = SymmetricMatrix(4, np.arange(6.0))
@@ -223,8 +239,8 @@ def test_containers_stay_frozen_across_pickling():
     cases = [
         (sym, ("values",)),
         (pmat, ("values",)),
-        (AdjacencyMatrix(4, np.arange(6) % 2 == 0), ("selected",)),
-        (DifferenceNetwork(n=4, d=np.full(6, 0.3)), ("d",)),
+        (AdjacencyMatrix(4, np.arange(6) % 2 == 0), ("values",)),
+        (DifferenceNetwork(n=4, values=np.full(6, 0.3)), ("values",)),
         (cohort, ("x1", "x2", "covariates")),
         (generate_null(moments, n=4, size=3, seed=1), ("logit_entries",)),
         (NullExceedance(gamma=0.0, counts=np.arange(6), size=3), ("counts",)),

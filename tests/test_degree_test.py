@@ -55,13 +55,13 @@ def test_degree_sums_to_twice_edge_count():
     rng = np.random.default_rng(1)
     for _ in range(10):
         sel = rng.random(45) < 0.3
-        adj = AdjacencyMatrix(n=10, selected=sel)
+        adj = AdjacencyMatrix(n=10, values=sel)
         assert adj.degrees().sum() == 2 * adj.n_edges_selected
 
 
 def _null_probability(adjacencies):
     """p_null of thresholded null networks, from their per-edge counts."""
-    counts = np.sum([a.selected for a in adjacencies], axis=0)
+    counts = np.sum([a.values for a in adjacencies], axis=0)
     return null_probability_from_counts(counts, len(adjacencies),
                                         adjacencies[0].n)
 
@@ -87,7 +87,7 @@ def test_null_probability_extremes():
 
 def test_null_probability_order_invariant():
     rng = np.random.default_rng(5)
-    adjs = [AdjacencyMatrix(n=6, selected=rng.random(15) < 0.4)
+    adjs = [AdjacencyMatrix(n=6, values=rng.random(15) < 0.4)
             for _ in range(7)]
     p1 = _null_probability(adjs)
     p2 = _null_probability(adjs[::-1])
@@ -211,7 +211,7 @@ def test_ddt_run_deterministic_end_to_end():
     r1 = ddt_run(cohort, {"addt": ThresholdRule()}, **kwargs).ddt["addt"]
     r2 = ddt_run(cohort, {"addt": ThresholdRule()}, **kwargs).ddt["addt"]
     assert r1.gamma == r2.gamma
-    assert np.array_equal(r1.adjacency.selected, r2.adjacency.selected)
+    assert np.array_equal(r1.adjacency.values, r2.adjacency.values)
     assert r1.nodes.pvalue.tolist() == r2.nodes.pvalue.tolist()
 
 
@@ -315,7 +315,7 @@ def test_fixed_threshold_p_null_is_exact(strong):
     # fdr rejects the strong edges only when there are any
     fdr = results["fdr"]
     if strong:
-        assert math.isfinite(fdr.gamma) and fdr.adjacency.selected.any()
+        assert math.isfinite(fdr.gamma) and fdr.adjacency.values.any()
     else:
         assert fdr.gamma == math.inf
         nodes = fdr.nodes

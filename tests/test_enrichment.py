@@ -53,7 +53,7 @@ def test_block_counts_partition_identity():
     rng = np.random.default_rng(0)
     part = _partition(rng.integers(1, 4, size=12) * 0 + np.repeat([1, 2, 3], 4))
     sel = rng.random(66) < 0.4
-    adj = AdjacencyMatrix(n=12, selected=sel)
+    adj = AdjacencyMatrix(n=12, values=sel)
     counts = block_counts(adj, part)
     assert sum(counts.values()) == adj.n_edges_selected
 
@@ -121,7 +121,7 @@ def test_enrichment_direction_filter():
 def test_enrichment_relabeling_invariance():
     rng = np.random.default_rng(3)
     sel = rng.random(66) < 0.3
-    adj = AdjacencyMatrix(n=12, selected=sel)
+    adj = AdjacencyMatrix(n=12, values=sel)
     ids = np.repeat([1, 2, 3], 4)
     base = enrichment_test(adj, _partition(ids))
     swapped = enrichment_test(adj, _partition(np.where(ids == 1, 3,
@@ -154,7 +154,7 @@ def test_enrichment_null_calibration():
         sel = rng.random(32 * 31 // 2) < 0.2
         if not sel.any():
             continue
-        res = enrichment_test(AdjacencyMatrix(n=32, selected=sel), part)
+        res = enrichment_test(AdjacencyMatrix(n=32, values=sel), part)
         flagged += sum(r.significant for r in res)
         blocks += len(res)
     rate = flagged / blocks

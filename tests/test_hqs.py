@@ -18,7 +18,8 @@ from ddtnet.hqs import (
 
 
 def _diff_net_from_logits(n, logits):
-    return DifferenceNetwork(n=n, d=inv_logit(np.asarray(logits, dtype=float)))
+    return DifferenceNetwork(n=n,
+                             values=inv_logit(np.asarray(logits, dtype=float)))
 
 
 def test_moment_closed_forms():
@@ -73,8 +74,8 @@ def test_generate_null_probability_scale_strictly_inside_unit_interval():
     ms = MomentSummary.from_moments(1.0, 0.5, m=2)
     ens = generate_null(ms, n=20, size=3, seed=7)
     for i in range(ens.size):
-        net = DifferenceNetwork(n=ens.n, d=inv_logit(ens.logit_entries[i]))
-        assert np.all((net.d > 0) & (net.d < 1))
+        net = DifferenceNetwork(n=ens.n, values=inv_logit(ens.logit_entries[i]))
+        assert np.all((net.values > 0) & (net.values < 1))
         assert net.n == 20
 
 

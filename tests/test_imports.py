@@ -7,7 +7,11 @@ scipy.special holds about 25 MB once loaded, and a run needs it only after
 the cohort is reduced: --version, `ddt null --moments` and an input error
 never load it, `ddt run` loads it only after load_cohort returns, so the
 load peaks without it, and `ddt simulate` loads it before its pool forks,
-so the workers inherit it."""
+so the workers inherit it.
+
+The process-pool modules (concurrent.futures.process and multiprocessing)
+are loaded only when a pool is made: --version, `ddt null --moments` and a
+--threads 1 run or simulation never load them."""
 
 import json
 import os
@@ -39,7 +43,7 @@ print(json.dumps({"code": code, "stats": "scipy.stats" in sys.modules}))
 # whether scipy.special was loaded at exit, when load_cohort returned and
 # when a process pool was made
 SPECIAL_PROBE = """
-import json, sys
+import concurrent.futures as futures, json, sys
 from ddtnet import cli, core
 seen = {}
 load = cli.load_cohort
@@ -47,11 +51,11 @@ def load_cohort(*args, **kwargs):
     cohort = load(*args, **kwargs)
     seen["after_load"] = "scipy.special" in sys.modules
     return cohort
-class Pool(core.ProcessPoolExecutor):
+class Pool(futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         seen["at_fork"] = "scipy.special" in sys.modules
         super().__init__(*args, **kwargs)
-cli.load_cohort, core.ProcessPoolExecutor = load_cohort, Pool
+cli.load_cohort, futures.ProcessPoolExecutor = load_cohort, Pool
 core.usable_cpus = lambda: 2
 try:
     code = cli.main(sys.argv[1:])
@@ -59,6 +63,19 @@ except SystemExit as exit_:
     code = exit_.code
 print(json.dumps({"code": code, "special": "scipy.special" in sys.modules,
                   **seen}))
+"""
+
+# runs ddt's main in-process on a host of two usable CPUs, then reports
+# whether multiprocessing, which a process pool needs, was loaded
+POOL_PROBE = """
+import json, sys
+from ddtnet import cli, core
+core.usable_cpus = lambda: 2
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exit_:
+    code = exit_.code
+print(json.dumps({"code": code, "pool": "multiprocessing" in sys.modules}))
 """
 
 
@@ -198,3 +215,30 @@ def test_simulate_loads_scipy_special_before_its_pool_forks(tmp_path):
                  str(design), "--out", str(tmp_path / "bench"),
                  probe=SPECIAL_PROBE)
     assert got == {"code": 0, "special": True, "at_fork": True}
+
+
+@pytest.mark.parametrize("threads, command", [
+    (None, "--version"), (None, "null"), ("1", "simulate"), ("1", "run"),
+    ("2", "run")])
+def test_only_a_process_pool_loads_multiprocessing(tmp_path, threads, command):
+    out = ["--out", str(tmp_path / "out")]
+    if command == "null":
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps({"ebar": 1.0, "vbar": 0.5, "m": 2}))
+        args = ["--moments", str(moments)]
+    elif command == "simulate":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({
+            "n_nodes": 12, "n1": 6, "n2": 6, "q": 4, "targets": [1, 2],
+            "replicates": 2, "seed": 17, "null_networks": 20,
+            "methods": ["addt", "eddt", "binb"]}))
+        args = ["--design", str(design), *out]
+    elif command == "run":
+        manifest = _run_manifest(tmp_path, test="welch_t",
+                                 threshold={"kind": "eddt", "level": 0.95})
+        args = ["--manifest", str(manifest), *out]
+    else:
+        args = []
+    flags = ["--threads", threads] if threads else []
+    got = _probe("--quiet", *flags, command, *args, probe=POOL_PROBE)
+    assert got == {"code": 0, "pool": threads == "2"}

@@ -62,7 +62,7 @@ class _CountingSource:
 def _mask_oracle(entries, gamma, n):
     """Counts, p_null and edge fraction from the materialized M x E mask."""
     mask = entries > gamma
-    node_totals = sum(AdjacencyMatrix(n=n, selected=row).to_dense().sum(axis=1)
+    node_totals = sum(AdjacencyMatrix(n=n, values=row).to_dense().sum(axis=1)
                       for row in mask)
     p_null = node_totals / (len(mask) * (n - 1))
     return mask.sum(axis=0), p_null, float(mask.mean())
@@ -168,8 +168,8 @@ def test_null_networks_are_written_block_by_block(monkeypatch, tmp_path):
     assert [p.name for p in paths] == [f"null_{i}.csv" for i in range(size)]
     ens = generate_null(MOMENTS, n, size, seed)
     for i, path in enumerate(paths):
-        net = DifferenceNetwork(n=n, d=inv_logit(ens.logit_entries[i]))
-        expected = net.to_symmetric().to_dense()
+        net = DifferenceNetwork(n=n, values=inv_logit(ens.logit_entries[i]))
+        expected = net.to_dense()
         assert np.array_equal(read_matrix_csv(path), expected)
 
 

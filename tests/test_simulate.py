@@ -1,3 +1,4 @@
+import concurrent.futures as futures
 import math
 from dataclasses import replace
 
@@ -278,8 +279,8 @@ def test_run_replicate_scores_the_decisions_of_ddt_run():
         decisions = {name: r.nodes.significant for name, r in result.ddt.items()}
         decisions.update((name, tests.significant)
                          for name, tests in result.baselines.items())
-        edges = {name: r.adjacency.selected for name, r in result.ddt.items()}
-        edges.update((name, baseline_threshold(result.pvalues, rules[name]).selected)
+        edges = {name: r.adjacency.values for name, r in result.ddt.items()}
+        edges.update((name, baseline_threshold(result.pvalues, rules[name]).values)
                      for name in ("hard_0.95", "bonferroni", "fdr"))
         assert list(out.node_counts.items()) == [
             (name, score(dec, sim.target_nodes, exclude=sim.incident_nodes))
@@ -362,7 +363,7 @@ def test_run_experiment_clamps_a_huge_thread_request(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-CPU run must not start a pool")
     monkeypatch.setattr(core, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(core, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
     design = SimDesign(q=5, targets=(1,), n_nodes=14, n1=8, n2=8,
                        replicates=2, seed=11, null_networks=25,
                        methods=("addt",))

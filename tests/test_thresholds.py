@@ -124,24 +124,24 @@ def test_eddt_converges_to_addt():
 
 def test_apply_threshold_extremes_and_single_crossing():
     d = np.array([0.2, 0.97, 0.5])
-    dn = DifferenceNetwork(n=3, d=d)
+    dn = DifferenceNetwork(n=3, values=d)
     lv = dn.logit_values()
     assert apply_threshold(dn, lv.max() + 1).n_edges_selected == 0
     assert apply_threshold(dn, lv.min() - 1).n_edges_selected == 3
     one = apply_threshold(dn, logit(0.95))
     assert one.n_edges_selected == 1
-    assert one.selected[1]
+    assert one.values[1]
 
 
 def test_apply_threshold_strict_inequality():
-    dn = DifferenceNetwork(n=3, d=np.array([0.5, 0.7, 0.9]))
+    dn = DifferenceNetwork(n=3, values=np.array([0.5, 0.7, 0.9]))
     at_tie = apply_threshold(dn, logit(0.7))
     assert at_tie.n_edges_selected == 1      # ties break toward non-selection
 
 
 def test_apply_threshold_edge_count_nonincreasing_in_gamma():
     rng = np.random.default_rng(6)
-    dn = DifferenceNetwork(n=10, d=rng.uniform(0.01, 0.99, size=45))
+    dn = DifferenceNetwork(n=10, values=rng.uniform(0.01, 0.99, size=45))
     counts = [apply_threshold(dn, g).n_edges_selected
               for g in np.linspace(-4, 4, 33)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -221,11 +221,11 @@ def test_baseline_threshold_rules():
     p = np.array([0.004, 0.02, 0.04, 0.9, 0.5, 0.3, 0.2, 0.6, 0.7, 0.8])
     pmat = PValueMatrix(n=n, values=p)
     bonf = baseline_threshold(pmat, ThresholdRule(kind="bonferroni", level=0.05))
-    assert np.array_equal(bonf.selected, p < 0.005)   # cutoff alpha/E = 0.005
+    assert np.array_equal(bonf.values, p < 0.005)   # cutoff alpha/E = 0.005
     hard = baseline_threshold(pmat, ThresholdRule(kind="hard", level=0.95))
-    assert np.array_equal(hard.selected, (1 - p) > 0.95)
+    assert np.array_equal(hard.values, (1 - p) > 0.95)
     fdr = baseline_threshold(pmat, ThresholdRule(kind="fdr", level=0.05))
-    assert np.all(fdr.selected[bonf.selected])
+    assert np.all(fdr.values[bonf.values])
 
 
 def test_all_p_one_selects_nothing():
@@ -257,7 +257,7 @@ def test_baseline_threshold_equals_the_p_scale_rule(data, n, kind):
     values = data.draw(st.permutations(boundary + rest), label="p")
     pmat = PValueMatrix(n=n, values=np.array(values))
     rule = ThresholdRule(kind, level)
-    assert np.array_equal(baseline_threshold(pmat, rule).selected,
+    assert np.array_equal(baseline_threshold(pmat, rule).values,
                           _p_scale_selection(pmat, rule))
 
 
@@ -269,7 +269,7 @@ def test_baseline_threshold_follows_the_difference_network():
     def compare(values, rule):
         pmat = PValueMatrix(n=n, values=np.array(values + rest))
         return (_p_scale_selection(pmat, rule)[:2].tolist(),
-                baseline_threshold(pmat, rule).selected[:2].tolist())
+                baseline_threshold(pmat, rule).values[:2].tolist())
 
     # one ulp below a Bonferroni cut, 1 - p rounds onto 1 - cut
     cut = 0.05 / 6
@@ -303,9 +303,9 @@ def test_select_gamma_consistency_with_baseline_threshold():
         gamma = select_gamma(rule, pmat=pmat)
         via_gamma = apply_threshold(dn, gamma)
         if kind == "hard":
-            assert np.array_equal(via_gamma.selected, (1 - p) > 0.95)
-        assert np.array_equal(via_gamma.selected, direct)
-        assert np.array_equal(baseline_threshold(pmat, rule).selected, direct)
+            assert np.array_equal(via_gamma.values, (1 - p) > 0.95)
+        assert np.array_equal(via_gamma.values, direct)
+        assert np.array_equal(baseline_threshold(pmat, rule).values, direct)
 
 
 def test_select_gamma_fdr_no_rejections_is_infinite():
