@@ -5,7 +5,8 @@ edge rule; its design echo is pinned by value) and of `ddt run`: welch_t on
 Fisher-Z values with the t10, binb and binf baselines, once with the eDDT
 and once with the aDDT threshold, and each joint edge test (wilcoxon on
 its exact, tie-corrected and large-sample paths, permutation, regression
-with two covariates), whose p-values difference_network.csv holds.
+with two covariates), whose p-values difference_network.csv holds; and
+of `ddt null` from a difference network, its moment file and null CSVs.
 A refactor that claims byte-identical outputs must keep them. Any intended
 output change must update the pins here and say so, with the reason, in
 CHANGES.md.
@@ -178,3 +179,39 @@ def test_joint_test_run_outputs_match_the_pinned_digests(tmp_path, case):
     settings, digests = JOINT_RUNS[case]
     out = _run(tmp_path, **settings)
     assert _digests(out, digests) == digests
+
+
+# `ddt null --difference` on a fixed 8-node network: the logit-scale
+# moments, and five null networks mapped back to the probability scale
+NULL_MOMENTS_DIGEST = (
+    "1e4036ff6ccb57b0374108e8967baec71a347930008db2d17ee7784b596879b6")
+NULL_DIGESTS = {
+    "null_0.csv":
+        "a0dced765ef8284fa9ec6323866cbccfaf435fd85f4783c773dc24cc8dd4cc2e",
+    "null_1.csv":
+        "6cc9ff7e31925ad3173b186f790c4f4a66a8760492c47c53ab099c76eecb3488",
+    "null_2.csv":
+        "154386ce6279084f181a6672c0d3a2a5ed37d2af3a9d1d7469553159daa81dfb",
+    "null_3.csv":
+        "89b0a96bf2ccdc5666e7dc76cdf61486a20916ebce718ea9ef55827d70c70a4f",
+    "null_4.csv":
+        "fa612040e66e0c5cbc858a3828fa40db574a6c090486efee2578b5f7a2c4531e",
+}
+
+
+def test_null_outputs_match_the_pinned_digests(tmp_path):
+    n = 8
+    rng = np.random.default_rng(17)
+    iu, ju = np.triu_indices(n, k=1)
+    dense = np.zeros((n, n))
+    dense[iu, ju] = dense[ju, iu] = rng.uniform(0.3, 0.99, size=len(iu))
+    write_matrix_csv(tmp_path / "diff.csv", dense)
+    out = tmp_path / "nulls"
+    assert main(["--quiet", "--seed", "3", "null",
+                 "--difference", str(tmp_path / "diff.csv"),
+                 "--moments-out", str(tmp_path / "moments.json"),
+                 "--out", str(out), "--ensemble-size", "5"]) == 0
+    assert _digests(tmp_path, ["moments.json"]) == {
+        "moments.json": NULL_MOMENTS_DIGEST}
+    assert sorted(p.name for p in out.iterdir()) == sorted(NULL_DIGESTS)
+    assert _digests(out, NULL_DIGESTS) == NULL_DIGESTS
