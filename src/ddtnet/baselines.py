@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AdjacencyMatrix, ConnectivityCohort, ValidationError,
-                   _frozen, _FrozenArrays, triu_index_pairs)
+                   _frozen, _FrozenArrays, node_sums)
 from .edgetests import (PValueMatrix, WelchMoments, welch_moments,
                         welch_pvalues)
 from .thresholds import bh_adjust
@@ -102,9 +102,10 @@ def stacked_degrees(values: np.ndarray, n: int, density: float,
                     ranking: str) -> np.ndarray:
     """Nodal degrees of every row of a (subjects x edges) array of an
     n-node network after keeping its top round(density * E) edges (signed
-    values or magnitudes). Every step is row-wise, so the rows are ranked
-    in chunks of about _DEGREE_CHUNK_BYTES of values (_row_degrees) and
-    no temporary grows with the number of subjects."""
+    values or magnitudes): one row-wise partition finds each row's k-th
+    largest value, and of the edges equal to it the lowest indices are kept
+    first, as a stable sort would. The rows are ranked in chunks of about
+    _DEGREE_CHUNK_BYTES of values, so no temporary grows with the subjects."""
     subjects, n_edges = values.shape
     k = density_edge_count(n_edges, density)
     degrees = np.zeros((subjects, n), dtype=np.int64)
@@ -113,30 +114,15 @@ def stacked_degrees(values: np.ndarray, n: int, density: float,
     rows = max(1, _DEGREE_CHUNK_BYTES // (8 * n_edges))
     for start in range(0, subjects, rows):
         chunk = slice(start, start + rows)
-        degrees[chunk] = _row_degrees(values[chunk], n, k, ranking)
+        vals = values[chunk]
+        vals = np.abs(vals) if ranking == "absolute" else vals
+        kth = np.partition(vals, n_edges - k, axis=1)[:, n_edges - k, None]
+        selected = vals > kth
+        ties = vals == kth
+        short = k - np.count_nonzero(selected, axis=1)
+        selected |= ties & (np.cumsum(ties, axis=1) <= short[:, None])
+        degrees[chunk] = node_sums(n, selected)
     return degrees
-
-
-def _row_degrees(values: np.ndarray, n: int, k: int,
-                 ranking: str) -> np.ndarray:
-    """stacked_degrees of the rows of values at k > 0 kept edges, in one
-    go. One row-wise partition finds each row's k-th largest value; the
-    edges above it are kept, and of those equal to it the lowest edge
-    indices fill the rest, as a stable sort would."""
-    vals = np.abs(values) if ranking == "absolute" else values
-    subjects, n_edges = vals.shape
-    kth = np.partition(vals, n_edges - k, axis=1)[:, n_edges - k, None]
-    selected = vals > kth
-    ties = vals == kth
-    short = k - np.count_nonzero(selected, axis=1)
-    selected |= ties & (np.cumsum(ties, axis=1) <= short[:, None])
-    iu, ju = triu_index_pairs(n)
-    rows, edges = np.nonzero(selected)
-    # node index offset by n per subject, so one bincount counts every row
-    offset = n * rows
-    counts = (np.bincount(iu[edges] + offset, minlength=n * subjects)
-              + np.bincount(ju[edges] + offset, minlength=n * subjects))
-    return counts.reshape(subjects, n)
 
 
 def degree_moments(values: np.ndarray, n: int, density: float,

@@ -225,6 +225,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_null(args) -> int:
     n_nodes = args.nodes
+    if args.moments and args.difference:
+        raise ManifestError("pass --difference or --moments, not both")
     if args.moments:
         if args.inner_dim is not None:
             raise ManifestError("--inner-dim applies to --difference only; "
@@ -232,7 +234,10 @@ def cmd_null(args) -> int:
         moments = load_moments(args.moments)
     elif args.difference:
         dense = read_matrix_csv(args.difference, header=args.header)
-        sym = SymmetricMatrix.from_dense(dense)
+        try:
+            sym = SymmetricMatrix.from_dense(dense)
+        except ValidationError as err:
+            raise ValidationError(f"{args.difference}: {err}") from err
         if not np.all((sym.values >= 0.0) & (sym.values <= 1.0)):
             raise ValidationError(f"{args.difference}: difference-network "
                                   "entries must be finite and in [0, 1]")

@@ -52,8 +52,8 @@ def inv_logit(x):
     """1 / (1 + exp(-x)); maps the real line onto (0, 1)."""
     x = np.asarray(x, dtype=float)
     # evaluate on the non-positive side only so large |x| cannot overflow
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    z = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,12 +165,20 @@ def triu_index_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def node_sums(n: int, per_edge: np.ndarray) -> np.ndarray:
-    """Per node, the float64 sum of per-edge values (canonical i<j order)
-    over the edges incident to it; on an edge mask, the node degrees."""
+    """Per node, the float64 sums of (..., E) per-edge values (canonical i<j
+    order) over its incident edges, as (..., n); on edge masks, the degrees.
+    One pair of bincounts, node indices offset by n per row, tallies every
+    row's nonzero entries."""
+    *lead, n_edges = np.shape(per_edge)
+    flat = np.reshape(per_edge, (math.prod(lead), n_edges))
+    row, edge = np.nonzero(flat)
+    weights = flat[row, edge].astype(float)
     iu, ju = triu_index_pairs(n)
-    weights = np.asarray(per_edge, dtype=float)
-    return (np.bincount(iu, weights=weights, minlength=n)
-            + np.bincount(ju, weights=weights, minlength=n))
+    offset, size = n * row, n * len(flat)
+    sums = (np.bincount(iu[edge] + offset, weights=weights, minlength=size)
+            + np.bincount(ju[edge] + offset, weights=weights, minlength=size))
+    # bincount of no entries at all is int64, whatever the weights
+    return sums.reshape(*lead, n).astype(float, copy=False)
 
 
 def upper_triangle(dense: np.ndarray) -> np.ndarray:
@@ -305,7 +313,7 @@ class DifferenceNetwork(SymmetricMatrix):
 
     def logit_values(self) -> np.ndarray:
         """Logit-scale view of the off-diagonal entries."""
-        return np.log(self.values) - np.log1p(-self.values)
+        return logit(self.values)
 
 
 def nodes_for_edges(n_edges: int) -> int:

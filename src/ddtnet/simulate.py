@@ -232,13 +232,12 @@ def simulate_cohort(design: SimDesign, base: SymmetricMatrix,
     dwe = taken[iu, ju]
 
     # group 1 in one draw, the same doubles as one size-E draw per subject;
-    # group 2 interleaves each subject's injected draws with its noise
+    # group 2 too: normal(loc, sd) is loc + sd * z, so one (n2, E + k) draw
+    # holds each subject's E noise doubles, then its k injected ones
     w1 = rng.normal(0.0, design.subject_noise_sd, size=(design.n1, n_edges))
-    w2 = np.empty((design.n2, n_edges))
-    for w in w2:
-        w[:] = rng.normal(0.0, design.subject_noise_sd, size=n_edges)
-        w[dwe] = rng.normal(design.dwe_mean, design.subject_noise_sd,
-                            size=int(dwe.sum()))
+    z = rng.standard_normal((design.n2, n_edges + int(dwe.sum())))
+    w2 = 0.0 + design.subject_noise_sd * z[:, :n_edges]
+    w2[:, dwe] = design.dwe_mean + design.subject_noise_sd * z[:, n_edges:]
     truth_nodes = np.zeros(n, dtype=bool)
     truth_nodes[targets0] = True
     return SimulatedCohort(

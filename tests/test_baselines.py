@@ -215,7 +215,9 @@ def test_stacked_degrees_chunks_agree_with_one_shot(monkeypatch, ranking):
     vals = np.round(rng.normal(0.0, 2.0, size=(8, n_edges)))
     vals[2, : 2 * k] = vals[3, -2 * k:] = 9.0
     vals[3, :k // 2] = 10.0
-    one_shot = baselines._row_degrees(vals, n, k, ranking)
+    # one chunk holds all 8 rows, then chunks of 3 rows split them
+    monkeypatch.setattr(baselines, "_DEGREE_CHUNK_BYTES", 8 * 8 * n_edges)
+    one_shot = stacked_degrees(vals, n, 0.1, ranking)
     monkeypatch.setattr(baselines, "_DEGREE_CHUNK_BYTES", 3 * 8 * n_edges)
     chunked = stacked_degrees(vals, n, 0.1, ranking)
     assert chunked.dtype == np.int64

@@ -772,6 +772,38 @@ def test_null_inner_dim_applies_to_difference_only(tmp_path, capfd, inner_dim):
         assert json.loads(moments.read_text())["m"] == 3
 
 
+def test_null_moments_and_difference_together_is_a_manifest_error(
+        tmp_path, capfd):
+    # the difference file does not exist: the check comes before any read
+    moments = tmp_path / "m.json"
+    moments.write_text(json.dumps({"ebar": 2.0, "vbar": 3.0}))
+    assert main(["null", "--moments", str(moments),
+                 "--difference", str(tmp_path / "missing.csv"),
+                 "--moments-out", str(tmp_path / "out.json")]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "manifest"
+    assert "--moments" in payload["message"]
+    assert "--difference" in payload["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_null_asymmetric_difference_names_the_file(tmp_path, capfd):
+    path = _difference_csv(tmp_path, {})
+    dense = read_matrix_csv(path)
+    dense[0, 3] += 0.1
+    write_matrix_csv(path, dense)
+    assert main(["null", "--difference", str(path)]) == 2
+    err = capfd.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"{path}: ")
+    assert "asymmetric" in payload["message"]
+
+
 def test_null_from_moments_writes_entries_that_round_to_0_or_1(tmp_path):
     # ebar 10 and vbar 100 put some null entries far above logit 36.7, where
     # inv_logit is exactly 1.0; every network is still written

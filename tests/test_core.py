@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from ddtnet.core import (
     fisher_z_clamped,
     inv_logit,
     logit,
+    node_sums,
     triu_index_pairs,
 )
 from ddtnet.edgetests import PValueMatrix
@@ -106,6 +109,40 @@ def test_adjacency_matrix_dense_roundtrip_property(n, data):
     back = AdjacencyMatrix.from_dense(dense)
     assert np.array_equal(back.values, selected)
     assert np.array_equal(back.to_dense(), dense)
+
+
+_PER_EDGE = {
+    bool: st.booleans(),
+    np.int64: st.integers(-1000, 1000),
+    float: st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e6, 1e6, allow_nan=False)),
+}
+
+
+def node_sums_row_by_row(n: int, per_edge: np.ndarray) -> np.ndarray:
+    """The oracle of node_sums: per row, two bincounts over every edge,
+    weighted by the row's values as float."""
+    iu, ju = triu_index_pairs(n)
+    lead = per_edge.shape[:-1]
+    rows = per_edge.reshape(math.prod(lead), len(iu)).astype(float)
+    sums = [np.bincount(iu, weights=row, minlength=n)
+            + np.bincount(ju, weights=row, minlength=n) for row in rows]
+    return np.array(sums, dtype=float).reshape(*lead, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 9), dtype=st.sampled_from(list(_PER_EDGE)),
+       lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+       data=st.data())
+def test_node_sums_equals_bincounts_row_by_row(n, dtype, lead, data):
+    per_edge = data.draw(arrays(dtype, lead + (n * (n - 1) // 2,),
+                                elements=_PER_EDGE[dtype]))
+    # some rows all zero (with lead (), maybe the whole array)
+    per_edge[data.draw(arrays(bool, lead))] = 0
+    got = node_sums(n, per_edge)
+    want = node_sums_row_by_row(n, per_edge)
+    assert got.dtype == np.float64 and got.shape == lead + (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_adjacency_matrix_rejects_a_nonzero_diagonal():
